@@ -72,8 +72,8 @@ def _build_parser() -> _Parser:
         const="",
         default=None,
         metavar="PATH",
-        help="persist memoized values; bare flag uses the default path "
-        f"(override with ${CACHE_ENV_VAR})",
+        help="persist memoized values in PATH; a bare flag uses "
+        f"${CACHE_ENV_VAR}, which must then be set",
     )
     p_g0.set_defaults(func=_cmd_g0)
 
@@ -99,7 +99,8 @@ def _build_parser() -> _Parser:
         const="",
         default=None,
         metavar="PATH",
-        help="persist the relational solver's memo table",
+        help="persist the relational solver's memo table in PATH; a bare "
+        f"flag uses ${CACHE_ENV_VAR}, which must then be set",
     )
     p_dr1.set_defaults(func=_cmd_dr1)
 
@@ -129,14 +130,23 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _open_store(flag: Optional[str]) -> tuple[Optional[CacheStore], Optional[str]]:
+def _cache_path(flag: Optional[str]) -> Optional[str]:
     """Resolve the --cache flag: None means stay in memory."""
     if flag is None:
-        return None, None
-    path = flag or os.environ.get(CACHE_ENV_VAR) or default_cache_path()
+        return None
+    path = flag or default_cache_path()
+    if path is None:
+        raise _UsageError(f"--cache without PATH needs ${CACHE_ENV_VAR} to be set")
+    return path
+
+
+def _open_store(path: Optional[str]) -> Optional[CacheStore]:
+    """Load the cache file at ``path``, or start it empty; None stays in memory."""
+    if path is None:
+        return None
     if os.path.exists(path):
-        return CacheStore.load(path), path
-    return CacheStore(), path
+        return CacheStore.load(path)
+    return CacheStore()
 
 
 def _close_store(store: Optional[CacheStore], path: Optional[str]) -> None:
@@ -146,7 +156,8 @@ def _close_store(store: Optional[CacheStore], path: Optional[str]) -> None:
 
 def _cmd_g0(args) -> int:
     bracket = Genus0Bracket(args.r, args.a)
-    store, path = _open_store(args.cache)
+    path = _cache_path(args.cache)
+    store = _open_store(path)
     result = solve_bracket(args.r, tuple(args.a), store)
     _close_store(store, path)
     if args.format == "json":
@@ -186,13 +197,14 @@ def _cmd_dr1(args) -> int:
     if len(args.k) != len(args.a):
         raise StructureError("k and a rows differ in length")
     bracket = DR1Bracket(args.r, zip(args.k, args.a))
+    path = _cache_path(args.cache)
     methods = ["closed", "relations"] if args.method == "both" else [args.method]
     results = []
     for method in methods:
         if method == "closed":
             results.append(("closed", closed_form(bracket)))
         else:
-            store, path = _open_store(args.cache)
+            store = _open_store(path)
             if store is None:
                 store = CacheStore()
             results.append(("relations", solve_relational(bracket, store)))
@@ -258,13 +270,14 @@ def _cmd_verify(args) -> int:
 def _cmd_table(args) -> int:
     rows = []
     if args.kind == "g0":
+        store = CacheStore()
         for n in range(3, args.n_max + 1):
             total = (n - 2) * args.r - 2
             if total < 0:
                 continue
             for a in ascending_multisets(0, args.r - 1, n, total):
                 br = Genus0Bracket(args.r, a)
-                res = solve_bracket(args.r, a)
+                res = solve_bracket(args.r, a, store)
                 rows.append(
                     {
                         "key": br.key,
@@ -312,6 +325,9 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except (GradingError, StructureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA

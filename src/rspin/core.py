@@ -39,6 +39,7 @@ __all__ = [
     "EvalResult",
     "Genus0Bracket",
     "DR1Bracket",
+    "genus0_key",
     "genus_of",
     "genus0_selection",
     "dr1_selection",
@@ -208,7 +209,16 @@ class Genus0Bracket:
 
     @property
     def key(self) -> str:
-        return f"g0:r={self.r}:a={','.join(map(str, self.a))}"
+        return genus0_key(self.r, self.a)
+
+
+def genus0_key(r: int, a: Sequence[int]) -> str:
+    """Canonical key string of the genus-0 bracket with ascending twists ``a``.
+
+    No validation: callers that already hold checked, sorted twists (the
+    associativity engine) build cache keys without constructing a bracket.
+    """
+    return f"g0:r={r}:a={','.join(map(str, a))}"
 
 
 def _sorted_dr1_entries(entries: Sequence[Tuple[int, int]]) -> Tuple[Tuple[int, int], ...]:

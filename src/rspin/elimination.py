@@ -1,10 +1,17 @@
-"""Exact Gauss-Jordan elimination over rationals with deterministic pivoting.
+"""Exact sparse elimination over rationals, to reduced row echelon form.
 
 The two bracket solvers reduce to the same linear-algebra question: given
 equations ``sum coeff_j * U_j = constant`` over a fixed, ordered list of
-unknowns, which unknowns are forced to a unique value? Columns are processed
-in the order the caller supplies (the callers pass canonical key order), rows
-by first usable index, so identical inputs always produce identical results.
+unknowns, which unknowns are forced to a unique value? Their rows are short
+(an associativity row touches a handful of the unknowns), so each row is a
+dict from column index to ``Fraction`` and elimination is incremental: every
+incoming row is reduced against the pivot rows kept so far, an inconsistent
+row (``0 = c`` with ``c != 0``) raises at once, and a row that survives
+becomes a pivot row on its leftmost column, which is then cleared from the
+earlier pivot rows. The pivot rows always form the reduced row echelon form
+of the rows seen so far, and that form is unique, so the result does not
+depend on the row order and matches dense Gauss-Jordan with the columns in
+the caller's order (the callers pass canonical key order).
 """
 
 from __future__ import annotations
@@ -40,49 +47,58 @@ def solve_exact(
     Raises
     ------
     ValueError
-        If the rows are mutually inconsistent (some combination reduces to
-        ``0 = c`` with ``c != 0``).
+        If a row names an unknown outside ``unknowns``, or if the rows are
+        mutually inconsistent (some combination reduces to ``0 = c`` with
+        ``c != 0``).
     """
     cols = {u: j for j, u in enumerate(unknowns)}
     width = len(unknowns)
-    rows: List[List[Fraction]] = []
+    # Pivot column -> its row; the constant sits in column ``width``.
+    pivots: Dict[int, Dict[int, Fraction]] = {}
     for coeffs, const in equations:
-        row = [Fraction(0)] * (width + 1)
+        row: Dict[int, Fraction] = {}
         for u, c in coeffs.items():
             if u not in cols:
                 raise ValueError(f"equation references undeclared unknown {u!r}")
-            row[cols[u]] += Fraction(c)
-        row[width] = Fraction(const)
-        rows.append(row)
-
-    pivot_row_of_col: Dict[int, int] = {}
-    rank = 0
-    for j in range(width):
-        pivot = None
-        for i in range(rank, len(rows)):
-            if rows[i][j] != 0:
-                pivot = i
-                break
-        if pivot is None:
+            if c:
+                row[cols[u]] = Fraction(c)
+        if const:
+            row[width] = Fraction(const)
+        for j in [j for j in row if j in pivots]:
+            factor = row.pop(j)
+            for k, c in pivots[j].items():
+                if k != j:
+                    value = row.get(k, 0) - factor * c
+                    if value:
+                        row[k] = value
+                    else:
+                        row.pop(k, None)
+        lead = min(row, default=width)
+        if lead == width:
+            if row:
+                raise ValueError("inconsistent linear system")
             continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = 1 / rows[rank][j]
-        rows[rank] = [c * inv for c in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][j] != 0:
-                factor = rows[i][j]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[rank])]
-        pivot_row_of_col[j] = rank
-        rank += 1
+        inv = 1 / row[lead]
+        if inv != 1:
+            row = {k: c * inv for k, c in row.items()}
+        for prow in pivots.values():
+            factor = prow.pop(lead, None)
+            if factor is None:
+                continue
+            for k, c in row.items():
+                if k != lead:
+                    value = prow.get(k, 0) - factor * c
+                    if value:
+                        prow[k] = value
+                    else:
+                        prow.pop(k, None)
+        pivots[lead] = row
 
-    for i in range(rank, len(rows)):
-        if rows[i][width] != 0:
-            raise ValueError("inconsistent linear system")
-
-    free_cols = [j for j in range(width) if j not in pivot_row_of_col]
+    free_cols = set(range(width)) - pivots.keys()
     values: Dict[Hashable, Fraction] = {}
-    free: List[Hashable] = [unknowns[j] for j in free_cols]
-    for j, i in pivot_row_of_col.items():
-        if all(rows[i][f] == 0 for f in free_cols):
-            values[unknowns[j]] = rows[i][width]
+    for j in sorted(pivots):
+        row = pivots[j]
+        if free_cols.isdisjoint(row):
+            values[unknowns[j]] = row.get(width, Fraction(0))
+    free = [unknowns[j] for j in sorted(free_cols)]
     return values, free

@@ -27,8 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from math import factorial
+from itertools import combinations, groupby
+from math import comb, factorial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .core import (
@@ -42,6 +42,7 @@ from .core import (
     _check_r,
     _check_twists,
     ascending_multisets,
+    genus0_key,
     genus0_selection,
 )
 from .elimination import solve_exact
@@ -58,7 +59,10 @@ __all__ = [
     "bracket_window_sum",
 ]
 
-_DEFAULT_CACHE = CacheStore()
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+Key = Tuple[int, ...]
 
 
 def three_point(r: int, a1: int, a2: int, a3: int) -> EvalResult:
@@ -161,106 +165,132 @@ def loop_sum(r: int, m: int, x: Sequence[int], extended: bool = False) -> Fracti
 class WdvvSystem:
     """Exact linear system for all unsolved n-point brackets at one (r, n).
 
-    ``unknowns`` holds canonical keys in ascending order; that order is also
-    the elimination pivot order. Each equation is ``(coeffs, constant)``
-    meaning ``sum coeffs[key] * value[key] = constant``, with constants fully
+    A bracket ``(r; a)`` is keyed by its ascending twist tuple ``a``.
+    ``unknowns`` holds these keys in ascending order; that order is also the
+    elimination pivot order. Each equation is ``(coeffs, constant)`` meaning
+    ``sum coeffs[key] * value[key] = constant``, with constants fully
     evaluated from smaller brackets.
     """
 
     r: int
     n: int
-    unknowns: Tuple[str, ...]
-    equations: Tuple[Tuple[Dict[str, Fraction], Fraction], ...]
+    unknowns: Tuple[Key, ...]
+    equations: Tuple[Tuple[Dict[Key, Fraction], Fraction], ...]
 
-    def solve(self) -> Tuple[Dict[str, Fraction], List[str]]:
+    def solve(self) -> Tuple[Dict[Key, Fraction], List[Key]]:
         """Run exact elimination; return (determined values, free keys)."""
         return solve_exact(self.unknowns, self.equations)
 
 
-def _value(r: int, a: Tuple[int, ...], cache: CacheStore) -> Fraction:
-    """Value of an arbitrary bracket, recursing through the window solver."""
-    n = len(a)
-    if sum(a) != (n - 2) * r - 2:
-        return Fraction(0)
-    if any(x == r - 1 for x in a):
-        return Fraction(0)
-    if n == 3:
-        return Fraction(1)
-    if n == 4:
-        return four_point(r, *a).value
-    if 0 in a:
-        return Fraction(0)
-    key = Genus0Bracket(r, a).key
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    values, free = wdvv_equations(r, n, cache).solve()
-    for k, v in values.items():
-        cache.put(k, v)
-    if key not in values:
+def _solve_into(r: int, a: Key, cache: CacheStore) -> Fraction:
+    """Solve the system at (r, len(a)), store every value it pins, return a's.
+
+    ``a`` must be ascending, graded and have every twist in ``[1, r - 2]``.
+    """
+    values, free = wdvv_equations(r, len(a), cache).solve()
+    for key, value in values.items():
+        cache.put(genus0_key(r, key), value)
+    if a not in values:
         raise UnderdeterminedError(
-            f"associativity equations leave {key} undetermined "
+            f"associativity equations leave {genus0_key(r, a)} undetermined "
             f"({len(free)} free of {len(values) + len(free)} unknowns)"
         )
-    return values[key]
+    return values[a]
 
 
-def _term_factor(r: int, n: int, twists: Tuple[int, ...], cache: CacheStore):
-    """Classify one product factor as an unknown key or a known exact value."""
-    if (
-        len(twists) == n
-        and sum(twists) == (n - 2) * r - 2
-        and all(1 <= t <= r - 2 for t in twists)
-    ):
-        return Genus0Bracket(r, twists).key, None
-    return None, _value(r, twists, cache)
+def _splits(rest: Key) -> List[Tuple[Key, Key, int]]:
+    """Every way to share ascending ``rest`` between two components.
 
-
-def _pairing_terms(
-    r: int,
-    n: int,
-    first: Tuple[int, int],
-    second: Tuple[int, int],
-    rest: Tuple[int, ...],
-    cache: CacheStore,
-) -> Tuple[Dict[str, Fraction], Fraction]:
-    """Expand one degeneration side into (unknown coefficients, known part).
-
-    The four distinguished twists split as ``first | second``; the remaining
-    insertions distribute over the two components in all ways, and each
-    component picks up the node twist forced by its side. Components that
-    vanish (bad grading, twist ``r - 1``, zero twist on 4+ points) drop out
-    through ``_value`` returning 0.
+    Returns ``(one side, other side, count)`` triples. Equal twists are
+    interchangeable, so each distinct split appears once, with the number of
+    index subsets of ``rest`` that produce it.
     """
-    coeffs: Dict[str, Fraction] = {}
-    const = Fraction(0)
-    indices = range(len(rest))
-    for size in range(len(rest) + 1):
-        for picked in combinations(indices, size):
-            chosen = set(picked)
-            left = list(first) + [rest[i] for i in indices if i in chosen]
-            right = list(second) + [rest[i] for i in indices if i not in chosen]
-            nu = node_label(r, left)
-            if nu == r - 1:
-                # The left component carries the vanishing twist, so the
-                # whole product term is zero (and the complementary node
-                # twist r - 2 - nu would fall out of range).
-                continue
-            left_t = tuple(left) + (nu,)
-            right_t = tuple(right) + (r - 2 - nu,)
-            lk, lv = _term_factor(r, n, left_t, cache)
-            rk, rv = _term_factor(r, n, right_t, cache)
-            if lk is not None and rk is not None:
-                raise ValueError("two same-size unknown factors cannot arise")
-            if lk is not None:
-                if rv != 0:
-                    coeffs[lk] = coeffs.get(lk, Fraction(0)) + rv
-            elif rk is not None:
-                if lv != 0:
-                    coeffs[rk] = coeffs.get(rk, Fraction(0)) + lv
+    out: List[Tuple[Key, Key, int]] = [((), (), 1)]
+    for twist, group in groupby(rest):
+        size = len(tuple(group))
+        out = [
+            (one + (twist,) * k, other + (twist,) * (size - k), count * comb(size, k))
+            for one, other, count in out
+            for k in range(size + 1)
+        ]
+    return out
+
+
+class _SystemBuild:
+    """State of one :func:`wdvv_equations` call: the bracket values it reads.
+
+    ``memo`` maps each component met so far to its value. Components are
+    ascending, graded, and have twists in ``[0, r - 2]`` (the multiset
+    twists stay below ``r - 1``, and a node twist of ``r - 1`` drops the
+    term), so neither the range nor the vanishing axiom needs checking.
+    """
+
+    def __init__(self, r: int, n: int, cache: CacheStore):
+        self.r = r
+        self.n = n
+        self.cache = cache
+        self.memo: Dict[Key, Fraction] = {}
+
+    def value(self, a: Key) -> Fraction:
+        """Closed 3/4-point form, zero-twist rule, or the store's value."""
+        value = self.memo.get(a)
+        if value is None:
+            size = len(a)
+            if size == 3:
+                value = _ONE
+            elif size == 4:
+                value = Fraction(min(a[0], self.r - 1 - a[3]), self.r)
+            elif a[0] == 0:
+                value = _ZERO
             else:
-                const += lv * rv
-    return coeffs, const
+                value = self.cache.get(genus0_key(self.r, a))
+                if value is None:
+                    value = _solve_into(self.r, a, self.cache)
+            self.memo[a] = value
+        return value
+
+    def pairing_terms(
+        self, first: Tuple[int, int], second: Tuple[int, int], splits: List[Tuple[Key, Key, int]]
+    ) -> Tuple[Dict[Key, Fraction], Fraction]:
+        """Expand one degeneration side into (unknown coefficients, known part).
+
+        The four distinguished twists split as ``first | second``; the
+        remaining insertions distribute over the two components as listed in
+        ``splits``, and each component picks up the node twist forced by its
+        side. The two component gradings hold or fail together (their twist
+        sums add up to the sum over both), and a failed one makes the
+        product 0. At most one component has ``n`` points, since the two
+        carry ``n + 3`` between them.
+        """
+        r, n, value = self.r, self.n, self.value
+        coeffs: Dict[Key, Fraction] = {}
+        const = _ZERO
+        for one, other, count in splits:
+            left = first + one
+            twist_sum = sum(left)
+            nu = (-2 - twist_sum) % r
+            if nu == r - 1 or twist_sum + nu != (len(left) - 1) * r - 2:
+                continue
+            left_t = tuple(sorted(left + (nu,)))
+            right_t = tuple(sorted(second + other + (r - 2 - nu,)))
+            if len(left_t) == n and left_t[0]:
+                unknown, factor = left_t, value(right_t)
+            elif len(right_t) == n and right_t[0]:
+                unknown, factor = right_t, value(left_t)
+            else:
+                # Read both factors even when one is 0: a store miss solves
+                # and stores the smaller system either way.
+                lv, rv = value(left_t), value(right_t)
+                unknown, factor = None, lv * rv if lv and rv else _ZERO
+            if not factor:
+                continue
+            if count != 1:
+                factor *= count
+            if unknown is None:
+                const += factor
+            else:
+                coeffs[unknown] = coeffs.get(unknown, _ZERO) + factor
+        return coeffs, const
 
 
 def wdvv_equations(r: int, n: int, cache: Optional[CacheStore] = None) -> WdvvSystem:
@@ -269,61 +299,55 @@ def wdvv_equations(r: int, n: int, cache: Optional[CacheStore] = None) -> WdvvSy
     Every instance comes from a multiset of ``n + 1`` twists (graded so that
     each two-component degeneration can satisfy both component gradings)
     with four distinguished insertions; equating two distinct pairings of
-    the distinguished four yields one linear equation. All instances are
-    enumerated, normalized (leading coefficient 1), and deduplicated.
-    Unknowns are the grading-valid n-point keys with twists in
-    ``[1, r - 2]``; anything else is already known to the recursion.
+    the distinguished four yields one linear equation. Each distinct pairing
+    is expanded once per instance. All instances are enumerated, normalized
+    (leading coefficient 1 in key order), and deduplicated. Unknowns are the
+    grading-valid n-point brackets with twists in ``[1, r - 2]``, keyed by
+    ascending twist tuples; anything else is already known to the recursion.
+    Values of smaller brackets are memoized for the length of the call;
+    those with five or more points come from ``cache`` (a fresh store when
+    it is None), solving their own system into it on a miss.
     """
     _check_r(r)
     if n < 5:
         raise GradingError(f"the associativity solver starts at n=5, got n={n}")
     if cache is None:
-        cache = _DEFAULT_CACHE
-    unknowns = tuple(
-        Genus0Bracket(r, ms).key
-        for ms in ascending_multisets(1, r - 2, n, (n - 2) * r - 2)
-    )
+        cache = CacheStore()
     total = (n - 2) * r - 2
-    equations: List[Tuple[Dict[str, Fraction], Fraction]] = []
+    unknowns = tuple(ascending_multisets(1, r - 2, n, total))
+    build = _SystemBuild(r, n, cache)
+    equations: List[Tuple[Dict[Key, Fraction], Fraction]] = []
     seen = set()
     for y in ascending_multisets(0, max(0, r - 2), n + 1, total):
         for dist in sorted(set(combinations(y, 4))):
             rest = list(y)
             for v in dist:
                 rest.remove(v)
-            rest_t = tuple(rest)
+            splits = _splits(tuple(rest))
             d0, d1, d2, d3 = dist
-            raw = [
-                ((d0, d1), (d2, d3)),
-                ((d0, d2), (d1, d3)),
-                ((d0, d3), (d1, d2)),
-            ]
-            partitions = []
-            seen_parts = set()
-            for p, q in raw:
-                tag = tuple(sorted((tuple(sorted(p)), tuple(sorted(q)))))
-                if tag not in seen_parts:
-                    seen_parts.add(tag)
-                    partitions.append((p, q))
-            for (pa, pb) in combinations(partitions, 2):
-                ca, ka = _pairing_terms(r, n, pa[0], pa[1], rest_t, cache)
-                cb, kb = _pairing_terms(r, n, pb[0], pb[1], rest_t, cache)
+            pairings: Dict[Tuple[Tuple[int, int], Tuple[int, int]], tuple] = {}
+            for p, q in (((d0, d1), (d2, d3)), ((d0, d2), (d1, d3)), ((d0, d3), (d1, d2))):
+                tag = (p, q) if p <= q else (q, p)
+                if tag not in pairings:
+                    pairings[tag] = build.pairing_terms(p, q, splits)
+            for (ca, ka), (cb, kb) in combinations(pairings.values(), 2):
                 coeffs = dict(ca)
                 for k, v in cb.items():
-                    coeffs[k] = coeffs.get(k, Fraction(0)) - v
-                coeffs = {k: v for k, v in coeffs.items() if v != 0}
+                    coeffs[k] = coeffs.get(k, _ZERO) - v
+                coeffs = {k: v for k, v in coeffs.items() if v}
                 rhs = kb - ka
                 if not coeffs:
-                    if rhs != 0:
+                    if rhs:
                         raise ValueError("inconsistent associativity instance")
                     continue
-                lead = next(v for k, v in sorted(coeffs.items()))
-                norm = {k: v / lead for k, v in coeffs.items()}
-                tag = (tuple(sorted(norm.items())), rhs / lead)
-                if tag in seen:
-                    continue
-                seen.add(tag)
-                equations.append((norm, rhs / lead))
+                lead = coeffs[min(coeffs)]
+                if lead != 1:
+                    coeffs = {k: v / lead for k, v in coeffs.items()}
+                    rhs /= lead
+                tag = (tuple(sorted(coeffs.items())), rhs)
+                if tag not in seen:
+                    seen.add(tag)
+                    equations.append((coeffs, rhs))
     return WdvvSystem(r, n, unknowns, tuple(equations))
 
 
@@ -332,12 +356,12 @@ def solve_bracket(r: int, a: Sequence[int], cache: Optional[CacheStore] = None) 
 
     Dispatch order: grading check, vanishing axiom, closed 3/4-point forms,
     the zero-twist rule for five or more insertions, then the associativity
-    system at (r, n) with memoization through ``cache``. Raises
-    ``UnderdeterminedError`` if the system does not pin the bracket down;
-    the value is never guessed.
+    system at (r, n) with memoization through ``cache`` (a fresh store when
+    it is None). Raises ``UnderdeterminedError`` if the system does not pin
+    the bracket down; the value is never guessed.
     """
     if cache is None:
-        cache = _DEFAULT_CACHE
+        cache = CacheStore()
     bracket = Genus0Bracket(r, a)
     a_sorted = bracket.a
     if not genus0_selection(r, a_sorted):
@@ -353,8 +377,7 @@ def solve_bracket(r: int, a: Sequence[int], cache: Optional[CacheStore] = None) 
     cached = cache.get(bracket.key)
     if cached is not None:
         return EvalResult(cached, STATUS_OK, ("cache",))
-    value = _value(r, a_sorted, cache)
-    return EvalResult(value, STATUS_OK, ("wdvv-elimination",))
+    return EvalResult(_solve_into(r, a_sorted, cache), STATUS_OK, ("wdvv-elimination",))
 
 
 def bracket_window_sum(
@@ -365,12 +388,15 @@ def bracket_window_sum(
     This is the quantity :func:`loop_sum` models. Twist pairs run over all
     ``a + b = m`` with ``0 <= a, b <= r - 1``; each bracket is evaluated by
     :func:`solve_bracket`, so the two sides of the comparison come from
-    independent routes.
+    independent routes. With ``cache`` None one fresh store serves the
+    whole window.
     """
     _check_r(r)
     if not isinstance(m, int) or isinstance(m, bool) or m < 0:
         raise GradingError(f"window sum bound m={m!r} must be a non-negative integer")
     xs = _check_twists(r, x)
+    if cache is None:
+        cache = CacheStore()
     total = Fraction(0)
     for a in range(max(0, m - (r - 1)), min(r - 1, m) + 1):
         total += solve_bracket(r, (a, m - a) + xs, cache).value

@@ -191,6 +191,22 @@ def test_cache_env_var_used_for_bare_flag(capsys, tmp_path, monkeypatch):
     assert store.get("g0:r=4:a=2,2,2,2,2") == Fraction(1, 8)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("g0", "--r", "5", "--a", "1,1,3,3", "--cache"),
+        ("dr1", "--r", "4", "--k", "2,-2", "--a", "2,2", "--cache"),
+    ],
+)
+def test_bare_cache_flag_without_env_var_is_usage_error(capsys, monkeypatch, argv):
+    monkeypatch.delenv("RSPIN_CACHE", raising=False)
+    code, out, err = invoke(capsys, *argv)
+    assert code == 64
+    assert out == ""
+    assert "RSPIN_CACHE" in err
+    assert "Traceback" not in err
+
+
 def test_help_exits_zero(capsys):
     code, out, _ = invoke(capsys, "--help")
     assert code == 0

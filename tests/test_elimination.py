@@ -5,7 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from rspin.elimination import solve_exact
 
@@ -79,3 +79,97 @@ def test_planted_solution_recovered(rows, x0, y0):
     for name, planted in (("x", x0), ("y", y0)):
         if name in values:
             assert values[name] == planted
+
+
+def _dense_reference(unknowns, equations):
+    """Dense Gauss-Jordan over every row, columns in the given order.
+
+    The reference ``solve_exact`` must agree with: same determined values,
+    same free list, and ``ValueError`` exactly when the rows are
+    inconsistent.
+    """
+    cols = {u: j for j, u in enumerate(unknowns)}
+    width = len(unknowns)
+    rows = []
+    for coeffs, const in equations:
+        row = [Fraction(0)] * (width + 1)
+        for u, c in coeffs.items():
+            row[cols[u]] += Fraction(c)
+        row[width] = Fraction(const)
+        rows.append(row)
+    pivot_row_of_col = {}
+    rank = 0
+    for j in range(width):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][j] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = 1 / rows[rank][j]
+        rows[rank] = [c * inv for c in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank and rows[i][j] != 0:
+                factor = rows[i][j]
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[rank])]
+        pivot_row_of_col[j] = rank
+        rank += 1
+    if any(rows[i][width] != 0 for i in range(rank, len(rows))):
+        raise ValueError("inconsistent linear system")
+    free_cols = [j for j in range(width) if j not in pivot_row_of_col]
+    values = {
+        unknowns[j]: rows[i][width]
+        for j, i in sorted(pivot_row_of_col.items())
+        if all(rows[i][f] == 0 for f in free_cols)
+    }
+    return values, [unknowns[j] for j in free_cols]
+
+
+_COEFF = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def sparse_systems(draw):
+    """Short rows over a shuffled column order, consistent with a planted
+    point, mixing in duplicate rows and combinations of earlier rows
+    (dependent); then maybe one combination with a shifted constant, which
+    makes the system inconsistent. Few rows per column leave many systems
+    underdetermined; zero coefficients are kept as explicit entries.
+    """
+    unknowns = draw(st.permutations([f"u{j}" for j in range(draw(st.integers(1, 6)))]))
+    point = {u: draw(_COEFF) for u in unknowns}
+
+    def combination(rows):
+        (ca, ka), (cb, kb) = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        s, t = draw(_COEFF), draw(_COEFF)
+        coeffs = {u: s * ca.get(u, 0) + t * cb.get(u, 0) for u in {**ca, **cb}}
+        return coeffs, s * ka + t * kb
+
+    rows = []
+    for _ in range(draw(st.integers(0, 9))):
+        kind = draw(st.sampled_from(("fresh", "fresh", "duplicate", "dependent")))
+        if kind == "fresh" or not rows:
+            cols = draw(st.lists(st.sampled_from(unknowns), max_size=4, unique=True))
+            coeffs = {u: draw(_COEFF) for u in cols}
+            rows.append((coeffs, sum(c * point[u] for u, c in coeffs.items())))
+        elif kind == "duplicate":
+            rows.append(draw(st.sampled_from(rows)))
+        else:
+            rows.append(combination(rows))
+    if rows and draw(st.booleans()):
+        coeffs, const = combination(rows)
+        rows.insert(draw(st.integers(0, len(rows))), (coeffs, const + draw(_COEFF.filter(bool))))
+    return list(unknowns), rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_systems())
+def test_matches_dense_reference(system):
+    unknowns, equations = system
+    try:
+        want = _dense_reference(unknowns, equations)
+    except ValueError:
+        with pytest.raises(ValueError, match="inconsistent"):
+            solve_exact(unknowns, equations)
+        return
+    values, free = solve_exact(unknowns, equations)
+    assert list(values.items()) == list(want[0].items())
+    assert free == want[1]

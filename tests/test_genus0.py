@@ -9,11 +9,12 @@ the generator against silent regressions.
 from __future__ import annotations
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rspin.core import GradingError, Genus0Bracket
+from rspin.core import GradingError, Genus0Bracket, genus0_key
 from rspin.genus0 import (
     bracket_window_sum,
     four_point,
@@ -165,6 +166,40 @@ def test_five_point_goldens(r, a, value):
     res = solve_bracket(r, a)
     assert res.value == value
     assert res.status == "ok"
+
+
+# Every value the associativity systems below pin down, recorded from the
+# string-keyed engine with dense Gauss-Jordan elimination that the current
+# one replaced. Solving (10, 7) also solves (10, 6) into the store, so the
+# table holds 308 entries.
+FROZEN_TABLE = Path(__file__).parent / "data" / "g0_wdvv_frozen.json"
+FROZEN_SYSTEMS = (
+    [(r, 5) for r in range(2, 13)]
+    + [(r, 6) for r in range(2, 10)]
+    + [(r, 7) for r in range(2, 9)]
+    + [(10, 7)]
+)
+
+
+def test_wdvv_values_match_frozen_table():
+    store = CacheStore()
+    for r, n in FROZEN_SYSTEMS:
+        values, free = wdvv_equations(r, n, store).solve()
+        assert free == [], (r, n)
+        for a, value in values.items():
+            store.put(genus0_key(r, a), value)
+    got = dict(store.items())
+    want = dict(CacheStore.load(str(FROZEN_TABLE)).items())
+    assert len(want) == 308
+    assert sorted(got) == sorted(want)
+    assert [key for key in want if got[key] != want[key]] == []
+
+
+@pytest.mark.parametrize("r,n,unknowns,equations", [(12, 5, 74, 1085), (12, 7, 61, 525)])
+def test_wdvv_system_sizes(r, n, unknowns, equations):
+    system = wdvv_equations(r, n)
+    assert (len(system.unknowns), len(system.equations)) == (unknowns, equations)
+    assert system.unknowns == tuple(sorted(system.unknowns))
 
 
 def test_wdvv_system_r2_is_empty():
