@@ -271,6 +271,18 @@ class DR1Bracket:
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "entries", chosen)
 
+    @classmethod
+    def _from_canonical(cls, r: int, entries: Tuple[Tuple[int, int], ...]) -> "DR1Bracket":
+        """Wrap an entry row that is already checked, sorted and oriented.
+
+        No validation: only generators that emit canonical rows by
+        construction (the window enumerators in ``dr1``) call this.
+        """
+        self = object.__new__(cls)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "entries", entries)
+        return self
+
     @property
     def n(self) -> int:
         return len(self.entries)

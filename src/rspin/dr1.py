@@ -11,21 +11,25 @@ has the closed form ``(sum(k_i^2)/2 - 1) * B``.
 :func:`solve_relational` recomputes bracket values without ever touching
 that closed form. Its base cases are the sign pattern ``(+1, -1, 0, ..)``
 (which forces the value zero) and ``B`` obtained through
-:func:`b_value_trr`, a window sum over genus-0 data rather than the product
-formula. Everything else reduces through three rewriting moves extracted
-from the linear relations below; each move strictly shrinks either the
-number of nonzero ``k`` entries or the smallest nonzero magnitude, so the
-recursion terminates. A cycle guard plus a bounded-window linear solve
-(:func:`RelationInstance` rows fed to exact elimination) backs up the
-rewriting in case a reduction ever fails to make progress.
+:func:`b_value_trr`. That is the genus-0 window sum in the closed form of
+:func:`rspin.genus0.loop_sum`, which multiplies out to the same product as
+:func:`b_value`, so ``B`` is not yet checked independently of the product
+formula: the relational route checks the factor ``sum(k_i^2)/2 - 1`` of
+the closed form, not ``B`` itself. Everything else reduces through three
+rewriting moves extracted from the linear relations below; each move
+strictly shrinks either the number of nonzero ``k`` entries or the
+smallest nonzero magnitude, so the recursion terminates. A cycle guard
+plus a bounded-window linear solve (:func:`RelationInstance` rows fed to
+exact elimination) backs up the rewriting in case a reduction ever fails
+to make progress.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
 from math import factorial
+from operator import attrgetter
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .core import (
@@ -39,6 +43,7 @@ from .core import (
     StructureError,
     _check_r,
     _check_twists,
+    _sorted_dr1_entries,
     ascending_multisets,
     dr1_selection,
 )
@@ -57,8 +62,6 @@ __all__ = [
     "solve_relational",
     "enumerate_brackets",
 ]
-
-_RELATIONAL_CACHE = CacheStore()
 
 
 def b_value(r: int, a: Sequence[int]) -> Fraction:
@@ -83,13 +86,15 @@ def b_value(r: int, a: Sequence[int]) -> Fraction:
 
 
 def b_value_trr(r: int, a: Sequence[int]) -> Fraction:
-    """B(r, a) recomputed through the genus-0 window sum.
+    """B(r, a) through the closed form of the genus-0 window sum.
 
     The genus-1 one-point class restricts to a sum of genus-0 brackets over
     a window of boundary twists; :func:`rspin.genus0.loop_sum` evaluates
     that window in closed form at ``m = r - 2``, and dividing by 24 gives B.
-    This route never consults the product formula in :func:`b_value`, so
-    comparing the two is a real cross-check.
+    That closed form is the same product ``((n-1)!/r^(n-1)) * prod(r-1-a_i)``
+    as :func:`b_value`, so comparing the two checks only the window
+    bookkeeping, not the product formula. An independent route would sum
+    the genus-0 brackets themselves (:func:`rspin.genus0.bracket_window_sum`).
     """
     _check_r(r)
     a = tuple(a)
@@ -256,8 +261,6 @@ def relation3_check(bracket: DR1Bracket) -> bool:
 
 def _flipped_sorted(bracket: DR1Bracket) -> Tuple[Tuple[int, int], ...]:
     """The sign-flipped entry row, re-sorted but not re-oriented."""
-    from .core import _sorted_dr1_entries
-
     return _sorted_dr1_entries([(-kk, aa) for kk, aa in bracket.entries])
 
 
@@ -418,51 +421,126 @@ def _keyed_value(key: str, cache: CacheStore, visiting: Set[str]) -> Fraction:
     return _relational_value(parse_key(key), cache, visiting)[0]
 
 
-def _k_profiles(n: int, s_max: int):
-    """Yield integer rows of length n, summing to zero, with sum(|k|) <= s_max.
+def _partitions(total: int, max_part: int, max_len: int):
+    """Yield the partitions of ``total`` as descending tuples.
 
-    Rows come out as (positives descending, zeros, negatives ascending in
-    magnitude is not guaranteed; canonicalization handles ordering). The
-    all-zero row is excluded.
+    Parts are at most ``max_part`` and there are at most ``max_len`` of them.
     """
+    if total == 0:
+        yield ()
+        return
+    if max_len == 0:
+        return
+    for first in range(min(total, max_part), 0, -1):
+        for rest in _partitions(total - first, first, max_len - 1):
+            yield (first,) + rest
 
-    def partitions(total: int, max_part: int, max_len: int):
-        if total == 0:
-            yield ()
-            return
-        if max_len == 0:
-            return
-        for first in range(min(total, max_part), 0, -1):
-            for rest in partitions(total - first, first, max_len - 1):
-                yield (first,) + rest
 
+def _sub_multisets(counts: Tuple[Tuple[int, int], ...], size: int):
+    """Yield ``(ascending sub-multiset, remaining counts)`` for each distinct choice.
+
+    ``counts`` holds ``(value, multiplicity)`` pairs, ascending in value, with
+    every multiplicity positive; the remaining counts keep that form.
+    """
+    if size == 0:
+        yield (), counts
+        return
+    if not counts:
+        return
+    (value, mult), later = counts[0], counts[1:]
+    for take in range(min(mult, size), -1, -1):
+        left = ((value, mult - take),) if take < mult else ()
+        for sub, rest in _sub_multisets(later, size - take):
+            yield (value,) * take + sub, left + rest
+
+
+def _filled_rows(
+    counts: Tuple[Tuple[int, int], ...], runs: Tuple[Tuple[int, int], ...], memo: dict
+) -> List[tuple]:
+    """Every entry row that hands the twist ``counts`` out to ``runs``.
+
+    ``runs`` lists ``(order, size)`` runs of equal-order slots in row order;
+    each run takes an ascending sub-multiset of the twists, so distinct
+    hand-outs give distinct rows. ``memo`` is shared by the calls for one
+    twist multiset, where many order profiles end in the same runs; the rows
+    it returns share their ``(order, twist)`` pair tuples, which keeps a
+    window of brackets small.
+    """
+    key = (counts, runs)
+    rows = memo.get(key)
+    if rows is None:
+        if not runs:
+            rows = [()]
+        else:
+            (k, size), later = runs[0], runs[1:]
+            rows = []
+            for sub, rest in _sub_multisets(counts, size):
+                head = tuple((k, a) for a in sub)
+                rows.extend(head + tail for tail in _filled_rows(rest, later, memo))
+        memo[key] = rows
+    return rows
+
+
+def _runs(orders: Sequence[int]) -> List[Tuple[int, int]]:
+    """``(order, count)`` for each run of equal values, in the order given."""
+    runs: List[Tuple[int, int]] = []
+    for k in orders:
+        if runs and runs[-1][0] == k:
+            runs[-1] = (k, runs[-1][1] + 1)
+        else:
+            runs.append((k, 1))
+    return runs
+
+
+def _canonical_rows(n: int, a_ms: Sequence[int], s_max: int):
+    """Yield each canonical entry row over the twist multiset ``a_ms`` once.
+
+    Rows have ``n`` entries, balanced orders that are not all zero, and
+    ``sum(|k|) <= s_max``; the order of the rows is unspecified. A row is
+    canonical in the sense of :class:`rspin.core.DR1Bracket`:
+
+    * slots run positive orders by descending magnitude, then zeros, then
+      negative orders by ascending magnitude, with twists ascending inside
+      each run of equal orders;
+    * the positive magnitude profile ``P`` is lexicographically at least the
+      negative profile ``Q`` (both descending);
+    * when ``P == Q`` the row is at most its re-sorted sign flip.
+
+    Each ``(P, Q)`` pair fixes the runs of equal orders, and handing the
+    twists out to the runs as ascending sub-multisets yields the sorted rows
+    directly, so no row needs re-sorting or deduplication.
+    """
+    counts = tuple(_runs(sorted(a_ms)))
+    memo: dict = {}
     for s in range(1, s_max // 2 + 1):
-        for pos in partitions(s, s, n - 1):
-            for neg in partitions(s, s, n - len(pos)):
+        for pos in _partitions(s, s, n - 1):
+            for neg in _partitions(s, pos[0], n - len(pos)):
+                if neg > pos:
+                    continue
                 zeros = n - len(pos) - len(neg)
-                yield list(pos) + [0] * zeros + [-q for q in neg]
+                runs = _runs(pos) + ([(0, zeros)] if zeros else [])
+                runs += [(-q, c) for q, c in reversed(_runs(neg))]
+                for row in _filled_rows(counts, tuple(runs), memo):
+                    if neg == pos and row > _sorted_dr1_entries([(-k, a) for k, a in row]):
+                        continue
+                    yield row
 
 
 def enumerate_brackets(r: int, n_max: int, k_sum_max: int) -> List[DR1Bracket]:
     """All canonical brackets with n <= n_max insertions and sum(|k|) <= k_sum_max.
 
     Twist rows run over the genus-1 selection rule ``sum(a) = (n-1) * r``
-    with every twist in [0, r-1]. Results are deduplicated by canonical key
-    and sorted by it.
+    with every twist in [0, r-1]. Each canonical bracket appears once, and
+    the list is sorted by key.
     """
     _check_r(r)
-    found: Dict[str, DR1Bracket] = {}
+    found: List[DR1Bracket] = []
     for n in range(2, n_max + 1):
-        total = (n - 1) * r
-        if total > n * (r - 1):
-            continue
-        for a_ms in ascending_multisets(0, r - 1, n, total):
-            a_perms = sorted(set(permutations(a_ms)))
-            for k_row in _k_profiles(n, k_sum_max):
-                for a_row in a_perms:
-                    br = DR1Bracket(r, zip(k_row, a_row))
-                    found.setdefault(br.key, br)
-    return [found[key] for key in sorted(found)]
+        for a_ms in ascending_multisets(0, r - 1, n, (n - 1) * r):
+            rows = _canonical_rows(n, a_ms, k_sum_max)
+            found.extend(DR1Bracket._from_canonical(r, row) for row in rows)
+    found.sort(key=attrgetter("key"))
+    return found
 
 
 def _window_solve(bracket: DR1Bracket, cache: CacheStore) -> Optional[Fraction]:
@@ -481,12 +559,10 @@ def _window_solve(bracket: DR1Bracket, cache: CacheStore) -> Optional[Fraction]:
     s_max = s_target + 4
     b = b_value_trr(r, a_ms)
 
-    a_perms = sorted(set(permutations(a_ms)))
     unknown: Dict[str, DR1Bracket] = {}
-    for k_row in _k_profiles(n, s_max):
-        for a_row in a_perms:
-            br = DR1Bracket(r, zip(k_row, a_row))
-            unknown.setdefault(br.key, br)
+    for row in _canonical_rows(n, a_ms, s_max):
+        br = DR1Bracket._from_canonical(r, row)
+        unknown[br.key] = br
 
     equations: List[Tuple[Dict[str, Fraction], Fraction]] = []
     for key in sorted(unknown):
@@ -547,10 +623,11 @@ def solve_relational(bracket: DR1Bracket, cache: Optional[CacheStore] = None) ->
     rewriting moves. If rewriting ever revisits a key or fails to anchor,
     a bounded-window elimination over all relation instances takes over;
     if that also leaves the value undetermined a
-    :class:`rspin.core.ReductionStalledError` is raised.
+    :class:`rspin.core.ReductionStalledError` is raised. With ``cache``
+    None the call uses a fresh store, so nothing outlives it.
     """
     if cache is None:
-        cache = _RELATIONAL_CACHE
+        cache = CacheStore()
     if not bracket.selection_ok:
         return EvalResult(Fraction(0), STATUS_DIMENSION_ZERO, ("selection",))
     if any(ai == bracket.r - 1 for ai in bracket.a_row):

@@ -6,15 +6,19 @@ route must reproduce them without ever consulting that formula.
 
 from __future__ import annotations
 
+import hashlib
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import rspin.dr1
 from rspin.core import (
     DR1Bracket,
     GradingError,
     StructureError,
+    ascending_multisets,
 )
 from rspin.dr1 import (
     _window_solve,
@@ -239,6 +243,79 @@ def test_enumerate_brackets_window_properties():
         assert br.n <= 4
     # enumeration is deterministic
     assert keys == [br.key for br in enumerate_brackets(5, 4, 6)]
+
+
+def _reference_brackets(r, n_max, k_sum_max):
+    """Brute force: every twist permutation against every balanced order row.
+
+    Each candidate goes through the validating ``DR1Bracket`` constructor,
+    duplicates are dropped by key and the survivors sorted by key.
+    """
+
+    def partitions(total, max_part, max_len):
+        if total == 0:
+            yield ()
+            return
+        if max_len == 0:
+            return
+        for first in range(min(total, max_part), 0, -1):
+            for rest in partitions(total - first, first, max_len - 1):
+                yield (first,) + rest
+
+    found = {}
+    for n in range(2, n_max + 1):
+        for a_ms in ascending_multisets(0, r - 1, n, (n - 1) * r):
+            a_perms = set(permutations(a_ms))
+            for s in range(1, k_sum_max // 2 + 1):
+                for pos in partitions(s, s, n - 1):
+                    for neg in partitions(s, s, n - len(pos)):
+                        zeros = n - len(pos) - len(neg)
+                        k_row = list(pos) + [0] * zeros + [-q for q in neg]
+                        for a_row in a_perms:
+                            br = DR1Bracket(r, zip(k_row, a_row))
+                            found.setdefault(br.key, br)
+    return [found[key] for key in sorted(found)]
+
+
+ENUMERATION_WINDOWS = [
+    (r, n_max, k_sum_max)
+    for r in range(2, 13)
+    for n_max, k_sum_max in ((5, 8), (5, 3), (3, 8))
+] + [(8, 6, 12)]
+
+
+@pytest.mark.parametrize("window", ENUMERATION_WINDOWS, ids=str)
+def test_enumerate_brackets_matches_brute_force(window):
+    got = enumerate_brackets(*window)
+    assert got == _reference_brackets(*window)
+    # the unchecked constructor only ever receives canonical rows
+    for br in got:
+        again = DR1Bracket(br.r, br.entries)
+        assert again == br
+        assert again.key == br.key
+
+
+def test_enumerate_brackets_pinned_window():
+    keys = [br.key for br in enumerate_brackets(12, 6, 12)]
+    assert len(keys) == 25621
+    assert hashlib.sha256("\n".join(keys).encode()).hexdigest()[:16] == "90be3d12db422087"
+
+
+def test_enumerate_brackets_checks_r():
+    with pytest.raises(GradingError):
+        enumerate_brackets(1, 4, 6)
+
+
+def test_no_module_level_store():
+    assert not [name for name, value in vars(rspin.dr1).items() if isinstance(value, CacheStore)]
+
+
+def test_solve_relational_without_store_keeps_no_state():
+    br = DR1Bracket(8, [(4, 2), (-4, 6)])
+    first = solve_relational(br)
+    second = solve_relational(br)
+    assert first.value == second.value == Fraction(25, 64)
+    assert second.trace != ("cache",)
 
 
 @settings(deadline=None, max_examples=60)
