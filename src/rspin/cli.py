@@ -1,8 +1,9 @@
 """Command-line front end: evaluate brackets, run suites, export tables.
 
-Exit codes: 0 success, 1 suite or computation failure, 2 disagreement
-between evaluation methods, 64 usage error, 65 invalid grading or
-structure.
+Exit codes: 0 success, 1 suite or computation failure (including a cache
+file that cannot be read, written or trusted), 2 disagreement between
+evaluation methods, 64 usage error (including ``verify`` bounds that leave
+a suite with no cases), 65 invalid grading or structure.
 """
 
 from __future__ import annotations
@@ -255,6 +256,10 @@ def _cmd_verify(args) -> int:
         k_sum_max=args.k_sum_max,
         extended=args.extended,
     )
+    empty = [rep.suite for rep in reports if rep.cases == 0]
+    if empty:
+        bounds = f"--r-max {args.r_max} --n-max {args.n_max} --k-sum-max {args.k_sum_max}"
+        raise _UsageError(f"no cases at {bounds} in {', '.join(empty)}")
     if args.format == "json":
         print(json.dumps([rep.to_payload() for rep in reports], indent=2, sort_keys=True))
     else:

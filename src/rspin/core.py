@@ -48,6 +48,7 @@ __all__ = [
     "format_rational",
     "parse_rational",
     "parse_key",
+    "is_canonical_key",
 ]
 
 Rational = Fraction
@@ -223,10 +224,27 @@ def genus0_key(r: int, a: Sequence[int]) -> str:
 
 def _sorted_dr1_entries(entries: Sequence[Tuple[int, int]]) -> Tuple[Tuple[int, int], ...]:
     """Order pairs: positive k descending, zeros, negative |k| ascending; twist ties ascending."""
-    pos = sorted((e for e in entries if e[0] > 0), key=lambda e: (-e[0], e[1]))
-    zero = sorted((e for e in entries if e[0] == 0), key=lambda e: e[1])
-    neg = sorted((e for e in entries if e[0] < 0), key=lambda e: (-e[0], e[1]))
-    return tuple(pos + zero + neg)
+    return tuple(sorted(entries, key=lambda e: (-e[0], e[1])))
+
+
+def _orient(pairs: Sequence[Tuple[int, int]]) -> Tuple[Tuple[int, int], ...]:
+    """Sort the pairs and fix the overall sign of their orders canonically.
+
+    The orientation whose positive magnitude profile is lexicographically
+    larger wins; when both profiles agree, the smaller sorted row does.
+    """
+    cand = _sorted_dr1_entries(pairs)
+    flip = _sorted_dr1_entries([(-k, a) for k, a in pairs])
+    cand_profile = tuple(k for k, _ in cand if k > 0)
+    flip_profile = tuple(k for k, _ in flip if k > 0)
+    if flip_profile != cand_profile:
+        return flip if flip_profile > cand_profile else cand
+    return min(cand, flip)
+
+
+def _dr1_key(r: int, k_row: Sequence[int], a_row: Sequence[int]) -> str:
+    """Key string of the genus-1 bracket whose canonical rows are ``k_row``, ``a_row``."""
+    return f"dr1:r={r}:k={','.join(map(str, k_row))}:a={','.join(map(str, a_row))}"
 
 
 @dataclass(frozen=True, order=True)
@@ -258,18 +276,8 @@ class DR1Bracket:
             raise StructureError(f"orders must balance to 0, got sum {sum(k for k, _ in pairs)}")
         if all(k == 0 for k, _ in pairs):
             raise StructureError("at least one order must be nonzero")
-        cand = _sorted_dr1_entries(pairs)
-        flip = _sorted_dr1_entries([(-k, a) for k, a in pairs])
-        cand_profile = tuple(k for k, _ in cand if k > 0)
-        flip_profile = tuple(k for k, _ in flip if k > 0)
-        if flip_profile > cand_profile:
-            chosen = flip
-        elif flip_profile < cand_profile:
-            chosen = cand
-        else:
-            chosen = min(cand, flip)
         object.__setattr__(self, "r", r)
-        object.__setattr__(self, "entries", chosen)
+        object.__setattr__(self, "entries", _orient(pairs))
 
     @classmethod
     def _from_canonical(cls, r: int, entries: Tuple[Tuple[int, int], ...]) -> "DR1Bracket":
@@ -282,6 +290,11 @@ class DR1Bracket:
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "entries", entries)
         return self
+
+    @classmethod
+    def _canonical(cls, r: int, pairs: Sequence[Tuple[int, int]]) -> "DR1Bracket":
+        """Sort and orient pairs whose ``r``, twists and balanced orders are checked."""
+        return cls._from_canonical(r, _orient(pairs))
 
     @property
     def n(self) -> int:
@@ -313,9 +326,7 @@ class DR1Bracket:
 
     @property
     def key(self) -> str:
-        ks = ",".join(map(str, self.k_row))
-        aa = ",".join(map(str, self.a_row))
-        return f"dr1:r={self.r}:k={ks}:a={aa}"
+        return _dr1_key(self.r, self.k_row, self.a_row)
 
 
 def ascending_multisets(lo: int, hi: int, count: int, total: int):
@@ -388,6 +399,45 @@ def parse_key(key: str):
     except ValueError as exc:
         raise StructureError(f"malformed key {key!r}") from exc
     raise StructureError(f"unrecognized key {key!r}")
+
+
+def is_canonical_key(key: str) -> bool:
+    """True iff ``parse_key(key).key == key``, decided without building a bracket.
+
+    The integers are parsed, the twists range-checked, the row scanned once
+    for canonical order (and, for ``dr1`` keys, balance and orientation),
+    and the re-joined string compared with ``key``; that comparison rejects
+    every other spelling of the same integers (``01``, ``+1``, ``-0``,
+    whitespace). :class:`rspin.store.CacheStore` checks keys through this.
+    """
+    parts = key.split(":")
+    try:
+        if parts[0] == "g0" and len(parts) == 3:
+            r = int(parts[1][2:])
+            a = list(map(int, parts[2][2:].split(",")))
+            ordered = all(x <= y for x, y in zip(a, a[1:]))
+            in_range = r >= 2 and len(a) >= 3 and 0 <= a[0] and a[-1] < r
+            return ordered and in_range and genus0_key(r, a) == key
+        if parts[0] != "dr1" or len(parts) != 4:
+            return False
+        r = int(parts[1][2:])
+        k = list(map(int, parts[2][2:].split(",")))
+        a = list(map(int, parts[3][2:].split(",")))
+    except ValueError:
+        return False
+    if r < 2 or len(k) != len(a) or sum(k) != 0 or not any(k) or min(a) < 0 or max(a) >= r:
+        return False
+    for i in range(1, len(k)):
+        # Orders never increase along the row; twists ascend within equal orders.
+        if k[i - 1] < k[i] or (k[i - 1] == k[i] and a[i - 1] > a[i]):
+            return False
+    pos = [kk for kk in k if kk > 0]
+    neg = [-kk for kk in reversed(k) if kk < 0]
+    if neg > pos:
+        return False
+    if neg == pos and _sorted_dr1_entries([(-kk, aa) for kk, aa in zip(k, a)]) < tuple(zip(k, a)):
+        return False
+    return _dr1_key(r, k, a) == key
 
 
 def _expect_field(part: str, name: str) -> str:

@@ -59,6 +59,7 @@ __all__ = [
     "relation1_instance",
     "relation2_instance",
     "relation3_check",
+    "anchored_instances",
     "solve_relational",
     "enumerate_brackets",
 ]
@@ -127,14 +128,14 @@ def closed_form(bracket: DR1Bracket) -> EvalResult:
 class RelationInstance:
     """One linear relation ``b_coefficient * B(context) = sum(terms)``.
 
-    ``terms`` maps canonical bracket keys to rational coefficients; repeated
-    keys produced while assembling an instance accumulate. ``context`` is the
-    ``(r, sorted-a-row)`` pair fixing which B appears on the left.
+    ``terms`` maps canonical brackets to rational coefficients; repeated
+    brackets produced while assembling an instance accumulate. ``context``
+    is the ``(r, sorted-a-row)`` pair fixing which B appears on the left.
     """
 
     kind: str
     b_coefficient: Fraction
-    terms: Dict[str, Fraction]
+    terms: Dict[DR1Bracket, Fraction]
     context: Tuple[int, Tuple[int, ...]]
 
     def residual_closed(self) -> Fraction:
@@ -143,25 +144,21 @@ class RelationInstance:
         Zero for every structurally valid instance; the verification suite
         sweeps this over windows of contexts.
         """
-        from .core import parse_key
-
         r, a_sorted = self.context
         total = self.b_coefficient * b_value(r, a_sorted)
-        for key, coeff in self.terms.items():
-            total -= coeff * closed_form(parse_key(key)).value
+        for bracket, coeff in self.terms.items():
+            total -= coeff * closed_form(bracket).value
         return total
 
 
-def _term_key(r: int, k_row: Sequence[int], a_row: Sequence[int]) -> str:
-    return DR1Bracket(r, zip(k_row, a_row)).key
-
-
-def _add_term(terms: Dict[str, Fraction], key: str, coeff: Fraction) -> None:
-    new = terms.get(key, Fraction(0)) + coeff
+def _add_term(terms: Dict[DR1Bracket, Fraction], r: int, k_row, a_row, coeff: Fraction) -> None:
+    """Accumulate ``coeff`` on the bracket of a row the caller has checked."""
+    bracket = DR1Bracket._canonical(r, list(zip(k_row, a_row)))
+    new = terms.get(bracket, Fraction(0)) + coeff
     if new == 0:
-        terms.pop(key, None)
+        terms.pop(bracket, None)
     else:
-        terms[key] = new
+        terms[bracket] = new
 
 
 def _check_rows(r: int, k: Sequence[int], a: Sequence[int]) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
@@ -199,8 +196,8 @@ def relation1_instance(r: int, k: Sequence[int], a: Sequence[int]) -> RelationIn
     n_minus = sum(1 for v in k if v < 0)
     c0 = Fraction(k[0] + n_plus + n_minus + 1)
     b_coeff = Fraction((k[0] + 1) * (n_plus + n_minus + 1))
-    terms: Dict[str, Fraction] = {}
-    _add_term(terms, _term_key(r, k, a), -c0)
+    terms: Dict[DR1Bracket, Fraction] = {}
+    _add_term(terms, r, k, a, -c0)
     for i in range(1, len(k)):
         if k[i] > 0:
             coeff = Fraction(k[i] - 1)
@@ -209,14 +206,14 @@ def relation1_instance(r: int, k: Sequence[int], a: Sequence[int]) -> RelationIn
             edited = list(k)
             edited[0] += 1
             edited[i] -= 1
-            _add_term(terms, _term_key(r, edited, a), -coeff)
+            _add_term(terms, r, edited, a, -coeff)
     for j in range(len(k)):
         if k[j] < 0:
             coeff = Fraction(-k[j] + 1)
             edited = list(k)
             edited[0] += 1
             edited[j] -= 1
-            _add_term(terms, _term_key(r, edited, a), coeff)
+            _add_term(terms, r, edited, a, coeff)
     return RelationInstance("relation1", b_coeff, terms, (r, tuple(sorted(a))))
 
 
@@ -239,9 +236,9 @@ def relation2_instance(r: int, k: Sequence[int], a: Sequence[int]) -> RelationIn
     edited = list(k)
     edited[0] += 1
     edited[zero_slots[0]] = -1
-    terms: Dict[str, Fraction] = {}
-    _add_term(terms, _term_key(r, k, a), Fraction(-1))
-    _add_term(terms, _term_key(r, edited, a), Fraction(1))
+    terms: Dict[DR1Bracket, Fraction] = {}
+    _add_term(terms, r, k, a, Fraction(-1))
+    _add_term(terms, r, edited, a, Fraction(1))
     return RelationInstance("relation2", b_coeff, terms, (r, tuple(sorted(a))))
 
 
@@ -264,24 +261,54 @@ def _flipped_sorted(bracket: DR1Bracket) -> Tuple[Tuple[int, int], ...]:
     return _sorted_dr1_entries([(-kk, aa) for kk, aa in bracket.entries])
 
 
+def anchored_instances(bracket: DR1Bracket):
+    """Yield ``(orientation, slot, zero_slot, instance)`` for each relation anchored in a bracket.
+
+    Values are flip-invariant but relation instances are not, so both
+    orientations of the row (0: as stored, 1: sign-flipped, when different)
+    anchor instances. Each distinct positive ``(k, a)`` slot anchors one
+    relation-1 instance (``zero_slot`` None) and one relation-2 instance per
+    distinct zero-order twist.
+    """
+    orientations = [bracket.entries]
+    flipped = _flipped_sorted(bracket)
+    if flipped != bracket.entries:
+        orientations.append(flipped)
+    for o_idx, pairs in enumerate(orientations):
+        k_row = [kk for kk, _ in pairs]
+        a_row = [aa for _, aa in pairs]
+        zero_slots: Dict[int, int] = {}
+        for i, kk in enumerate(k_row):
+            if kk == 0:
+                zero_slots.setdefault(a_row[i], i)
+        seen = set()
+        for i, kk in enumerate(k_row):
+            if kk < 1 or (kk, a_row[i]) in seen:
+                continue
+            seen.add((kk, a_row[i]))
+            rest = [j for j in range(len(pairs)) if j != i]
+            for z in [None, *zero_slots.values()]:
+                order = [i] + rest if z is None else [i, z] + [j for j in rest if j != z]
+                build = relation1_instance if z is None else relation2_instance
+                k_ord, a_ord = [k_row[j] for j in order], [a_row[j] for j in order]
+                yield o_idx, i, z, build(bracket.r, k_ord, a_ord)
+
+
 class _StallSignal(Exception):
     """Internal marker: rewriting revisited a key and must fall back."""
 
 
 def _solve_from_instance(
-    inst: RelationInstance,
-    target_key: str,
-    b: Fraction,
-    value_of,
+    inst: RelationInstance, target: DR1Bracket, b: Fraction, cache: CacheStore, visiting: Set[str]
 ) -> Fraction:
-    """Solve one relation instance for the coefficient of ``target_key``."""
+    """Solve one relation instance for the coefficient of ``target``."""
     terms = dict(inst.terms)
-    target_coeff = terms.pop(target_key, Fraction(0))
+    target_coeff = terms.pop(target, Fraction(0))
     if target_coeff == 0:
-        raise _StallSignal(target_key)
+        raise _StallSignal(target.key)
     rhs = inst.b_coefficient * b
-    for key, coeff in terms.items():
-        rhs -= coeff * value_of(key)
+    for bracket, coeff in terms.items():
+        rhs -= coeff * _relational_value(bracket, cache, visiting)[0]
     return rhs / target_coeff
 
 
@@ -302,11 +329,6 @@ def _relational_value(bracket: DR1Bracket, cache: CacheStore, visiting: Set[str]
         visiting.discard(key)
     cache.put(key, value)
     return value, rule
-
-
-def _child_value(r: int, pairs: Sequence[Tuple[int, int]], cache: CacheStore, visiting: Set[str]) -> Fraction:
-    child = DR1Bracket(r, pairs)
-    return _relational_value(child, cache, visiting)[0]
 
 
 def _reduce_once(bracket: DR1Bracket, cache: CacheStore, visiting: Set[str]) -> Tuple[Fraction, str]:
@@ -350,7 +372,8 @@ def _case_unit_present(bracket: DR1Bracket, b: Fraction, cache: CacheStore, visi
     p = pairs[pos_idx][0]
     pairs[pos_idx] = (p - 1, pairs[pos_idx][1])
     pairs[neg_idx] = (0, pairs[neg_idx][1])
-    return p * b + _child_value(bracket.r, pairs, cache, visiting)
+    child = DR1Bracket._canonical(bracket.r, pairs)
+    return p * b + _relational_value(child, cache, visiting)[0]
 
 
 def _case_all_units(bracket: DR1Bracket, b: Fraction, cache: CacheStore, visiting: Set[str]) -> Fraction:
@@ -366,12 +389,7 @@ def _case_all_units(bracket: DR1Bracket, b: Fraction, cache: CacheStore, visitin
     anchor = k_row.index(1)
     order = [anchor] + [i for i in range(len(pairs)) if i != anchor]
     inst = relation1_instance(bracket.r, [k_row[i] for i in order], [a_row[i] for i in order])
-    return _solve_from_instance(
-        inst,
-        bracket.key,
-        b,
-        lambda key: _keyed_value(key, cache, visiting),
-    )
+    return _solve_from_instance(inst, bracket, b, cache, visiting)
 
 
 def _case_all_large(bracket: DR1Bracket, b: Fraction, cache: CacheStore, visiting: Set[str]) -> Fraction:
@@ -407,18 +425,7 @@ def _case_all_large(bracket: DR1Bracket, b: Fraction, cache: CacheStore, visitin
         [context_k[i] for i in order],
         [a_row[i] for i in order],
     )
-    return _solve_from_instance(
-        inst,
-        bracket.key,
-        b,
-        lambda key: _keyed_value(key, cache, visiting),
-    )
-
-
-def _keyed_value(key: str, cache: CacheStore, visiting: Set[str]) -> Fraction:
-    from .core import parse_key
-
-    return _relational_value(parse_key(key), cache, visiting)[0]
+    return _solve_from_instance(inst, bracket, b, cache, visiting)
 
 
 def _partitions(total: int, max_part: int, max_len: int):
@@ -553,14 +560,13 @@ def _window_solve(bracket: DR1Bracket, cache: CacheStore) -> Optional[Fraction]:
     stays undetermined.
     """
     r = bracket.r
-    n = bracket.n
     a_ms = tuple(sorted(bracket.a_row))
     s_target = sum(abs(kk) for kk in bracket.k_row)
     s_max = s_target + 4
     b = b_value_trr(r, a_ms)
 
     unknown: Dict[str, DR1Bracket] = {}
-    for row in _canonical_rows(n, a_ms, s_max):
+    for row in _canonical_rows(bracket.n, a_ms, s_max):
         br = DR1Bracket._from_canonical(r, row)
         unknown[br.key] = br
 
@@ -573,38 +579,8 @@ def _window_solve(bracket: DR1Bracket, cache: CacheStore) -> Optional[Fraction]:
         if s_here + 2 > s_max:
             # Relations anchored here reference rows outside the window.
             continue
-        # Values are flip-invariant but relation instances are not, so both
-        # orientations contribute equations.
-        orientations = [br.entries]
-        flipped = _flipped_sorted(br)
-        if flipped != br.entries:
-            orientations.append(flipped)
-        for pairs in orientations:
-            k_row = [kk for kk, _ in pairs]
-            a_row = [aa for _, aa in pairs]
-            zero_slots: Dict[int, int] = {}
-            for i, kk in enumerate(k_row):
-                if kk == 0:
-                    zero_slots.setdefault(a_row[i], i)
-            seen_anchors = set()
-            for i, kk in enumerate(k_row):
-                if kk < 1 or (kk, a_row[i]) in seen_anchors:
-                    continue
-                seen_anchors.add((kk, a_row[i]))
-                rest = [j for j in range(n) if j != i]
-                order = [i] + rest
-                k_ord = [k_row[j] for j in order]
-                a_ord = [a_row[j] for j in order]
-                inst = relation1_instance(r, k_ord, a_ord)
-                equations.append((dict(inst.terms), inst.b_coefficient * b))
-                for z in zero_slots.values():
-                    z_order = [i, z] + [j for j in rest if j != z]
-                    inst2 = relation2_instance(
-                        r,
-                        [k_row[j] for j in z_order],
-                        [a_row[j] for j in z_order],
-                    )
-                    equations.append((dict(inst2.terms), inst2.b_coefficient * b))
+        for _, _, _, inst in anchored_instances(br):
+            equations.append(({t.key: c for t, c in inst.terms.items()}, inst.b_coefficient * b))
     values, _free = solve_exact(sorted(unknown), equations)
     if bracket.key in values:
         for key, val in values.items():

@@ -8,8 +8,11 @@ serializable as a single human-inspectable JSON file:
 Save is atomic (write to a sibling temp file, then rename), so a crash mid
 save never damages an existing valid file. Loading rejects unknown schema
 versions and reports the offending entry on malformed content. Keys are
-validated on ``put``: storing under a non-canonical key would make the same
-bracket cacheable under several names, so it is a contract error.
+checked on ``put`` and on ``load`` by one string scan,
+:func:`rspin.core.is_canonical_key`: a non-canonical key would make the same
+bracket cacheable under several names, so it is a contract error, explained
+by parsing the key only once it has been rejected. A file that cannot be
+read or written raises :class:`rspin.core.CacheError` naming the path.
 """
 
 from __future__ import annotations
@@ -21,7 +24,9 @@ import threading
 from fractions import Fraction
 from typing import Dict, Iterator, Optional, Tuple
 
-from .core import CacheError, StructureError, format_rational, parse_key, parse_rational
+from .core import (
+    CacheError, StructureError, format_rational, is_canonical_key, parse_key, parse_rational,
+)
 
 __all__ = ["SCHEMA_VERSION", "CACHE_ENV_VAR", "CacheStore", "default_cache_path"]
 
@@ -66,31 +71,21 @@ class CacheStore:
         return self._entries.get(key)
 
     def put(self, key: str, value) -> None:
-        canonical = self._canonical_or_raise(key)
+        _check_key(key)
         with self._lock:
-            self._entries[canonical] = Fraction(value)
+            self._entries[key] = Fraction(value)
             self.dirty = True
-
-    @staticmethod
-    def _canonical_or_raise(key: str) -> str:
-        try:
-            bracket = parse_key(key)
-        except (StructureError, ValueError) as exc:
-            raise CacheError(f"unusable cache key {key!r}: {exc}") from exc
-        if bracket.key != key:
-            raise CacheError(
-                f"non-canonical cache key {key!r} (canonical form is {bracket.key!r})"
-            )
-        return key
 
     @classmethod
     def load(cls, path: str) -> "CacheStore":
         """Read a cache file, validating schema, keys, and value format."""
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
                 payload = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise CacheError(f"malformed cache file {path}: {exc}") from exc
+        except OSError as exc:
+            raise CacheError(f"cannot read cache file {path}: {exc.strerror or exc}") from exc
+        except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, nested too deep
+            raise CacheError(f"malformed cache file {path}: {exc}") from exc
         if not isinstance(payload, dict):
             raise CacheError(f"malformed cache file {path}: top level must be an object")
         schema = payload.get("schema")
@@ -106,10 +101,11 @@ class CacheStore:
             if not isinstance(raw, str):
                 raise CacheError(f"malformed cache file {path}: entry {key!r} is not a string")
             try:
-                store.put(key, parse_rational(raw))
+                value = parse_rational(raw)
+                _check_key(key)
             except CacheError as exc:
                 raise CacheError(f"{path}: entry {key!r}: {exc}") from exc
-        store.dirty = False
+            store._entries[key] = value
         return store
 
     def save(self, path: str) -> None:
@@ -123,16 +119,29 @@ class CacheStore:
                 },
             }
             directory = os.path.dirname(os.path.abspath(path))
-            fd, tmp_path = tempfile.mkstemp(
-                prefix=os.path.basename(path) + ".", suffix=".tmp", dir=directory
-            )
+            tmp_path = None
             try:
+                fd, tmp_path = tempfile.mkstemp(
+                    prefix=os.path.basename(path) + ".", suffix=".tmp", dir=directory
+                )
                 with os.fdopen(fd, "w", encoding="utf-8") as fh:
                     json.dump(payload, fh, indent=0, sort_keys=True)
                     fh.write("\n")
                 os.replace(tmp_path, path)
-            except BaseException:
-                if os.path.exists(tmp_path):
+            except OSError as exc:
+                raise CacheError(f"cannot write cache file {path}: {exc.strerror or exc}") from exc
+            finally:
+                if tmp_path is not None and os.path.exists(tmp_path):
                     os.unlink(tmp_path)
-                raise
             self.dirty = False
+
+
+def _check_key(key: str) -> None:
+    """Raise ``CacheError`` unless ``key`` is canonical; only a rejected key is parsed."""
+    if is_canonical_key(key):
+        return
+    try:
+        bracket = parse_key(key)
+    except (StructureError, ValueError) as exc:
+        raise CacheError(f"unusable cache key {key!r}: {exc}") from exc
+    raise CacheError(f"non-canonical cache key {key!r} (canonical form is {bracket.key!r})")

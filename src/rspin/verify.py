@@ -15,7 +15,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import List, Tuple
 
 from .core import (
     DR1Bracket,
@@ -26,12 +26,11 @@ from .core import (
     genus_of,
 )
 from .dr1 import (
+    anchored_instances,
     b_value,
     b_value_trr,
     closed_form,
     enumerate_brackets,
-    relation1_instance,
-    relation2_instance,
     relation3_check,
     solve_relational,
 )
@@ -135,15 +134,6 @@ def check_prop_loop(r_max: int, n_max: int, extended: bool = False) -> SuiteRepo
     return SuiteReport("loop", cases, failures, _elapsed_ms(t0))
 
 
-def _orientations(bracket: DR1Bracket):
-    from .core import _sorted_dr1_entries
-
-    flipped = _sorted_dr1_entries([(-k, a) for k, a in bracket.entries])
-    if flipped == bracket.entries:
-        return [bracket.entries]
-    return [bracket.entries, flipped]
-
-
 def check_relations(r_max: int, k_sum_max: int, n_max: int) -> SuiteReport:
     """Residuals of every relation instance vanish under the closed form.
 
@@ -164,44 +154,14 @@ def check_relations(r_max: int, k_sum_max: int, n_max: int) -> SuiteReport:
                     failures.append(
                         ("relation3:" + br.key, "0/1", _fmt(got))
                     )
-            n = br.n
-            for o_idx, pairs in enumerate(_orientations(br)):
-                k_row = [kk for kk, _ in pairs]
-                a_row = [aa for _, aa in pairs]
-                zero_slots: Dict[int, int] = {}
-                for i, kk in enumerate(k_row):
-                    if kk == 0:
-                        zero_slots.setdefault(a_row[i], i)
-                seen = set()
-                for i, kk in enumerate(k_row):
-                    if kk < 1 or (kk, a_row[i]) in seen:
-                        continue
-                    seen.add((kk, a_row[i]))
-                    rest = [j for j in range(n) if j != i]
-                    inst = relation1_instance(
-                        r,
-                        [k_row[j] for j in [i] + rest],
-                        [a_row[j] for j in [i] + rest],
-                    )
-                    cases += 1
-                    resid = inst.residual_closed()
-                    if resid != 0:
-                        key = "relation1:{}:orient={}:slot={}".format(br.key, o_idx, i)
-                        failures.append((key, "0/1", _fmt(resid)))
-                    for z in zero_slots.values():
-                        z_order = [i, z] + [j for j in rest if j != z]
-                        inst2 = relation2_instance(
-                            r,
-                            [k_row[j] for j in z_order],
-                            [a_row[j] for j in z_order],
-                        )
-                        cases += 1
-                        resid2 = inst2.residual_closed()
-                        if resid2 != 0:
-                            key = "relation2:{}:orient={}:slot={}:zero={}".format(
-                                br.key, o_idx, i, z
-                            )
-                            failures.append((key, "0/1", _fmt(resid2)))
+            for o_idx, slot, zero, inst in anchored_instances(br):
+                cases += 1
+                resid = inst.residual_closed()
+                if resid != 0:
+                    key = f"{inst.kind}:{br.key}:orient={o_idx}:slot={slot}"
+                    if zero is not None:
+                        key += f":zero={zero}"
+                    failures.append((key, "0/1", _fmt(resid)))
     return SuiteReport("relations", cases, failures, _elapsed_ms(t0))
 
 

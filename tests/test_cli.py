@@ -207,6 +207,41 @@ def test_bare_cache_flag_without_env_var_is_usage_error(capsys, monkeypatch, arg
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "bounds,message",
+    [
+        (("--r-max", "1"), "--r-max 1 --n-max 5 --k-sum-max 8 in loop, relations, oracle, axioms"),
+        (("--n-max", "0", "--k-sum-max", "0"), "--r-max 6 --n-max 0 --k-sum-max 0 in loop, relations, oracle, axioms"),
+        (("--suite", "relations", "--k-sum-max", "1"), "--r-max 6 --n-max 5 --k-sum-max 1 in relations"),
+    ],
+)
+def test_verify_empty_window_is_usage_error(capsys, bounds, message):
+    code, out, err = invoke(capsys, "verify", "--format", "json", *bounds)
+    assert code == 64
+    assert out == ""
+    assert err == f"error: no cases at {message}\n"
+
+
+@pytest.mark.parametrize("problem", ["directory", "missing-dir", "not-utf8"])
+def test_cache_file_errors_exit_1(capsys, tmp_path, problem):
+    if problem == "directory":
+        path = tmp_path / "folder"
+        path.mkdir()
+        argv = ("g0", "--r", "4", "--a", "1,1,3,3")
+    elif problem == "missing-dir":
+        path = tmp_path / "no-such-dir" / "x.json"
+        argv = ("g0", "--r", "7", "--a", "1,3,5,5,5")
+    else:
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"schema": 1, "entries": {"g0:r=5:a=1,1,3,3": "\xe9"}}')
+        argv = ("dr1", "--r", "4", "--k", "2,-2", "--a", "2,2")
+    code, out, err = invoke(capsys, *argv, "--cache", str(path))
+    assert code == 1
+    assert err.startswith("error: ") and str(path) in err
+    # nothing is written beside the unusable cache file
+    assert [p.name for p in tmp_path.iterdir()] == ([] if problem == "missing-dir" else [path.name])
+
+
 def test_help_exits_zero(capsys):
     code, out, _ = invoke(capsys, "--help")
     assert code == 0

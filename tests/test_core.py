@@ -5,7 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from rspin.core import (
     CacheError,
@@ -19,6 +19,7 @@ from rspin.core import (
     format_rational,
     genus0_selection,
     genus_of,
+    is_canonical_key,
     parse_key,
     parse_rational,
     spin_divisibility,
@@ -159,3 +160,87 @@ def test_genus0_key_permutation_invariant(r, data):
     a = data.draw(st.lists(st.integers(min_value=0, max_value=r - 1), min_size=3, max_size=6))
     perm = data.draw(st.permutations(a))
     assert Genus0Bracket(r, a).key == Genus0Bracket(r, perm).key
+
+
+# Spellings that int() accepts but a canonical key never uses; "-{}" also
+# spells 0 as "-0" and turns twists negative.
+_ODD_SPELLINGS = ("0{}", "+{}", " {}", "{}\n", "-{}", "{}_0")
+_DR1_EDITS = ("none", "shuffle", "flip", "flip-sorted", "twist", "r", "unbalance", "zeros", "empty")
+
+
+@st.composite
+def key_strings(draw):
+    """Keys near the canonical ones: valid, reordered, mis-oriented, out of range, misspelled."""
+
+    def spell(v):
+        odd = draw(st.integers(min_value=0, max_value=20 * len(_ODD_SPELLINGS)))
+        return _ODD_SPELLINGS[odd].format(v) if odd < len(_ODD_SPELLINGS) else str(v)
+
+    def join(values):
+        return ",".join(spell(v) for v in values)
+
+    if draw(st.booleans()):
+        r = draw(st.integers(min_value=0, max_value=9))
+        a = draw(st.lists(st.integers(min_value=0, max_value=max(r, 1)), max_size=5))
+        if draw(st.integers(min_value=0, max_value=3)):
+            a.sort()
+        key = f"g0:r={spell(r)}:a={join(a)}"
+    else:
+        r, pairs = draw(dr1_rows())
+        pairs = list(DR1Bracket(r, pairs).entries)
+        edit = draw(st.sampled_from(("none",) * 4 + _DR1_EDITS))
+        if edit == "shuffle":
+            pairs = draw(st.permutations(pairs))
+        elif edit in ("flip", "flip-sorted"):
+            pairs = [(-k, a) for k, a in pairs]
+            if edit == "flip-sorted":
+                pairs.sort(key=lambda e: (-e[0], e[1]))
+        elif edit == "twist":
+            i = draw(st.integers(min_value=0, max_value=len(pairs) - 1))
+            pairs[i] = (pairs[i][0], draw(st.sampled_from([-1, r, r + 3])))
+        elif edit == "r":
+            r = draw(st.sampled_from([-2, 0, 1, max(a for _, a in pairs)]))
+        elif edit == "unbalance":
+            pairs[0] = (pairs[0][0] + 1, pairs[0][1])
+        elif edit == "zeros":
+            pairs = [(0, a) for _, a in pairs]
+        elif edit == "empty":
+            pairs = []
+        k_row = [k for k, _ in pairs]
+        a_row = [a for _, a in pairs]
+        key = f"dr1:r={spell(r)}:k={join(k_row)}:a={join(a_row)}"
+    if draw(st.integers(min_value=0, max_value=9)) == 0:
+        key += draw(st.sampled_from(["\n", ":", " "]))
+    return key
+
+
+def _round_trips(key):
+    try:
+        return parse_key(key).key == key
+    except ValueError:
+        return False
+
+
+@settings(max_examples=600)
+@given(key_strings())
+def test_is_canonical_key_matches_parse_round_trip(key):
+    assert is_canonical_key(key) == _round_trips(key)
+
+
+def test_is_canonical_key_examples():
+    for r in (4, 6):
+        assert is_canonical_key(DR1Bracket(r, [(-2, r - 2), (2, 2)]).key)
+        assert is_canonical_key(Genus0Bracket(r, [r - 2, 1, r - 2, 1]).key)
+    for bad in (
+        "dr1:r=4:k=-2,2:a=2,2",  # wrong orientation
+        "dr1:r=4:k=2,-2:a=2,2\n",
+        "dr1:r=4:k=2,-0,-2:a=2,0,2",
+        "dr1:r=4:k=+2,-2:a=2,2",
+        "dr1:r=4:k=2,-2:a=2,4",  # twist out of range
+        "g0:r=5:a=01,1,3,3",
+        "g0:r=5:a= 1,1,3,3",
+        "g0:r=5:a=",
+        "g0:r=5:a=1,1,3,3:",
+    ):
+        assert not is_canonical_key(bad), bad
+        assert not _round_trips(bad), bad

@@ -13,7 +13,9 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import rspin.core
 import rspin.dr1
+import rspin.store
 from rspin.core import (
     DR1Bracket,
     GradingError,
@@ -32,6 +34,7 @@ from rspin.dr1 import (
     solve_relational,
 )
 from rspin.store import CacheStore
+from rspin.verify import check_oracle_equivalence, check_relations
 
 
 def test_b_value_goldens():
@@ -105,10 +108,10 @@ def test_relation1_ten_b_identity_structure():
     inst = relation1_instance(9, [1, 1, -1, -1], [7, 7, 6, 7])
     assert inst.kind == "relation1"
     assert inst.b_coefficient == 10
-    ctx_key = DR1Bracket(9, [(1, 7), (1, 7), (-1, 6), (-1, 7)]).key
-    c1 = DR1Bracket(9, [(2, 7), (1, 7), (-2, 6), (-1, 7)]).key
-    c2 = DR1Bracket(9, [(2, 7), (1, 7), (-1, 6), (-2, 7)]).key
-    assert inst.terms == {ctx_key: Fraction(-6), c1: Fraction(2), c2: Fraction(2)}
+    ctx = DR1Bracket(9, [(1, 7), (1, 7), (-1, 6), (-1, 7)])
+    c1 = DR1Bracket(9, [(2, 7), (1, 7), (-2, 6), (-1, 7)])
+    c2 = DR1Bracket(9, [(2, 7), (1, 7), (-1, 6), (-2, 7)])
+    assert inst.terms == {ctx: Fraction(-6), c1: Fraction(2), c2: Fraction(2)}
     assert inst.residual_closed() == 0
 
 
@@ -117,10 +120,10 @@ def test_relation1_fifteen_b_identity_structure():
     # 15 B = -7<ctx> - 1<3,1,-2,-2> + 3<3,2,-3,-2> + 3<3,2,-2,-3>
     inst = relation1_instance(9, [2, 2, -2, -2], [7, 7, 6, 7])
     assert inst.b_coefficient == 15
-    ctx = DR1Bracket(9, [(2, 7), (2, 7), (-2, 6), (-2, 7)]).key
-    g2 = DR1Bracket(9, [(3, 7), (1, 7), (-2, 6), (-2, 7)]).key
-    g3a = DR1Bracket(9, [(3, 7), (2, 7), (-3, 6), (-2, 7)]).key
-    g3b = DR1Bracket(9, [(3, 7), (2, 7), (-2, 6), (-3, 7)]).key
+    ctx = DR1Bracket(9, [(2, 7), (2, 7), (-2, 6), (-2, 7)])
+    g2 = DR1Bracket(9, [(3, 7), (1, 7), (-2, 6), (-2, 7)])
+    g3a = DR1Bracket(9, [(3, 7), (2, 7), (-3, 6), (-2, 7)])
+    g3b = DR1Bracket(9, [(3, 7), (2, 7), (-2, 6), (-3, 7)])
     assert inst.terms == {
         ctx: Fraction(-7),
         g2: Fraction(-1),
@@ -133,7 +136,7 @@ def test_relation1_fifteen_b_identity_structure():
 def test_relation1_merges_coinciding_keys():
     # equal twists make the two deepened children the same canonical key
     inst = relation1_instance(8, [1, 1, -1, -1], [6, 6, 6, 6])
-    child = DR1Bracket(8, [(2, 6), (1, 6), (-2, 6), (-1, 6)]).key
+    child = DR1Bracket(8, [(2, 6), (1, 6), (-2, 6), (-1, 6)])
     assert inst.terms[child] == 4
 
 
@@ -154,8 +157,8 @@ def test_relation2_structure():
     inst = relation2_instance(6, [1, 0, -1], [4, 4, 4])
     assert inst.kind == "relation2"
     assert inst.b_coefficient == 2
-    ctx = DR1Bracket(6, [(1, 4), (0, 4), (-1, 4)]).key
-    new = DR1Bracket(6, [(2, 4), (-1, 4), (-1, 4)]).key
+    ctx = DR1Bracket(6, [(1, 4), (0, 4), (-1, 4)])
+    new = DR1Bracket(6, [(2, 4), (-1, 4), (-1, 4)])
     assert inst.terms == {ctx: Fraction(-1), new: Fraction(1)}
     assert inst.residual_closed() == 0
 
@@ -200,6 +203,22 @@ def test_solve_relational_goldens(r, pairs, value):
     res = solve_relational(DR1Bracket(r, pairs), CacheStore())
     assert res.value == value
     assert res.status == "ok"
+
+
+def test_relational_engine_never_parses_keys(monkeypatch):
+    # relation terms stay brackets end to end; a key string is parsed only
+    # when one arrives from outside (a cache file, a rejected put)
+    def refuse(key):
+        raise AssertionError(f"parse_key({key!r}) called")
+
+    monkeypatch.setattr(rspin.core, "parse_key", refuse)
+    monkeypatch.setattr(rspin.store, "parse_key", refuse)
+    relations = check_relations(4, 6, 4)
+    assert relations.cases > 0 and relations.passed
+    oracle = check_oracle_equivalence(4, 6, 4)
+    assert oracle.cases > 0 and oracle.passed
+    for r, pairs, value in SOLVE_GOLDENS:
+        assert solve_relational(DR1Bracket(r, pairs), CacheStore()).value == value
 
 
 def test_solve_relational_statuses_mirror_closed_form():

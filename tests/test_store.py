@@ -80,8 +80,10 @@ def test_save_is_atomic_under_crash(tmp_path, monkeypatch):
         raise OSError("disk full")
 
     monkeypatch.setattr(json, "dump", exploding_dump)
-    with pytest.raises(OSError):
+    with pytest.raises(CacheError, match="disk full") as info:
         bigger.save(str(path))
+    assert isinstance(info.value.__cause__, OSError)
+    assert str(path) in str(info.value)
     monkeypatch.undo()
 
     # the original file is untouched and no temp debris remains
@@ -106,13 +108,53 @@ def test_load_rejects_unknown_schema(tmp_path):
         '{"schema": 1, "entries": ["list"]}',
         '{"schema": 1, "entries": {"g0:r=5:a=1,1,3,3": "1.5"}}',
         '{"schema": 1, "entries": {"g0:r=5:a=3,1": "1/5"}}',
+        '{"schema": 1, "entries": {"dr1:r=4:k=-2,2:a=2,2": "1/32"}}',  # wrong orientation
+        '{"schema": 1, "entries": {"g0:r=5:a=01,1,3,3": "1/5"}}',  # leading zero
+        pytest.param(b'{"schema": 1, "entries": {"g0:r=5:a=1,1,3,3": "1/5\xff"}}', id="not-utf8"),
+        pytest.param("[" * 100_000, id="nested-too-deep"),
     ],
 )
 def test_load_rejects_malformed_files(tmp_path, content):
     path = tmp_path / "cache.json"
-    path.write_text(content)
-    with pytest.raises(CacheError):
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content)
+    with pytest.raises(CacheError, match="cache.json"):
         CacheStore.load(str(path))
+
+
+def test_load_and_put_report_keys_alike(tmp_path):
+    path = tmp_path / "cache.json"
+    cases = [
+        ("dr1:r=4:k=-2,2:a=2,2", "canonical form is 'dr1:r=4:k=2,-2:a=2,2'"),
+        ("g0:r=5:a=1,1,9", "unusable cache key"),
+    ]
+    for key, reason in cases:
+        with pytest.raises(CacheError, match=reason):
+            CacheStore().put(key, Fraction(1))
+        path.write_text(json.dumps({"schema": 1, "entries": {key: "1/1"}}))
+        with pytest.raises(CacheError, match=reason):
+            CacheStore.load(str(path))
+
+
+def test_file_system_errors_become_cache_errors(tmp_path):
+    store = CacheStore()
+    store.put("g0:r=5:a=1,1,3,3", Fraction(1, 5))
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    with pytest.raises(CacheError, match="folder"):
+        CacheStore.load(str(folder))
+    with pytest.raises(CacheError, match="missing"):
+        CacheStore.load(str(tmp_path / "missing.json"))
+    with pytest.raises(CacheError, match="no-such-dir"):
+        store.save(str(tmp_path / "no-such-dir" / "cache.json"))
+    with pytest.raises(CacheError, match="folder"):
+        store.save(str(folder))
+    # the failed saves leave no temp files behind
+    assert os.listdir(tmp_path) == ["folder"]
+    assert os.listdir(folder) == []
+    assert store.dirty
 
 
 def test_load_error_names_the_path(tmp_path):
