@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import json
 import os
 import sys
@@ -142,9 +143,24 @@ def _cache_path(flag: Optional[str]) -> Optional[str]:
 
 
 def _open_store(path: Optional[str]) -> Optional[CacheStore]:
-    """Load the cache file at ``path``, or start it empty; None stays in memory."""
+    """Load the cache file at ``path``, or start it empty; None stays in memory.
+
+    A path the final save could not write is refused here, before anything
+    is computed, with the message that save would give.
+    """
     if path is None:
         return None
+    directory = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        problem = errno.EISDIR
+    elif not os.path.isdir(directory):
+        problem = errno.ENOENT
+    elif not os.access(directory, os.W_OK | os.X_OK):
+        problem = errno.EACCES
+    else:
+        problem = None
+    if problem is not None:
+        raise CacheError(f"cannot write cache file {path}: {os.strerror(problem)}")
     if os.path.exists(path):
         return CacheStore.load(path)
     return CacheStore()

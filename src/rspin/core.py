@@ -78,7 +78,9 @@ STATUS_OK = "ok"
 STATUS_DIMENSION_ZERO = "dimension-mismatch-zero"
 STATUS_VANISHING_ZERO = "vanishing-axiom-zero"
 
-_VALUE_RE = re.compile(r"^(-?\d+)/(\d+)$")
+# Exactly the spellings format_rational writes, up to the gcd check: ASCII
+# digits, no leading zeros, no "-0", a positive denominator.
+_VALUE_RE = re.compile(r"\A(0|-?[1-9][0-9]*)/([1-9][0-9]*)\Z")
 
 
 def _check_r(r: int) -> int:
@@ -355,14 +357,25 @@ def format_rational(value: Fraction) -> str:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse the ``"<num>/<den>"`` serialization back into an exact value."""
+    """Parse the ``"<num>/<den>"`` serialization back into an exact value.
+
+    Only the spelling :func:`format_rational` writes is accepted: a reduced
+    fraction in ASCII digits with a positive denominator, no leading zeros
+    and no ``-0``. Anything else raises ``CacheError`` naming the text.
+    """
     m = _VALUE_RE.match(text)
     if not m:
-        raise CacheError(f"malformed rational {text!r} (expected '<num>/<den>')")
+        raise CacheError(
+            f"malformed rational {text!r} (expected '<num>/<den>' in ASCII digits, "
+            "den > 0, no leading zeros)"
+        )
     num, den = int(m.group(1)), int(m.group(2))
-    if den == 0:
-        raise CacheError(f"zero denominator in {text!r}")
-    return Fraction(num, den)
+    value = Fraction(num, den)
+    if value.denominator != den:
+        raise CacheError(
+            f"unreduced rational {text!r} (canonical form is {format_rational(value)!r})"
+        )
+    return value
 
 
 def _parse_int_list(text: str, what: str) -> Tuple[int, ...]:

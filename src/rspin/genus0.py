@@ -11,6 +11,13 @@ Two vanishing rules shortcut the solver and also prune the generated
 equations: a twist equal to ``r - 1`` kills any bracket, and a twist equal
 to ``0`` kills any bracket with at least four insertions.
 
+The associativity systems are kept in integers: an n-point bracket enters as
+``S(a) = r^(n-3) * <a>``, an integer on every value computed so far (one
+that is not stays an exact ``Fraction``). The two components of a
+degeneration carry ``n + 3`` points between them, so every term of an
+(n+1)-point instance scales by the same ``r^(n-3)``, which
+:meth:`WdvvSystem.solve` divides out once.
+
 :func:`loop_sum` evaluates the closed formula
 ``((n-1)!/r^(n-1)) * prod(r-1-x_i)`` for the window sum
 ``sum_{a+b=m} <a, b, x_1..x_n>``. The formula is exact for ``m <= r - 2``.
@@ -28,8 +35,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, groupby
-from math import comb, factorial
-from typing import Dict, List, Optional, Sequence, Tuple
+from math import comb, factorial, gcd, lcm
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .core import (
     STATUS_DIMENSION_ZERO,
@@ -59,10 +66,8 @@ __all__ = [
     "bracket_window_sum",
 ]
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
 Key = Tuple[int, ...]
+Scaled = Union[int, Fraction]
 
 
 def three_point(r: int, a1: int, a2: int, a3: int) -> EvalResult:
@@ -168,18 +173,23 @@ class WdvvSystem:
     A bracket ``(r; a)`` is keyed by its ascending twist tuple ``a``.
     ``unknowns`` holds these keys in ascending order; that order is also the
     elimination pivot order. Each equation is ``(coeffs, constant)`` meaning
-    ``sum coeffs[key] * value[key] = constant``, with constants fully
-    evaluated from smaller brackets.
+    ``sum coeffs[key] * S[key] = constant`` in scaled units
+    ``S[key] = r^(n-3) * <key>``, with constants fully evaluated from smaller
+    brackets. Each row is primitive: its entries are integers with no common
+    factor and a positive leading coefficient (a row holding a non-integral
+    scaled value is cleared of denominators first). :meth:`solve` unscales.
     """
 
     r: int
     n: int
     unknowns: Tuple[Key, ...]
-    equations: Tuple[Tuple[Dict[Key, Fraction], Fraction], ...]
+    equations: Tuple[Tuple[Dict[Key, int], int], ...]
 
     def solve(self) -> Tuple[Dict[Key, Fraction], List[Key]]:
-        """Run exact elimination; return (determined values, free keys)."""
-        return solve_exact(self.unknowns, self.equations)
+        """Eliminate, divide out ``r^(n-3)``; return (bracket values, free keys)."""
+        values, free = solve_exact(self.unknowns, self.equations)
+        scale = self.r ** (self.n - 3)
+        return {key: value / scale for key, value in values.items()}, free
 
 
 def _solve_into(r: int, a: Key, cache: CacheStore) -> Fraction:
@@ -219,39 +229,43 @@ def _splits(rest: Key) -> List[Tuple[Key, Key, int]]:
 class _SystemBuild:
     """State of one :func:`wdvv_equations` call: the bracket values it reads.
 
-    ``memo`` maps each component met so far to its value. Components are
-    ascending, graded, and have twists in ``[0, r - 2]`` (the multiset
-    twists stay below ``r - 1``, and a node twist of ``r - 1`` drops the
-    term), so neither the range nor the vanishing axiom needs checking.
+    ``memo`` maps each component met so far to its scaled value
+    ``S(a) = r^(len(a)-3) * <a>``. Components are ascending, graded, and
+    have twists in ``[0, r - 2]`` (the multiset twists stay below ``r - 1``,
+    and a node twist of ``r - 1`` drops the term), so neither the range nor
+    the vanishing axiom needs checking.
     """
 
     def __init__(self, r: int, n: int, cache: CacheStore):
         self.r = r
         self.n = n
         self.cache = cache
-        self.memo: Dict[Key, Fraction] = {}
+        self.memo: Dict[Key, Scaled] = {}
 
-    def value(self, a: Key) -> Fraction:
-        """Closed 3/4-point form, zero-twist rule, or the store's value."""
+    def value(self, a: Key) -> Scaled:
+        """Scaled closed 3/4-point form, zero-twist rule, or store value."""
         value = self.memo.get(a)
         if value is None:
             size = len(a)
             if size == 3:
-                value = _ONE
+                value = 1
             elif size == 4:
-                value = Fraction(min(a[0], self.r - 1 - a[3]), self.r)
+                value = min(a[0], self.r - 1 - a[3])
             elif a[0] == 0:
-                value = _ZERO
+                value = 0
             else:
-                value = self.cache.get(genus0_key(self.r, a))
-                if value is None:
-                    value = _solve_into(self.r, a, self.cache)
+                stored = self.cache.get(genus0_key(self.r, a))
+                if stored is None:
+                    stored = _solve_into(self.r, a, self.cache)
+                value = stored * self.r ** (size - 3)
+                if value.denominator == 1:
+                    value = value.numerator
             self.memo[a] = value
         return value
 
     def pairing_terms(
         self, first: Tuple[int, int], second: Tuple[int, int], splits: List[Tuple[Key, Key, int]]
-    ) -> Tuple[Dict[Key, Fraction], Fraction]:
+    ) -> Tuple[Dict[Key, Scaled], Scaled]:
         """Expand one degeneration side into (unknown coefficients, known part).
 
         The four distinguished twists split as ``first | second``; the
@@ -260,11 +274,12 @@ class _SystemBuild:
         side. The two component gradings hold or fail together (their twist
         sums add up to the sum over both), and a failed one makes the
         product 0. At most one component has ``n`` points, since the two
-        carry ``n + 3`` between them.
+        carry ``n + 3`` between them; for the same reason every product of
+        scaled values carries the same factor ``r^(n-3)``.
         """
         r, n, value = self.r, self.n, self.value
-        coeffs: Dict[Key, Fraction] = {}
-        const = _ZERO
+        coeffs: Dict[Key, Scaled] = {}
+        const = 0
         for one, other, count in splits:
             left = first + one
             twist_sum = sum(left)
@@ -281,7 +296,7 @@ class _SystemBuild:
                 # Read both factors even when one is 0: a store miss solves
                 # and stores the smaller system either way.
                 lv, rv = value(left_t), value(right_t)
-                unknown, factor = None, lv * rv if lv and rv else _ZERO
+                unknown, factor = None, lv * rv
             if not factor:
                 continue
             if count != 1:
@@ -289,8 +304,28 @@ class _SystemBuild:
             if unknown is None:
                 const += factor
             else:
-                coeffs[unknown] = coeffs.get(unknown, _ZERO) + factor
+                coeffs[unknown] = coeffs.get(unknown, 0) + factor
         return coeffs, const
+
+
+def _primitive(coeffs: Dict[Key, Scaled], rhs: Scaled) -> Tuple[Dict[Key, int], int]:
+    """Scale a row with a nonzero coefficient to its primitive integer form.
+
+    The result has integer entries with greatest common divisor 1 and a
+    positive coefficient at the smallest key, so two rows are proportional
+    exactly when their primitive forms are equal.
+    """
+    if not all(type(v) is int for v in (rhs, *coeffs.values())):
+        den = lcm(rhs.denominator, *(v.denominator for v in coeffs.values()))
+        coeffs = {k: int(v * den) for k, v in coeffs.items()}
+        rhs = int(rhs * den)
+    divisor = gcd(rhs, *coeffs.values())
+    if coeffs[min(coeffs)] < 0:
+        divisor = -divisor
+    if divisor != 1:
+        coeffs = {k: v // divisor for k, v in coeffs.items()}
+        rhs //= divisor
+    return coeffs, rhs
 
 
 def wdvv_equations(r: int, n: int, cache: Optional[CacheStore] = None) -> WdvvSystem:
@@ -300,13 +335,14 @@ def wdvv_equations(r: int, n: int, cache: Optional[CacheStore] = None) -> WdvvSy
     each two-component degeneration can satisfy both component gradings)
     with four distinguished insertions; equating two distinct pairings of
     the distinguished four yields one linear equation. Each distinct pairing
-    is expanded once per instance. All instances are enumerated, normalized
-    (leading coefficient 1 in key order), and deduplicated. Unknowns are the
-    grading-valid n-point brackets with twists in ``[1, r - 2]``, keyed by
-    ascending twist tuples; anything else is already known to the recursion.
-    Values of smaller brackets are memoized for the length of the call;
-    those with five or more points come from ``cache`` (a fresh store when
-    it is None), solving their own system into it on a miss.
+    is expanded once per instance, and each distinct rest of the multiset is
+    split once per call. All instances are enumerated, brought to primitive
+    integer form (see :class:`WdvvSystem`), and deduplicated. Unknowns are
+    the grading-valid n-point brackets with twists in ``[1, r - 2]``, keyed
+    by ascending twist tuples; anything else is already known to the
+    recursion. Values of smaller brackets are memoized for the length of the
+    call; those with five or more points come from ``cache`` (a fresh store
+    when it is None), solving their own system into it on a miss.
     """
     _check_r(r)
     if n < 5:
@@ -316,14 +352,18 @@ def wdvv_equations(r: int, n: int, cache: Optional[CacheStore] = None) -> WdvvSy
     total = (n - 2) * r - 2
     unknowns = tuple(ascending_multisets(1, r - 2, n, total))
     build = _SystemBuild(r, n, cache)
-    equations: List[Tuple[Dict[Key, Fraction], Fraction]] = []
+    split_memo: Dict[Key, List[Tuple[Key, Key, int]]] = {}
+    equations: List[Tuple[Dict[Key, int], int]] = []
     seen = set()
     for y in ascending_multisets(0, max(0, r - 2), n + 1, total):
         for dist in sorted(set(combinations(y, 4))):
             rest = list(y)
             for v in dist:
                 rest.remove(v)
-            splits = _splits(tuple(rest))
+            rest = tuple(rest)
+            splits = split_memo.get(rest)
+            if splits is None:
+                splits = split_memo[rest] = _splits(rest)
             d0, d1, d2, d3 = dist
             pairings: Dict[Tuple[Tuple[int, int], Tuple[int, int]], tuple] = {}
             for p, q in (((d0, d1), (d2, d3)), ((d0, d2), (d1, d3)), ((d0, d3), (d1, d2))):
@@ -333,17 +373,14 @@ def wdvv_equations(r: int, n: int, cache: Optional[CacheStore] = None) -> WdvvSy
             for (ca, ka), (cb, kb) in combinations(pairings.values(), 2):
                 coeffs = dict(ca)
                 for k, v in cb.items():
-                    coeffs[k] = coeffs.get(k, _ZERO) - v
+                    coeffs[k] = coeffs.get(k, 0) - v
                 coeffs = {k: v for k, v in coeffs.items() if v}
                 rhs = kb - ka
                 if not coeffs:
                     if rhs:
                         raise ValueError("inconsistent associativity instance")
                     continue
-                lead = coeffs[min(coeffs)]
-                if lead != 1:
-                    coeffs = {k: v / lead for k, v in coeffs.items()}
-                    rhs /= lead
+                coeffs, rhs = _primitive(coeffs, rhs)
                 tag = (tuple(sorted(coeffs.items())), rhs)
                 if tag not in seen:
                     seen.add(tag)

@@ -242,6 +242,37 @@ def test_cache_file_errors_exit_1(capsys, tmp_path, problem):
     assert [p.name for p in tmp_path.iterdir()] == ([] if problem == "missing-dir" else [path.name])
 
 
+@pytest.mark.parametrize("problem", ["directory", "missing-dir", "read-only-dir"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("g0", "--r", "7", "--a", "1,3,5,5,5"),
+        ("dr1", "--r", "8", "--k", "4,-4", "--a", "2,6", "--method", "relations"),
+    ],
+)
+def test_unwritable_cache_path_fails_before_solving(capsys, tmp_path, monkeypatch, problem, argv):
+    def refuse(*args, **kwargs):
+        raise AssertionError("solver called although the cache path cannot be written")
+
+    monkeypatch.setattr("rspin.cli.solve_bracket", refuse)
+    monkeypatch.setattr("rspin.cli.solve_relational", refuse)
+    if problem == "directory":
+        path = tmp_path
+        reason = "Is a directory"
+    elif problem == "missing-dir":
+        path = tmp_path / "no-such-dir" / "x.json"
+        reason = "No such file or directory"
+    else:
+        # os.access grants everything to a superuser, so stand in for a refusal
+        monkeypatch.setattr("rspin.cli.os.access", lambda *args, **kwargs: False)
+        path = tmp_path / "x.json"
+        reason = "Permission denied"
+    code, out, err = invoke(capsys, *argv, "--cache", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: cannot write cache file {path}: {reason}\n"
+
+
 def test_help_exits_zero(capsys):
     code, out, _ = invoke(capsys, "--help")
     assert code == 0

@@ -105,6 +105,24 @@ def test_rational_round_trip():
         parse_rational("1.5")
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "2/10\n", "1/5\n", "2/10", "0/5", "-0/1", "01/5", "1/05", "+1/5", "1/0", "1/-5",
+        " 1/5", "1 /5", "\u0661/\u0665", "\uff11/\uff15", "1/5/1", "5", "",
+    ],
+)
+def test_parse_rational_rejects_other_spellings(text):
+    with pytest.raises(CacheError) as info:
+        parse_rational(text)
+    assert repr(text) in str(info.value)
+
+
+@given(st.fractions())
+def test_parse_rational_inverts_format_rational(value):
+    assert parse_rational(format_rational(value)) == value
+
+
 def test_parse_key_rejects_malformed():
     for bad in ("g0:r=5", "dr1:r=4:k=2,-2", "g0:r=x:a=1,1,3", "noise", "g0:r=5:a="):
         with pytest.raises(StructureError):

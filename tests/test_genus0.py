@@ -14,8 +14,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rspin.core import GradingError, Genus0Bracket, genus0_key
+from rspin.core import GradingError, Genus0Bracket, genus0_key, parse_key
 from rspin.genus0 import (
+    _primitive,
+    _SystemBuild,
     bracket_window_sum,
     four_point,
     loop_sum,
@@ -193,6 +195,35 @@ def test_wdvv_values_match_frozen_table():
     assert len(want) == 308
     assert sorted(got) == sorted(want)
     assert [key for key in want if got[key] != want[key]] == []
+
+
+def test_frozen_values_are_integral_after_scaling():
+    # Observed, not proved: r^(n-3) * <a> is an integer on every frozen value,
+    # which is what keeps the associativity rows in integers.
+    entries = list(CacheStore.load(str(FROZEN_TABLE)).items())
+    assert len(entries) == 308
+    for key, value in entries:
+        bracket = parse_key(key)
+        assert (value * bracket.r ** (bracket.n - 3)).denominator == 1, key
+
+
+def test_build_keeps_non_integral_scaled_values_exact():
+    store = CacheStore()
+    store.put(genus0_key(5, (2, 2, 3, 3, 3)), Fraction(1, 7))
+    store.put(genus0_key(5, (3, 3, 3, 3, 3, 3)), Fraction(2, 25))
+    build = _SystemBuild(5, 7, store)
+    odd = build.value((2, 2, 3, 3, 3))
+    assert type(odd) is Fraction and odd == Fraction(25, 7)
+    even = build.value((3, 3, 3, 3, 3, 3))
+    assert type(even) is int and even == 10
+    assert (build.value((1, 1, 1)), build.value((1, 1, 3, 3)), build.value((2, 2, 2, 2))) == (1, 1, 2)
+
+
+def test_non_integral_rows_keep_their_primitive_form():
+    coeffs, rhs = _primitive({(1,): Fraction(-2, 3), (2,): 4}, Fraction(1, 6))
+    assert (coeffs, rhs) == ({(1,): 4, (2,): -24}, -1)
+    assert all(type(v) is int for v in (rhs, *coeffs.values()))
+    assert _primitive({(1,): -2, (2,): 12}, -4) == ({(1,): 1, (2,): -6}, 2)
 
 
 @pytest.mark.parametrize("r,n,unknowns,equations", [(12, 5, 74, 1085), (12, 7, 61, 525)])

@@ -112,6 +112,17 @@ def test_load_rejects_unknown_schema(tmp_path):
         '{"schema": 1, "entries": {"g0:r=5:a=01,1,3,3": "1/5"}}',  # leading zero
         pytest.param(b'{"schema": 1, "entries": {"g0:r=5:a=1,1,3,3": "1/5\xff"}}', id="not-utf8"),
         pytest.param("[" * 100_000, id="nested-too-deep"),
+        # value spellings format_rational never writes
+        '{"schema": 1, "entries": {"g0:r=5:a=1,1,3,3": "1/5\\n"}}',  # trailing newline
+        '{"schema": 1, "entries": {"g0:r=5:a=1,1,3,3": "2/10"}}',  # unreduced
+        '{"schema": 1, "entries": {"g0:r=5:a=1,1,3,3": "0/5"}}',  # unreduced zero
+        '{"schema": 1, "entries": {"g0:r=5:a=1,1,3,3": "-0/1"}}',
+        '{"schema": 1, "entries": {"g0:r=5:a=1,1,3,3": "01/5"}}',  # leading zero
+        '{"schema": 1, "entries": {"g0:r=5:a=1,1,3,3": "+1/5"}}',
+        '{"schema": 1, "entries": {"g0:r=5:a=1,1,3,3": "1/0"}}',
+        '{"schema": 1, "entries": {"g0:r=5:a=1,1,3,3": "1/-5"}}',
+        '{"schema": 1, "entries": {"g0:r=5:a=1,1,3,3": "\\u0661/\\u0665"}}',  # Arabic-Indic digits
+        '{"schema": 1, "entries": {"g0:r=5:a=1,1,3,3": "\\uff11/\\uff15"}}',  # full-width digits
     ],
 )
 def test_load_rejects_malformed_files(tmp_path, content):
