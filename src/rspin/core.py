@@ -43,6 +43,7 @@ __all__ = [
     "genus_of",
     "genus0_selection",
     "dr1_selection",
+    "dr1_status",
     "spin_divisibility",
     "vanishing_by_axiom",
     "format_rational",
@@ -171,6 +172,27 @@ def dr1_selection(r: int, a: Sequence[int]) -> bool:
     return sum(a) == (len(a) - 1) * r
 
 
+def dr1_status(r: int, a: Sequence[int]) -> str:
+    """The status every genus-1 evaluator reports for the twist row ``a``.
+
+    ``"dimension-mismatch-zero"`` when :func:`dr1_selection` fails, else
+    ``"vanishing-axiom-zero"`` when a twist equals ``r - 1``, else ``"ok"``.
+    ``r`` and the twists are checked once, as :func:`dr1_selection` checks
+    them.
+
+    >>> dr1_status(4, (2, 2)), dr1_status(4, (3, 1)), dr1_status(4, (2, 1))
+    ('ok', 'vanishing-axiom-zero', 'dimension-mismatch-zero')
+    """
+    return _dr1_status(r, _check_twists(_check_r(r), a))
+
+
+def _dr1_status(r: int, a: Sequence[int]) -> str:
+    """:func:`dr1_status` of a twist row already checked against [0, r-1]."""
+    if sum(a) != (len(a) - 1) * r:
+        return STATUS_DIMENSION_ZERO
+    return STATUS_VANISHING_ZERO if r - 1 in a else STATUS_OK
+
+
 def spin_divisibility(r: int, g: int, a: Sequence[int]) -> bool:
     """True iff ``r`` divides ``2g - 2 - sum(a)``, the spin-structure constraint."""
     _check_r(r)
@@ -260,8 +282,20 @@ class DR1Bracket:
     so the lexicographically larger magnitude profile sits on the positive
     side. Two inputs describing the same bracket therefore always compare
     and hash equal.
+
+    ``status`` is the grading status of the twist row (:func:`dr1_status`),
+    fixed at birth, so the evaluators answer a zero bracket with one
+    attribute read. The twists never change once checked, so the status is
+    derived where they already are: this constructor takes it from the pairs
+    it has just validated; ``rspin.dr1``'s window enumerators check each
+    twist multiset once and hand its status to every row over it; and rows
+    rebuilt from a bracket's own pairs (relation terms, rewriting children)
+    keep the same multiset and so take the status they are given. Equality,
+    hashing, ordering and ``repr`` use ``(r, entries)`` only: ``status`` is a
+    slot, not a dataclass field.
     """
 
+    __slots__ = ("r", "entries", "status")
     r: int
     entries: Tuple[Tuple[int, int], ...]
 
@@ -272,7 +306,8 @@ class DR1Bracket:
             k, a = item
             if not isinstance(k, int) or isinstance(k, bool):
                 raise StructureError(f"order {k!r} is not an integer")
-            _check_twists(r, (a,))
+            if type(a) is not int or not 0 <= a < r:
+                _check_twists(r, (a,))  # raises unless a is an in-range int subclass
             pairs.append((k, a))
         if sum(k for k, _ in pairs) != 0:
             raise StructureError(f"orders must balance to 0, got sum {sum(k for k, _ in pairs)}")
@@ -280,23 +315,30 @@ class DR1Bracket:
             raise StructureError("at least one order must be nonzero")
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "entries", _orient(pairs))
+        object.__setattr__(self, "status", _dr1_status(r, [a for _, a in pairs]))
 
     @classmethod
-    def _from_canonical(cls, r: int, entries: Tuple[Tuple[int, int], ...]) -> "DR1Bracket":
+    def _from_canonical(cls, r: int, entries: Tuple[Tuple[int, int], ...], status: str) -> "DR1Bracket":
         """Wrap an entry row that is already checked, sorted and oriented.
 
         No validation: only generators that emit canonical rows by
-        construction (the window enumerators in ``dr1``) call this.
+        construction (the window enumerators in ``dr1``) call this, with the
+        status of the row's twist multiset.
         """
         self = object.__new__(cls)
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "status", status)
         return self
 
     @classmethod
-    def _canonical(cls, r: int, pairs: Sequence[Tuple[int, int]]) -> "DR1Bracket":
-        """Sort and orient pairs whose ``r``, twists and balanced orders are checked."""
-        return cls._from_canonical(r, _orient(pairs))
+    def _canonical(cls, r: int, pairs: Sequence[Tuple[int, int]], status: str) -> "DR1Bracket":
+        """Sort and orient checked pairs whose twist multiset has ``status``."""
+        return cls._from_canonical(r, _orient(pairs), status)
+
+    def __reduce__(self):
+        # pickle and copy: frozen slots cannot be restored by assignment
+        return (type(self)._from_canonical, (self.r, self.entries, self.status))
 
     @property
     def n(self) -> int:
@@ -324,7 +366,7 @@ class DR1Bracket:
 
     @property
     def selection_ok(self) -> bool:
-        return dr1_selection(self.r, self.a_row)
+        return self.status != STATUS_DIMENSION_ZERO
 
     @property
     def key(self) -> str:

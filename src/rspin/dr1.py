@@ -22,6 +22,18 @@ smallest nonzero magnitude, so the recursion terminates. A cycle guard
 plus a bounded-window linear solve (:func:`RelationInstance` rows fed to
 exact elimination) backs up the rewriting in case a reduction ever fails
 to make progress.
+
+Whether a bracket can be nonzero at all depends on its twist multiset
+only, and every move above keeps that multiset. So each
+:class:`rspin.core.DR1Bracket` is born with its grading status, and
+:func:`closed_form` and :func:`solve_relational` answer a zero bracket
+with one attribute read and a shared result. The status is derived where
+the twists are already checked: :func:`enumerate_brackets` and the
+window solve check the range of each twist multiset once
+(:func:`rspin.core.dr1_status`) and hand its status to every row over it,
+since a window holds thousands of rows per multiset; relation terms and
+rewriting children take the status of the row they are rebuilt from. For
+the same reason B is computed once per top-level reduction.
 """
 
 from __future__ import annotations
@@ -43,9 +55,11 @@ from .core import (
     StructureError,
     _check_r,
     _check_twists,
+    _dr1_status,
     _sorted_dr1_entries,
     ascending_multisets,
     dr1_selection,
+    dr1_status,
 )
 from .elimination import solve_exact
 from .genus0 import loop_sum
@@ -80,6 +94,12 @@ def b_value(r: int, a: Sequence[int]) -> Fraction:
         raise GradingError("b_value needs at least one twist")
     if not dr1_selection(r, a):
         return Fraction(0)
+    return _b_product(r, a)
+
+
+def _b_product(r: int, a: Sequence[int]) -> Fraction:
+    """The product formula of :func:`b_value` on a checked, graded row."""
+    n = len(a)
     prod = 1
     for ai in a:
         prod *= r - 1 - ai
@@ -113,14 +133,20 @@ def b_value_trr(r: int, a: Sequence[int]) -> Fraction:
     return loop_sum(r, r - 2, a) / 24
 
 
+# The answer of both evaluators for a bracket whose status is not "ok";
+# EvalResult is frozen, so one instance per status is shared by every call.
+_ZERO_RESULTS = {
+    STATUS_DIMENSION_ZERO: EvalResult(Fraction(0), STATUS_DIMENSION_ZERO, ("selection",)),
+    STATUS_VANISHING_ZERO: EvalResult(Fraction(0), STATUS_VANISHING_ZERO, ("vanishing-axiom",)),
+}
+
+
 def closed_form(bracket: DR1Bracket) -> EvalResult:
     """Evaluate a bracket as ``(sum(k_i^2)/2 - 1) * B(r, a)``."""
-    if not bracket.selection_ok:
-        return EvalResult(Fraction(0), STATUS_DIMENSION_ZERO, ("selection",))
-    if any(ai == bracket.r - 1 for ai in bracket.a_row):
-        return EvalResult(Fraction(0), STATUS_VANISHING_ZERO, ("vanishing-axiom",))
-    coeff = Fraction(sum(k * k for k in bracket.k_row), 2) - 1
-    value = coeff * b_value(bracket.r, bracket.a_row)
+    if bracket.status != STATUS_OK:
+        return _ZERO_RESULTS[bracket.status]
+    coeff = Fraction(sum(k * k for k, _ in bracket.entries), 2) - 1
+    value = coeff * _b_product(bracket.r, bracket.a_row)
     return EvalResult(value, STATUS_OK, ("closed-form",))
 
 
@@ -151,9 +177,14 @@ class RelationInstance:
         return total
 
 
-def _add_term(terms: Dict[DR1Bracket, Fraction], r: int, k_row, a_row, coeff: Fraction) -> None:
-    """Accumulate ``coeff`` on the bracket of a row the caller has checked."""
-    bracket = DR1Bracket._canonical(r, list(zip(k_row, a_row)))
+def _add_term(
+    terms: Dict[DR1Bracket, Fraction], r: int, k_row, a_row, status: str, coeff: Fraction
+) -> None:
+    """Accumulate ``coeff`` on the bracket of a row the caller has checked.
+
+    ``status`` is that of the instance's twist row, which every term keeps.
+    """
+    bracket = DR1Bracket._canonical(r, list(zip(k_row, a_row)), status)
     new = terms.get(bracket, Fraction(0)) + coeff
     if new == 0:
         terms.pop(bracket, None)
@@ -196,8 +227,9 @@ def relation1_instance(r: int, k: Sequence[int], a: Sequence[int]) -> RelationIn
     n_minus = sum(1 for v in k if v < 0)
     c0 = Fraction(k[0] + n_plus + n_minus + 1)
     b_coeff = Fraction((k[0] + 1) * (n_plus + n_minus + 1))
+    status = _dr1_status(r, a)
     terms: Dict[DR1Bracket, Fraction] = {}
-    _add_term(terms, r, k, a, -c0)
+    _add_term(terms, r, k, a, status, -c0)
     for i in range(1, len(k)):
         if k[i] > 0:
             coeff = Fraction(k[i] - 1)
@@ -206,14 +238,14 @@ def relation1_instance(r: int, k: Sequence[int], a: Sequence[int]) -> RelationIn
             edited = list(k)
             edited[0] += 1
             edited[i] -= 1
-            _add_term(terms, r, edited, a, -coeff)
+            _add_term(terms, r, edited, a, status, -coeff)
     for j in range(len(k)):
         if k[j] < 0:
             coeff = Fraction(-k[j] + 1)
             edited = list(k)
             edited[0] += 1
             edited[j] -= 1
-            _add_term(terms, r, edited, a, coeff)
+            _add_term(terms, r, edited, a, status, coeff)
     return RelationInstance("relation1", b_coeff, terms, (r, tuple(sorted(a))))
 
 
@@ -236,9 +268,10 @@ def relation2_instance(r: int, k: Sequence[int], a: Sequence[int]) -> RelationIn
     edited = list(k)
     edited[0] += 1
     edited[zero_slots[0]] = -1
+    status = _dr1_status(r, a)
     terms: Dict[DR1Bracket, Fraction] = {}
-    _add_term(terms, r, k, a, Fraction(-1))
-    _add_term(terms, r, edited, a, Fraction(1))
+    _add_term(terms, r, k, a, status, Fraction(-1))
+    _add_term(terms, r, edited, a, status, Fraction(1))
     return RelationInstance("relation2", b_coeff, terms, (r, tuple(sorted(a))))
 
 
@@ -298,54 +331,75 @@ class _StallSignal(Exception):
     """Internal marker: rewriting revisited a key and must fall back."""
 
 
-def _solve_from_instance(
-    inst: RelationInstance, target: DR1Bracket, b: Fraction, cache: CacheStore, visiting: Set[str]
-) -> Fraction:
+class _Reduction:
+    """State of one top-level reduction in :func:`solve_relational`.
+
+    It holds the store, the keys under reduction (the cycle guard) and B.
+    Every bracket a reduction reaches, relation term or rewriting child,
+    keeps the top-level twist multiset, so B is the same for all of them:
+    :func:`b_value_trr` runs on first use, at most once per reduction, and
+    not at all when the top-level bracket is a cache hit or relation-3 shape.
+    """
+
+    __slots__ = ("cache", "visiting", "_top", "_b")
+
+    def __init__(self, top: DR1Bracket, cache: CacheStore):
+        self.cache = cache
+        self.visiting: Set[str] = set()
+        self._top = top
+        self._b: Optional[Fraction] = None
+
+    @property
+    def b(self) -> Fraction:
+        if self._b is None:
+            self._b = b_value_trr(self._top.r, self._top.a_row)
+        return self._b
+
+
+def _solve_from_instance(inst: RelationInstance, target: DR1Bracket, red: _Reduction) -> Fraction:
     """Solve one relation instance for the coefficient of ``target``."""
     terms = dict(inst.terms)
     target_coeff = terms.pop(target, Fraction(0))
     if target_coeff == 0:
         raise _StallSignal(target.key)
-    rhs = inst.b_coefficient * b
+    rhs = inst.b_coefficient * red.b
     for bracket, coeff in terms.items():
-        rhs -= coeff * _relational_value(bracket, cache, visiting)[0]
+        rhs -= coeff * _relational_value(bracket, red)[0]
     return rhs / target_coeff
 
 
-def _relational_value(bracket: DR1Bracket, cache: CacheStore, visiting: Set[str]) -> Tuple[Fraction, str]:
+def _relational_value(bracket: DR1Bracket, red: _Reduction) -> Tuple[Fraction, str]:
     key = bracket.key
-    hit = cache.get(key)
+    hit = red.cache.get(key)
     if hit is not None:
         return hit, "cache"
     if relation3_check(bracket):
-        cache.put(key, Fraction(0))
+        red.cache.put(key, Fraction(0))
         return Fraction(0), "relation-3"
-    if key in visiting:
+    if key in red.visiting:
         raise _StallSignal(key)
-    visiting.add(key)
+    red.visiting.add(key)
     try:
-        value, rule = _reduce_once(bracket, cache, visiting)
+        value, rule = _reduce_once(bracket, red)
     finally:
-        visiting.discard(key)
-    cache.put(key, value)
+        red.visiting.discard(key)
+    red.cache.put(key, value)
     return value, rule
 
 
-def _reduce_once(bracket: DR1Bracket, cache: CacheStore, visiting: Set[str]) -> Tuple[Fraction, str]:
-    r = bracket.r
-    b = b_value_trr(r, bracket.a_row)
+def _reduce_once(bracket: DR1Bracket, red: _Reduction) -> Tuple[Fraction, str]:
     mags = [abs(kk) for kk, _ in bracket.entries if kk != 0]
     if max(mags) == 1:
         # All nonzero entries are +-1 and the +1/-1 counts match; the pure
         # (+1, -1) pattern was already peeled off as relation 3, so at least
         # two of each remain.
-        return _case_all_units(bracket, b, cache, visiting), "case-2"
+        return _case_all_units(bracket, red), "case-2"
     if min(mags) == 1:
-        return _case_unit_present(bracket, b, cache, visiting), "case-1"
-    return _case_all_large(bracket, b, cache, visiting), "case-3"
+        return _case_unit_present(bracket, red), "case-1"
+    return _case_all_large(bracket, red), "case-3"
 
 
-def _case_unit_present(bracket: DR1Bracket, b: Fraction, cache: CacheStore, visiting: Set[str]) -> Fraction:
+def _case_unit_present(bracket: DR1Bracket, red: _Reduction) -> Fraction:
     """Some entry has magnitude 1 and some other entry magnitude >= 2.
 
     Orient so a ``-1`` entry and a positive entry ``p >= 2`` coexist, then
@@ -372,11 +426,11 @@ def _case_unit_present(bracket: DR1Bracket, b: Fraction, cache: CacheStore, visi
     p = pairs[pos_idx][0]
     pairs[pos_idx] = (p - 1, pairs[pos_idx][1])
     pairs[neg_idx] = (0, pairs[neg_idx][1])
-    child = DR1Bracket._canonical(bracket.r, pairs)
-    return p * b + _relational_value(child, cache, visiting)[0]
+    child = DR1Bracket._canonical(bracket.r, pairs, bracket.status)
+    return p * red.b + _relational_value(child, red)[0]
 
 
-def _case_all_units(bracket: DR1Bracket, b: Fraction, cache: CacheStore, visiting: Set[str]) -> Fraction:
+def _case_all_units(bracket: DR1Bracket, red: _Reduction) -> Fraction:
     """Every nonzero entry is +-1 with at least two of each sign.
 
     The relation anchored at one of the ``+1`` entries involves the bracket
@@ -389,10 +443,10 @@ def _case_all_units(bracket: DR1Bracket, b: Fraction, cache: CacheStore, visitin
     anchor = k_row.index(1)
     order = [anchor] + [i for i in range(len(pairs)) if i != anchor]
     inst = relation1_instance(bracket.r, [k_row[i] for i in order], [a_row[i] for i in order])
-    return _solve_from_instance(inst, bracket, b, cache, visiting)
+    return _solve_from_instance(inst, bracket, red)
 
 
-def _case_all_large(bracket: DR1Bracket, b: Fraction, cache: CacheStore, visiting: Set[str]) -> Fraction:
+def _case_all_large(bracket: DR1Bracket, red: _Reduction) -> Fraction:
     """Every nonzero entry has magnitude >= 2.
 
     Orient so the globally smallest magnitude sits on the negative side,
@@ -425,7 +479,7 @@ def _case_all_large(bracket: DR1Bracket, b: Fraction, cache: CacheStore, visitin
         [context_k[i] for i in order],
         [a_row[i] for i in order],
     )
-    return _solve_from_instance(inst, bracket, b, cache, visiting)
+    return _solve_from_instance(inst, bracket, red)
 
 
 def _partitions(total: int, max_part: int, max_len: int):
@@ -538,14 +592,16 @@ def enumerate_brackets(r: int, n_max: int, k_sum_max: int) -> List[DR1Bracket]:
 
     Twist rows run over the genus-1 selection rule ``sum(a) = (n-1) * r``
     with every twist in [0, r-1]. Each canonical bracket appears once, and
-    the list is sorted by key.
+    the list is sorted by key. Each twist multiset is checked, and its
+    status derived, once for all the rows over it.
     """
     _check_r(r)
     found: List[DR1Bracket] = []
     for n in range(2, n_max + 1):
         for a_ms in ascending_multisets(0, r - 1, n, (n - 1) * r):
+            status = dr1_status(r, a_ms)
             rows = _canonical_rows(n, a_ms, k_sum_max)
-            found.extend(DR1Bracket._from_canonical(r, row) for row in rows)
+            found.extend(DR1Bracket._from_canonical(r, row, status) for row in rows)
     found.sort(key=attrgetter("key"))
     return found
 
@@ -564,10 +620,11 @@ def _window_solve(bracket: DR1Bracket, cache: CacheStore) -> Optional[Fraction]:
     s_target = sum(abs(kk) for kk in bracket.k_row)
     s_max = s_target + 4
     b = b_value_trr(r, a_ms)
+    status = dr1_status(r, a_ms)
 
     unknown: Dict[str, DR1Bracket] = {}
     for row in _canonical_rows(bracket.n, a_ms, s_max):
-        br = DR1Bracket._from_canonical(r, row)
+        br = DR1Bracket._from_canonical(r, row, status)
         unknown[br.key] = br
 
     equations: List[Tuple[Dict[str, Fraction], Fraction]] = []
@@ -593,23 +650,23 @@ def _window_solve(bracket: DR1Bracket, cache: CacheStore) -> Optional[Fraction]:
 def solve_relational(bracket: DR1Bracket, cache: Optional[CacheStore] = None) -> EvalResult:
     """Evaluate a bracket purely through the linear relations.
 
-    The value is computed without reference to :func:`closed_form`: base
-    cases are the relation-3 vanishing pattern and ``B`` via
-    :func:`b_value_trr`, and composite brackets reduce by the three
-    rewriting moves. If rewriting ever revisits a key or fails to anchor,
-    a bounded-window elimination over all relation instances takes over;
-    if that also leaves the value undetermined a
-    :class:`rspin.core.ReductionStalledError` is raised. With ``cache``
+    A bracket whose status is not ``"ok"`` gets the same shared zero result
+    as from :func:`closed_form`. Otherwise the value is computed without
+    reference to :func:`closed_form`: base cases are the relation-3
+    vanishing pattern and ``B`` via :func:`b_value_trr` (once per call, as
+    every bracket reached shares the twist multiset), and composite
+    brackets reduce by the three rewriting moves. If rewriting ever
+    revisits a key or fails to anchor, a bounded-window elimination over
+    all relation instances takes over; if that also leaves the value
+    undetermined a :class:`rspin.core.ReductionStalledError` is raised. With ``cache``
     None the call uses a fresh store, so nothing outlives it.
     """
+    if bracket.status != STATUS_OK:
+        return _ZERO_RESULTS[bracket.status]
     if cache is None:
         cache = CacheStore()
-    if not bracket.selection_ok:
-        return EvalResult(Fraction(0), STATUS_DIMENSION_ZERO, ("selection",))
-    if any(ai == bracket.r - 1 for ai in bracket.a_row):
-        return EvalResult(Fraction(0), STATUS_VANISHING_ZERO, ("vanishing-axiom",))
     try:
-        value, rule = _relational_value(bracket, cache, set())
+        value, rule = _relational_value(bracket, _Reduction(bracket, cache))
         return EvalResult(value, STATUS_OK, (rule,))
     except _StallSignal:
         fallback = _window_solve(bracket, cache)

@@ -11,7 +11,8 @@ versions and reports the offending entry on malformed content. Keys are
 checked on ``put`` and on ``load`` by one string scan,
 :func:`rspin.core.is_canonical_key`: a non-canonical key would make the same
 bracket cacheable under several names, so it is a contract error, explained
-by parsing the key only once it has been rejected. A file that cannot be
+by parsing the key only once it has been rejected. Values are exact:
+``put`` takes only an ``int`` or a ``Fraction``. A file that cannot be
 read or written raises :class:`rspin.core.CacheError` naming the path.
 """
 
@@ -71,7 +72,17 @@ class CacheStore:
         return self._entries.get(key)
 
     def put(self, key: str, value) -> None:
+        """Store an exact value, an ``int`` (not ``bool``) or a ``Fraction``.
+
+        Anything else, a float or a string for instance, raises ``CacheError``
+        naming the key and the type: ``Fraction(0.2)`` is not 1/5.
+        """
         _check_key(key)
+        if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+            raise CacheError(
+                f"cache value for {key!r} must be an int or a Fraction, "
+                f"got {type(value).__name__}"
+            )
         with self._lock:
             self._entries[key] = Fraction(value)
             self.dirty = True

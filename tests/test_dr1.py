@@ -6,7 +6,11 @@ route must reproduce them without ever consulting that formula.
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import hashlib
+import pickle
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import permutations
 
@@ -18,12 +22,17 @@ import rspin.dr1
 import rspin.store
 from rspin.core import (
     DR1Bracket,
+    EvalResult,
     GradingError,
     StructureError,
     ascending_multisets,
+    dr1_selection,
+    parse_key,
+    vanishing_by_axiom,
 )
 from rspin.dr1 import (
     _window_solve,
+    anchored_instances,
     b_value,
     b_value_trr,
     closed_form,
@@ -343,3 +352,167 @@ def test_solve_relational_agrees_with_closed_form(r, data):
     brs = enumerate_brackets(r, 4, 6)
     br = data.draw(st.sampled_from(brs))
     assert solve_relational(br, CacheStore()).value == closed_form(br).value
+
+
+# -- the grading status each bracket is born with ---------------------------
+
+STATUSES = ("ok", "dimension-mismatch-zero", "vanishing-axiom-zero")
+ZERO_TRACES = {"dimension-mismatch-zero": ("selection",), "vanishing-axiom-zero": ("vanishing-axiom",)}
+
+
+def _reference_status(r, a_row):
+    """The status the evaluators reported before brackets carried one."""
+    if not dr1_selection(r, a_row):
+        return "dimension-mismatch-zero"
+    if vanishing_by_axiom(r, a_row):
+        return "vanishing-axiom-zero"
+    return "ok"
+
+
+@contextmanager
+def _recording_canonical():
+    """Collect every bracket ``DR1Bracket._canonical`` builds meanwhile.
+
+    Relation terms and rewriting children are built there, from a parent's
+    pairs and with the status they inherit.
+    """
+    original = DR1Bracket.__dict__["_canonical"]
+    made = []
+
+    def record(cls, r, pairs, status):
+        bracket = original.__func__(cls, r, pairs, status)
+        made.append(bracket)
+        return bracket
+
+    DR1Bracket._canonical = classmethod(record)
+    try:
+        yield made
+    finally:
+        DR1Bracket._canonical = original
+
+
+def _check_born_status(br):
+    """Status, identity and immutability of one bracket, however it was built."""
+    assert br.status == _reference_status(br.r, br.a_row), br.key
+    assert br.selection_ok == dr1_selection(br.r, br.a_row)
+    # equality, hash, order and repr see (r, entries) only
+    for twin in (parse_key(br.key), DR1Bracket(br.r, br.entries)) + tuple(
+        DR1Bracket._from_canonical(br.r, br.entries, status) for status in STATUSES
+    ):
+        assert twin == br and hash(twin) == hash(br) and repr(twin) == repr(br)
+        assert not twin < br and not br < twin and twin <= br
+    assert "status" not in repr(br)
+    for name in ("r", "entries", "status", "extra"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(br, name, None)
+    assert not hasattr(br, "__dict__")
+    for again in (copy.copy(br), copy.deepcopy(br), pickle.loads(pickle.dumps(br))):
+        assert again == br and again.status == br.status
+
+
+def _check_zero_answers(br):
+    """A zero bracket answers as before: value 0, its status, one rule."""
+    if br.status == "ok":
+        return
+    want = EvalResult(Fraction(0), br.status, ZERO_TRACES[br.status])
+    assert closed_form(br) == want
+    assert solve_relational(br, CacheStore()) == want
+    assert solve_relational(br) == want
+
+
+@st.composite
+def status_rows(draw):
+    """(r, pairs) with r in 2..12; half the twist rows pass the genus-1 grading."""
+    r = draw(st.integers(min_value=2, max_value=12))
+    n = draw(st.integers(min_value=2, max_value=6))
+    graded = list(ascending_multisets(0, r - 1, n, (n - 1) * r))
+    if graded and draw(st.booleans()):
+        a = draw(st.permutations(draw(st.sampled_from(graded))))
+    else:
+        a = draw(st.lists(st.integers(min_value=0, max_value=r - 1), min_size=n, max_size=n))
+    ks = draw(st.lists(st.integers(min_value=-3, max_value=3), min_size=n - 1, max_size=n - 1))
+    ks.append(-sum(ks))
+    if not any(ks):
+        ks[0], ks[1] = 1, -1
+    return r, list(zip(ks, a))
+
+
+@settings(deadline=None, max_examples=150)
+@given(status_rows())
+def test_status_of_public_constructor_and_of_inherited_rows(row):
+    r, pairs = row
+    br = DR1Bracket(r, pairs)
+    _check_born_status(br)
+    _check_zero_answers(br)
+    # relation terms are rebuilt from the bracket's own pairs: same multiset
+    with _recording_canonical() as made:
+        for _, _, _, inst in anchored_instances(br):
+            assert set(inst.terms) <= set(made)
+    assert made
+    for term in made:
+        assert term.status == br.status
+        _check_born_status(term)
+    # rewriting children of a reduction (zero brackets are never reduced)
+    if br.status == "ok":
+        with _recording_canonical() as made:
+            result = solve_relational(br, CacheStore())
+        assert (result.value, result.status) == (closed_form(br).value, "ok")
+        for child in made:
+            assert child.status == "ok"
+            _check_born_status(child)
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    st.integers(min_value=2, max_value=12),
+    st.integers(min_value=2, max_value=5),
+    st.integers(min_value=2, max_value=6),
+)
+def test_status_of_enumerated_windows(r, n_max, k_sum_max):
+    brs = enumerate_brackets(r, n_max, k_sum_max)
+    assert all(br.status != "dimension-mismatch-zero" for br in brs)
+    for br in brs:
+        _check_born_status(br)
+        _check_zero_answers(br)
+
+
+def test_status_windows_reach_every_status():
+    # windows hold both statuses a graded row can have; the third needs a
+    # row that fails the grading, which only the public constructor takes
+    seen = {br.status for br in enumerate_brackets(6, 4, 4)}
+    assert seen == {"ok", "vanishing-axiom-zero"}
+    assert DR1Bracket(6, [(1, 4), (-1, 3)]).status == "dimension-mismatch-zero"
+
+
+def test_b_value_trr_runs_once_per_reduced_bracket(monkeypatch):
+    calls = []
+    reductions = []
+    real_b, real_reduce = rspin.dr1.b_value_trr, rspin.dr1._reduce_once
+
+    def counted_b(r, a):
+        calls.append((r, tuple(sorted(a))))
+        return real_b(r, a)
+
+    def counted_reduce(bracket, red):
+        reductions.append(bracket)
+        return real_reduce(bracket, red)
+
+    monkeypatch.setattr(rspin.dr1, "b_value_trr", counted_b)
+    monkeypatch.setattr(rspin.dr1, "_reduce_once", counted_reduce)
+    cache = CacheStore()
+    rules = {}
+    deep = 0
+    for br in enumerate_brackets(8, 4, 10):
+        before_b, before_reduce = len(calls), len(reductions)
+        res = solve_relational(br, cache)
+        rules[res.trace[0]] = rules.get(res.trace[0], 0) + 1
+        reduced = res.trace[0] in ("case-1", "case-2", "case-3")
+        assert len(calls) - before_b == (1 if reduced else 0), (br.key, res.trace)
+        if reduced:
+            assert calls[-1] == (8, tuple(sorted(br.a_row)))
+            deep += len(reductions) - before_reduce > 1
+        # asking again is a cache hit, or a zero status: no B either way
+        again = solve_relational(br, cache)
+        assert again.value == res.value and len(calls) - before_b == (1 if reduced else 0)
+    assert deep > 0  # some top-level reductions visit several brackets
+    assert {"case-1", "case-3", "cache", "vanishing-axiom"} <= set(rules)

@@ -42,6 +42,21 @@ def test_put_rejects_non_canonical_keys():
         store.put("junk", Fraction(1))
 
 
+def test_put_rejects_inexact_values():
+    store = CacheStore()
+    key = "g0:r=5:a=1,1,3,3"
+    for value in (0.2, "1/5", True, False, None, 1.0, complex(1, 0)):
+        with pytest.raises(CacheError, match=rf"{key!r}.*{type(value).__name__}"):
+            store.put(key, value)
+    assert key not in store and not store.dirty
+    store.put(key, 3)
+    assert store.get(key) == 3 and isinstance(store.get(key), Fraction)
+    store.put(key, Fraction(1, 5))
+    assert store.get(key) == Fraction(1, 5)
+    with pytest.raises(CacheError, match="float"):
+        CacheStore({key: 0.5})
+
+
 def test_save_load_round_trip(tmp_path):
     path = tmp_path / "cache.json"
     store = CacheStore()
