@@ -25,6 +25,7 @@ from .core import (
     ReductionStalledError,
     StructureError,
     UnderdeterminedError,
+    _check_r,
     ascending_multisets,
     format_rational,
 )
@@ -289,6 +290,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_table(args) -> int:
+    _check_r(args.r)
     rows = []
     if args.kind == "g0":
         store = CacheStore()
@@ -323,7 +325,6 @@ def _cmd_table(args) -> int:
                     "status": res.status,
                 }
             )
-        rows.sort(key=lambda row: row["key"])
         columns = ["r", "k", "a", "value"]
     if args.format == "json":
         print(json.dumps(rows, indent=2, sort_keys=True))

@@ -34,14 +34,24 @@ window solve check the range of each twist multiset once
 since a window holds thousands of rows per multiset; relation terms and
 rewriting children take the status of the row they are rebuilt from. For
 the same reason B is computed once per top-level reduction.
+
+Windows come out in key order with no key string built and no bracket
+sorted. With ``r`` fixed, ``dr1:r=R:k=K:a=A`` orders as ``(K + ":", A)``.
+``":"`` sorts after ``","``, ``"-"`` and the digits, so it keeps key order
+even were one ``K`` a prefix of another (balanced rows never are: each
+ends in its deepest negative order). ``","`` sorts before the digits, so
+``A`` strings order as twist rows compared entry by entry under the rank
+of ``str(a)`` among ``str(0..r-1)`` (the identity for r <= 10). Order rows
+are sorted by ``K + ":"``, the twist rows of each run size pattern by
+rank, and the rows walked in that order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from math import factorial
-from operator import attrgetter
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .core import (
@@ -515,76 +525,71 @@ def _sub_multisets(counts: Tuple[Tuple[int, int], ...], size: int):
             yield (value,) * take + sub, left + rest
 
 
-def _filled_rows(
-    counts: Tuple[Tuple[int, int], ...], runs: Tuple[Tuple[int, int], ...], memo: dict
-) -> List[tuple]:
-    """Every entry row that hands the twist ``counts`` out to ``runs``.
+def _handouts(counts: Tuple[Tuple[int, int], ...], sizes: Tuple[int, ...], memo: dict):
+    """Yield each way to hand the twist ``counts`` out to runs of ``sizes``.
 
-    ``runs`` lists ``(order, size)`` runs of equal-order slots in row order;
-    each run takes an ascending sub-multiset of the twists, so distinct
-    hand-outs give distinct rows. ``memo`` is shared by the calls for one
-    twist multiset, where many order profiles end in the same runs; the rows
-    it returns share their ``(order, twist)`` pair tuples, which keeps a
-    window of brackets small.
+    A hand-out holds one ascending sub-multiset per run, so distinct
+    hand-outs give distinct twist rows. ``memo`` keeps the hand-outs to the
+    later runs, which many size patterns share.
     """
-    key = (counts, runs)
-    rows = memo.get(key)
-    if rows is None:
-        if not runs:
-            rows = [()]
-        else:
-            (k, size), later = runs[0], runs[1:]
-            rows = []
-            for sub, rest in _sub_multisets(counts, size):
-                head = tuple((k, a) for a in sub)
-                rows.extend(head + tail for tail in _filled_rows(rest, later, memo))
-        memo[key] = rows
-    return rows
+    if not sizes:
+        yield ()
+        return
+    for sub, rest in _sub_multisets(counts, sizes[0]):
+        tails = memo.get((rest, sizes[1:]))
+        if tails is None:
+            tails = memo[rest, sizes[1:]] = list(_handouts(rest, sizes[1:], memo))
+        for tail in tails:
+            yield (sub,) + tail
 
 
-def _runs(orders: Sequence[int]) -> List[Tuple[int, int]]:
-    """``(order, count)`` for each run of equal values, in the order given."""
-    runs: List[Tuple[int, int]] = []
-    for k in orders:
-        if runs and runs[-1][0] == k:
-            runs[-1] = (k, runs[-1][1] + 1)
-        else:
-            runs.append((k, 1))
-    return runs
+def _canonical_brackets(r: int, multisets: Sequence[Tuple[int, ...]], s_max: int):
+    """Yield each canonical bracket over the ascending twist ``multisets`` once, in key order.
 
-
-def _canonical_rows(n: int, a_ms: Sequence[int], s_max: int):
-    """Yield each canonical entry row over the twist multiset ``a_ms`` once.
-
-    Rows have ``n`` entries, balanced orders that are not all zero, and
-    ``sum(|k|) <= s_max``; the order of the rows is unspecified. A row is
-    canonical in the sense of :class:`rspin.core.DR1Bracket`:
-
-    * slots run positive orders by descending magnitude, then zeros, then
-      negative orders by ascending magnitude, with twists ascending inside
-      each run of equal orders;
-    * the positive magnitude profile ``P`` is lexicographically at least the
-      negative profile ``Q`` (both descending);
-    * when ``P == Q`` the row is at most its re-sorted sign flip.
-
-    Each ``(P, Q)`` pair fixes the runs of equal orders, and handing the
-    twists out to the runs as ascending sub-multisets yields the sorted rows
-    directly, so no row needs re-sorting or deduplication.
+    Rows have balanced orders, not all zero, with ``sum(|k|) <= s_max``, and
+    are canonical as in :class:`rspin.core.DR1Bracket`: positive orders by
+    descending magnitude, zeros, negative orders by ascending magnitude,
+    twists ascending inside each run of equal orders; the positive profile
+    ``P`` at least the negative one ``Q``; when ``P == Q``, the row at most
+    its re-sorted sign flip. Each ``(P, Q)`` pair fixes an order row, and
+    handing the twists out to its runs as ascending sub-multisets yields
+    sorted rows directly. The hand-out depends only on the run sizes, so it
+    is made, and sorted by twist rank, once per size pattern.
     """
-    counts = tuple(_runs(sorted(a_ms)))
+    by_n: Dict[int, list] = {}
+    for a_ms in multisets:
+        counts = tuple((a, len(list(group))) for a, group in groupby(a_ms))
+        by_n.setdefault(len(a_ms), []).append((counts, dr1_status(r, a_ms)))
+    k_rows = []
+    for n in by_n:
+        for s in range(1, s_max // 2 + 1):
+            for pos in _partitions(s, s, n - 1):
+                for neg in _partitions(s, pos[0], n - len(pos)):
+                    if neg <= pos:
+                        k_row = pos + (0,) * (n - len(pos) - len(neg)) + tuple(-q for q in reversed(neg))
+                        k_rows.append((",".join(map(str, k_row)) + ":", k_row, neg == pos))
+    k_rows.sort()
+    by_rank = sorted(range(r), key=str)
+    rank = {a: i for i, a in enumerate(by_rank)}
+    slots = {k: [(k, a) for a in by_rank] for k in range(-(s_max // 2), s_max // 2 + 1)}
+    handed: Dict[Tuple[Tuple[int, ...], bool], list] = {}
     memo: dict = {}
-    for s in range(1, s_max // 2 + 1):
-        for pos in _partitions(s, s, n - 1):
-            for neg in _partitions(s, pos[0], n - len(pos)):
-                if neg > pos:
-                    continue
-                zeros = n - len(pos) - len(neg)
-                runs = _runs(pos) + ([(0, zeros)] if zeros else [])
-                runs += [(-q, c) for q, c in reversed(_runs(neg))]
-                for row in _filled_rows(counts, tuple(runs), memo):
-                    if neg == pos and row > _sorted_dr1_entries([(-k, a) for k, a in row]):
-                        continue
-                    yield row
+    for _, k_row, tied in k_rows:
+        sizes = tuple(len(list(group)) for _, group in groupby(k_row))
+        rows = handed.get((sizes, tied))
+        if rows is None:
+            # When P == Q the run sizes read the same both ways and the sign
+            # flip hands each run the twists of its mirror run, so a row is
+            # at most its flip when its runs are at most their reverse.
+            rows = handed[sizes, tied] = sorted(
+                (tuple([rank[a] for run in runs for a in run]), status)
+                for counts, status in by_n[len(k_row)]
+                for runs in _handouts(counts, sizes, memo)
+                if not tied or runs <= runs[::-1]
+            )
+        pairs = [slots[k] for k in k_row]
+        for ranks, status in rows:
+            yield DR1Bracket._from_canonical(r, tuple(map(list.__getitem__, pairs, ranks)), status)
 
 
 def enumerate_brackets(r: int, n_max: int, k_sum_max: int) -> List[DR1Bracket]:
@@ -592,18 +597,15 @@ def enumerate_brackets(r: int, n_max: int, k_sum_max: int) -> List[DR1Bracket]:
 
     Twist rows run over the genus-1 selection rule ``sum(a) = (n-1) * r``
     with every twist in [0, r-1]. Each canonical bracket appears once, and
-    the list is sorted by key. Each twist multiset is checked, and its
-    status derived, once for all the rows over it.
+    the list is in key order though no key is built: order rows ``K`` sort
+    by ``K + ":"`` and twist rows by the rank of each twist's string, which
+    is key order (see the module docstring). Each twist multiset is checked,
+    and its status derived, once for all the rows over it.
     """
     _check_r(r)
-    found: List[DR1Bracket] = []
-    for n in range(2, n_max + 1):
-        for a_ms in ascending_multisets(0, r - 1, n, (n - 1) * r):
-            status = dr1_status(r, a_ms)
-            rows = _canonical_rows(n, a_ms, k_sum_max)
-            found.extend(DR1Bracket._from_canonical(r, row, status) for row in rows)
-    found.sort(key=attrgetter("key"))
-    return found
+    multisets = [a_ms for n in range(2, n_max + 1)
+                 for a_ms in ascending_multisets(0, r - 1, n, (n - 1) * r)]
+    return list(_canonical_brackets(r, multisets, k_sum_max))
 
 
 def _window_solve(bracket: DR1Bracket, cache: CacheStore) -> Optional[Fraction]:
@@ -620,16 +622,11 @@ def _window_solve(bracket: DR1Bracket, cache: CacheStore) -> Optional[Fraction]:
     s_target = sum(abs(kk) for kk in bracket.k_row)
     s_max = s_target + 4
     b = b_value_trr(r, a_ms)
-    status = dr1_status(r, a_ms)
 
-    unknown: Dict[str, DR1Bracket] = {}
-    for row in _canonical_rows(bracket.n, a_ms, s_max):
-        br = DR1Bracket._from_canonical(r, row, status)
-        unknown[br.key] = br
+    unknown = {br.key: br for br in _canonical_brackets(r, [a_ms], s_max)}
 
     equations: List[Tuple[Dict[str, Fraction], Fraction]] = []
-    for key in sorted(unknown):
-        br = unknown[key]
+    for key, br in unknown.items():
         if relation3_check(br):
             equations.append(({key: Fraction(1)}, Fraction(0)))
         s_here = sum(abs(kk) for kk in br.k_row)
@@ -638,7 +635,7 @@ def _window_solve(bracket: DR1Bracket, cache: CacheStore) -> Optional[Fraction]:
             continue
         for _, _, _, inst in anchored_instances(br):
             equations.append(({t.key: c for t, c in inst.terms.items()}, inst.b_coefficient * b))
-    values, _free = solve_exact(sorted(unknown), equations)
+    values, _free = solve_exact(list(unknown), equations)
     if bracket.key in values:
         for key, val in values.items():
             if cache.get(key) is None:

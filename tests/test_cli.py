@@ -158,6 +158,27 @@ def test_table_dr1_json(capsys):
     assert keys == sorted(keys)
 
 
+def test_table_dr1_rows_in_key_order_with_two_digit_twists(capsys):
+    code, out, _ = invoke(
+        capsys,
+        "table", "--kind", "dr1", "--r", "12", "--n-max", "3",
+        "--k-sum-max", "22", "--format", "json",
+    )
+    assert code == 0
+    keys = [row["key"] for row in json.loads(out)]
+    assert len(keys) == 1921
+    assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize("kind", ["g0", "dr1"])
+@pytest.mark.parametrize("bounds", [("--r", "0"), ("--r", "-3", "--n-max", "6")], ids=str)
+def test_table_rejects_r_below_two(capsys, kind, bounds):
+    code, out, err = invoke(capsys, "table", "--kind", kind, *bounds)
+    assert code == 65
+    assert out == ""
+    assert "r must be an integer >= 2" in err
+
+
 def test_dr1_cache_file_written_by_relational_route(capsys, tmp_path):
     path = tmp_path / "memo.json"
     code, _, _ = invoke(

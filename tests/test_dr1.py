@@ -323,6 +323,30 @@ def test_enumerate_brackets_matches_brute_force(window):
         assert again.key == br.key
 
 
+# Windows with two-digit orders and twists, where the numeric order of the
+# (k row, a row) pairs differs from key order.
+TWO_DIGIT_WINDOWS = [
+    (r, n_max, k_sum_max) for r in (11, 12, 13) for n_max, k_sum_max in ((3, 22), (2, 30), (4, 20))
+]
+
+
+@pytest.mark.parametrize("window", TWO_DIGIT_WINDOWS, ids=str)
+def test_enumerate_brackets_key_order_with_two_digit_entries(window):
+    got = enumerate_brackets(*window)
+    want = _reference_brackets(*window)
+    assert sorted(want, key=lambda br: (br.k_row, br.a_row)) != want
+    assert got == want
+    assert [br.status for br in got] == [br.status for br in want]
+
+
+def test_enumerate_brackets_builds_no_key(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("key string built")
+
+    monkeypatch.setattr(rspin.core, "_dr1_key", refuse)
+    assert len(enumerate_brackets(12, 6, 12)) == 25621
+
+
 def test_enumerate_brackets_pinned_window():
     keys = [br.key for br in enumerate_brackets(12, 6, 12)]
     assert len(keys) == 25621
