@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 suite or computation failure (including a cache
 file that cannot be read, written or trusted), 2 disagreement between
 evaluation methods, 64 usage error (including ``verify`` bounds that leave
-a suite with no cases), 65 invalid grading or structure.
+a suite with no cases and ``table`` bounds that leave no rows), 65 invalid
+grading or structure.
 """
 
 from __future__ import annotations
@@ -326,6 +327,11 @@ def _cmd_table(args) -> int:
                 }
             )
         columns = ["r", "k", "a", "value"]
+    if not rows:
+        bounds = f"--kind {args.kind} --r {args.r} --n-max {args.n_max}"
+        if args.kind == "dr1":
+            bounds += f" --k-sum-max {args.k_sum_max}"
+        raise _UsageError(f"no rows at {bounds}")
     if args.format == "json":
         print(json.dumps(rows, indent=2, sort_keys=True))
     else:

@@ -9,16 +9,28 @@ incoming row is reduced against the pivot rows kept so far, an inconsistent
 row (``0 = c`` with ``c != 0``) raises at once, and a row that survives
 becomes a pivot row on its leftmost column, which is then cleared from the
 earlier pivot rows. The pivot rows always form the reduced row echelon form
-of the rows seen so far, and that form is unique, so the result does not
-depend on the row order and matches dense Gauss-Jordan with the columns in
-the caller's order (the callers pass canonical key order). Entries
-may be ``int`` or ``Fraction``; integer rows stay integer until a pivot row
-with a leading coefficient other than 1 is normalised.
+of the rows seen so far, each row scaled by a nonzero factor, and that form
+is unique, so the result does not depend on the row order and matches dense
+Gauss-Jordan with the columns in the caller's order (the callers pass
+canonical key order).
+
+Elimination is fraction-free. Entries may be ``int`` or ``Fraction``; a row
+holding a ``Fraction`` is cleared of denominators on arrival, and from then
+on every row is a primitive integer row: integer entries with greatest
+common divisor 1 and a positive leading coefficient. Clearing column ``j``
+of a row with entry ``b`` against a pivot row with lead ``a`` replaces the
+row by ``a * row - b * pivot`` (both factors first divided by
+``gcd(a, b)``). A new pivot row, and each earlier pivot row it clears, is
+then made primitive again. Each pivot row is
+therefore the reduced row of the echelon form times its lead, and the only
+``Fraction`` built is ``constant / lead`` for each determined unknown at the
+end.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Dict, Hashable, List, Mapping, Sequence, Tuple, Union
 
 Number = Union[int, Fraction]
@@ -58,8 +70,8 @@ def solve_exact(
     """
     cols = {u: j for j, u in enumerate(unknowns)}
     width = len(unknowns)
-    # Pivot column -> its row; the constant sits in column ``width``.
-    pivots: Dict[int, Dict[int, Number]] = {}
+    # Pivot column -> its primitive row; the constant sits in column ``width``.
+    pivots: Dict[int, Dict[int, int]] = {}
     for coeffs, const in equations:
         row: Dict[int, Number] = {}
         for u, c in coeffs.items():
@@ -69,34 +81,21 @@ def solve_exact(
                 row[cols[u]] = c
         if const:
             row[width] = const
+        if not all(type(c) is int for c in row.values()):
+            den = lcm(*(c.denominator for c in row.values()))
+            row = {k: int(c * den) for k, c in row.items()}
         for j in [j for j in row if j in pivots]:
-            factor = row.pop(j)
-            for k, c in pivots[j].items():
-                if k != j:
-                    value = row.get(k, 0) - factor * c
-                    if value:
-                        row[k] = value
-                    else:
-                        row.pop(k, None)
+            _clear(row, j, pivots[j])
         lead = min(row, default=width)
         if lead == width:
             if row:
                 raise ValueError("inconsistent linear system")
             continue
-        scale = row[lead]
-        if scale != 1:
-            row = {k: Fraction(c, scale) for k, c in row.items()}
+        _make_primitive(row)
         for prow in pivots.values():
-            factor = prow.pop(lead, None)
-            if factor is None:
-                continue
-            for k, c in row.items():
-                if k != lead:
-                    value = prow.get(k, 0) - factor * c
-                    if value:
-                        prow[k] = value
-                    else:
-                        prow.pop(k, None)
+            if lead in prow:
+                _clear(prow, lead, row)
+                _make_primitive(prow)
         pivots[lead] = row
 
     free_cols = set(range(width)) - pivots.keys()
@@ -104,6 +103,41 @@ def solve_exact(
     for j in sorted(pivots):
         row = pivots[j]
         if free_cols.isdisjoint(row):
-            values[unknowns[j]] = Fraction(row.get(width, 0))
+            values[unknowns[j]] = Fraction(row.get(width, 0), row[j])
     free = [unknowns[j] for j in sorted(free_cols)]
     return values, free
+
+
+def _clear(row: Dict[int, int], j: int, pivot: Dict[int, int]) -> None:
+    """Clear column ``j`` of ``row`` in place: ``row <- a*row - b*pivot``.
+
+    ``a`` is the pivot row's entry at ``j`` (positive) and ``b`` the row's,
+    both first divided by their gcd. The row becomes a positive multiple of
+    itself minus a multiple of ``pivot``.
+    """
+    b = row.pop(j)
+    a = pivot[j]
+    g = gcd(a, b)
+    if g != 1:
+        a //= g
+        b //= g
+    if a != 1:
+        for k in row:
+            row[k] *= a
+    for k, c in pivot.items():
+        if k != j:
+            value = row.get(k, 0) - b * c
+            if value:
+                row[k] = value
+            else:
+                row.pop(k, None)
+
+
+def _make_primitive(row: Dict[int, int]) -> None:
+    """Divide ``row`` in place by the gcd of its entries, signed so its lead is positive."""
+    g = gcd(*row.values())
+    if row[min(row)] < 0:
+        g = -g
+    if g != 1:
+        for k in row:
+            row[k] //= g

@@ -9,7 +9,12 @@ linear equations tying an n-point bracket to products of smaller ones, and
 
 Two vanishing rules shortcut the solver and also prune the generated
 equations: a twist equal to ``r - 1`` kills any bracket, and a twist equal
-to ``0`` kills any bracket with at least four insertions.
+to ``0`` kills any bracket with at least four insertions. An associativity
+instance whose twists hold a 0 therefore checks nothing: if the 0 is one of
+the four distinguished insertions, every pairing reduces to the same
+bracket of the other twists (the 0 can only sit in a 3-point component,
+``<0, d, r - 2 - d> = 1``), and if it is among the rest, every term holds a
+vanishing component. :func:`wdvv_equations` draws no such instance.
 
 The associativity systems are kept in integers: an n-point bracket enters as
 ``S(a) = r^(n-3) * <a>``, an integer on every value computed so far (one
@@ -208,12 +213,17 @@ def _solve_into(r: int, a: Key, cache: CacheStore) -> Fraction:
     return values[a]
 
 
-def _splits(rest: Key) -> List[Tuple[Key, Key, int]]:
-    """Every way to share ascending ``rest`` between two components.
+def _splits(r: int, rest: Key) -> List[Tuple[Key, Key, int, int]]:
+    """Every way to share ascending ``rest`` between two components, both taking some.
 
-    Returns ``(one side, other side, count)`` triples. Equal twists are
+    Returns ``(one side, other side, count, room)`` tuples. Equal twists are
     interchangeable, so each distinct split appears once, with the number of
-    index subsets of ``rest`` that produce it.
+    index subsets of ``rest`` that produce it. The two splits that give all
+    of ``rest`` to one side are left out (:meth:`_SystemBuild.pairing_terms`
+    writes those out). ``room`` is the grading target of the component that
+    takes ``one``, less ``sum(one)``: beside the distinguished pair ``first``
+    its node twist is ``room - sum(first)``, and it is graded only if that
+    lies in ``[0, r - 1]``.
     """
     out: List[Tuple[Key, Key, int]] = [((), (), 1)]
     for twist, group in groupby(rest):
@@ -223,7 +233,11 @@ def _splits(rest: Key) -> List[Tuple[Key, Key, int]]:
             for one, other, count in out
             for k in range(size + 1)
         ]
-    return out
+    # out[0] gives ``one`` nothing and out[-1] gives it all of ``rest``.
+    return [
+        (one, other, count, (len(one) + 1) * r - 2 - sum(one))
+        for one, other, count in out[1:-1]
+    ]
 
 
 class _SystemBuild:
@@ -236,9 +250,8 @@ class _SystemBuild:
     the vanishing axiom needs checking.
     """
 
-    def __init__(self, r: int, n: int, cache: CacheStore):
+    def __init__(self, r: int, cache: CacheStore):
         self.r = r
-        self.n = n
         self.cache = cache
         self.memo: Dict[Key, Scaled] = {}
 
@@ -264,47 +277,57 @@ class _SystemBuild:
         return value
 
     def pairing_terms(
-        self, first: Tuple[int, int], second: Tuple[int, int], splits: List[Tuple[Key, Key, int]]
-    ) -> Tuple[Dict[Key, Scaled], Scaled]:
+        self,
+        first: Tuple[int, int],
+        second: Tuple[int, int],
+        rest: Key,
+        splits: List[Tuple[Key, Key, int, int]],
+    ) -> Tuple[Dict[Key, int], Scaled]:
         """Expand one degeneration side into (unknown coefficients, known part).
 
         The four distinguished twists split as ``first | second``; the
-        remaining insertions distribute over the two components as listed in
-        ``splits``, and each component picks up the node twist forced by its
-        side. The two component gradings hold or fail together (their twist
-        sums add up to the sum over both), and a failed one makes the
-        product 0. At most one component has ``n`` points, since the two
-        carry ``n + 3`` between them; for the same reason every product of
-        scaled values carries the same factor ``r^(n-3)``.
+        remaining insertions ``rest`` (twists in ``[1, r - 2]``) distribute
+        over the two components, and each component picks up the node twist
+        forced by its side. The two component gradings hold or fail
+        together (their twist sums add up to the sum over both), and a
+        failed one, or a node twist of ``r - 1``, makes the product 0.
+
+        A component has ``n`` points exactly when it takes all of ``rest``.
+        The other one is then the 3-point bracket ``<p, q, r - 2 - p - q>``
+        of its pair, equal to 1 when ``p + q <= r - 2``, and the n-point
+        side gets node twist ``p + q`` (never 0), so it is an unknown with
+        coefficient 1. Those two splits are written out first; ``splits``
+        (from :func:`_splits`) lists the others, whose components both have
+        fewer than ``n`` points and are known. Every product of scaled values
+        carries the same factor ``r^(n-3)``, since the two components carry
+        ``n + 3`` points between them.
         """
-        r, n, value = self.r, self.n, self.value
-        coeffs: Dict[Key, Scaled] = {}
+        top = self.r - 2
+        coeffs: Dict[Key, int] = {}
+        for pair, other_pair in ((first, second), (second, first)):
+            node = pair[0] + pair[1]
+            if node <= top:
+                unknown = tuple(sorted(other_pair + rest + (node,)))
+                coeffs[unknown] = coeffs.get(unknown, 0) + 1
+        memo, value = self.memo, self.value
+        base = first[0] + first[1]
         const = 0
-        for one, other, count in splits:
-            left = first + one
-            twist_sum = sum(left)
-            nu = (-2 - twist_sum) % r
-            if nu == r - 1 or twist_sum + nu != (len(left) - 1) * r - 2:
+        for one, other, count, room in splits:
+            nu = room - base
+            if nu < 0 or nu > top:
                 continue
-            left_t = tuple(sorted(left + (nu,)))
-            right_t = tuple(sorted(second + other + (r - 2 - nu,)))
-            if len(left_t) == n and left_t[0]:
-                unknown, factor = left_t, value(right_t)
-            elif len(right_t) == n and right_t[0]:
-                unknown, factor = right_t, value(left_t)
-            else:
-                # Read both factors even when one is 0: a store miss solves
-                # and stores the smaller system either way.
-                lv, rv = value(left_t), value(right_t)
-                unknown, factor = None, lv * rv
-            if not factor:
-                continue
-            if count != 1:
-                factor *= count
-            if unknown is None:
-                const += factor
-            else:
-                coeffs[unknown] = coeffs.get(unknown, 0) + factor
+            left = tuple(sorted(first + one + (nu,)))
+            right = tuple(sorted(second + other + (top - nu,)))
+            # Read both factors even when one is 0: a store miss solves and
+            # stores the smaller system either way.
+            lv = memo.get(left)
+            if lv is None:
+                lv = value(left)
+            rv = memo.get(right)
+            if rv is None:
+                rv = value(right)
+            if lv and rv:
+                const += lv * rv * count
         return coeffs, const
 
 
@@ -331,10 +354,20 @@ def _primitive(coeffs: Dict[Key, Scaled], rhs: Scaled) -> Tuple[Dict[Key, int], 
 def wdvv_equations(r: int, n: int, cache: Optional[CacheStore] = None) -> WdvvSystem:
     """Build the exact associativity system for all n-point unknowns at r.
 
-    Every instance comes from a multiset of ``n + 1`` twists (graded so that
-    each two-component degeneration can satisfy both component gradings)
-    with four distinguished insertions; equating two distinct pairings of
-    the distinguished four yields one linear equation. Each distinct pairing
+    Every instance comes from a multiset of ``n + 1`` twists in
+    ``[1, r - 2]`` (graded so that each two-component degeneration can
+    satisfy both component gradings) with four distinguished insertions;
+    equating two distinct pairings of the distinguished four yields one
+    linear equation. Multisets holding a twist ``r - 1`` or ``0`` are not
+    drawn, as their rows are identically zero. A twist ``r - 1`` sits in
+    one component of every term, which then vanishes. For a twist 0 among
+    the distinguished four, paired with ``d``, each pairing reduces to the
+    one term in which that pair forms the 3-point bracket
+    ``<0, d, r - 2 - d> = 1``: any larger component holding the 0 is 0. The
+    other component is the multiset without the 0 in every pairing, so the
+    three pairings agree. A twist 0 among the rest lies in a component of at
+    least four points in every term, so every term is 0. Either way the
+    rows read ``0 = 0`` whatever the stored values are. Each distinct pairing
     is expanded once per instance, and each distinct rest of the multiset is
     split once per call. All instances are enumerated, brought to primitive
     integer form (see :class:`WdvvSystem`), and deduplicated. Unknowns are
@@ -351,11 +384,11 @@ def wdvv_equations(r: int, n: int, cache: Optional[CacheStore] = None) -> WdvvSy
         cache = CacheStore()
     total = (n - 2) * r - 2
     unknowns = tuple(ascending_multisets(1, r - 2, n, total))
-    build = _SystemBuild(r, n, cache)
-    split_memo: Dict[Key, List[Tuple[Key, Key, int]]] = {}
+    build = _SystemBuild(r, cache)
+    split_memo: Dict[Key, List[Tuple[Key, Key, int, int]]] = {}
     equations: List[Tuple[Dict[Key, int], int]] = []
     seen = set()
-    for y in ascending_multisets(0, max(0, r - 2), n + 1, total):
+    for y in ascending_multisets(1, r - 2, n + 1, total):
         for dist in sorted(set(combinations(y, 4))):
             rest = list(y)
             for v in dist:
@@ -363,13 +396,13 @@ def wdvv_equations(r: int, n: int, cache: Optional[CacheStore] = None) -> WdvvSy
             rest = tuple(rest)
             splits = split_memo.get(rest)
             if splits is None:
-                splits = split_memo[rest] = _splits(rest)
+                splits = split_memo[rest] = _splits(r, rest)
             d0, d1, d2, d3 = dist
             pairings: Dict[Tuple[Tuple[int, int], Tuple[int, int]], tuple] = {}
             for p, q in (((d0, d1), (d2, d3)), ((d0, d2), (d1, d3)), ((d0, d3), (d1, d2))):
                 tag = (p, q) if p <= q else (q, p)
                 if tag not in pairings:
-                    pairings[tag] = build.pairing_terms(p, q, splits)
+                    pairings[tag] = build.pairing_terms(p, q, rest, splits)
             for (ca, ka), (cb, kb) in combinations(pairings.values(), 2):
                 coeffs = dict(ca)
                 for k, v in cb.items():

@@ -179,6 +179,21 @@ def test_table_rejects_r_below_two(capsys, kind, bounds):
     assert "r must be an integer >= 2" in err
 
 
+@pytest.mark.parametrize(
+    "bounds,message",
+    [
+        (("--kind", "dr1", "--r", "5", "--n-max", "1"), "--kind dr1 --r 5 --n-max 1 --k-sum-max 8"),
+        (("--kind", "dr1", "--r", "5", "--k-sum-max", "-4"), "--kind dr1 --r 5 --n-max 5 --k-sum-max -4"),
+        (("--kind", "g0", "--r", "5", "--n-max", "2"), "--kind g0 --r 5 --n-max 2"),
+    ],
+)
+def test_table_empty_window_is_usage_error(capsys, bounds, message):
+    code, out, err = invoke(capsys, "table", *bounds)
+    assert code == 64
+    assert out == ""
+    assert err == f"error: no rows at {message}\n"
+
+
 def test_dr1_cache_file_written_by_relational_route(capsys, tmp_path):
     path = tmp_path / "memo.json"
     code, _, _ = invoke(

@@ -126,6 +126,15 @@ def _dense_reference(unknowns, equations):
 _COEFF = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 # Plain ints, as the genus-0 engine passes them: leads of any sign and size.
 _INT_COEFF = st.integers(min_value=-6, max_value=6)
+# Fraction entries, integral or not, as the genus-1 window solver passes
+# them, mixed with plain ints in one row, so denominators are cleared per row.
+_MIXED_COEFF = st.one_of(
+    _INT_COEFF,
+    _INT_COEFF.map(Fraction),
+    st.fractions(min_value=-5, max_value=5, max_denominator=24),
+)
+# Integers far beyond a machine word, which cross-multiplication grows further.
+_BIG_COEFF = st.integers(min_value=-(10**40), max_value=10**40)
 
 
 @st.composite
@@ -164,8 +173,15 @@ def sparse_systems(draw, coeff=_COEFF):
     return list(unknowns), rows
 
 
-@settings(max_examples=400, deadline=None)
-@given(st.one_of(sparse_systems(), sparse_systems(_INT_COEFF)))
+@settings(max_examples=800, deadline=None)
+@given(
+    st.one_of(
+        sparse_systems(),
+        sparse_systems(_INT_COEFF),
+        sparse_systems(_MIXED_COEFF),
+        sparse_systems(_BIG_COEFF),
+    )
+)
 def test_matches_dense_reference(system):
     unknowns, equations = system
     try:

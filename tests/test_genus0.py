@@ -9,12 +9,14 @@ the generator against silent regressions.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rspin.core import GradingError, Genus0Bracket, genus0_key, parse_key
+from rspin.core import GradingError, Genus0Bracket, ascending_multisets, genus0_key, parse_key
+from rspin.elimination import solve_exact
 from rspin.genus0 import (
     _primitive,
     _SystemBuild,
@@ -211,7 +213,7 @@ def test_build_keeps_non_integral_scaled_values_exact():
     store = CacheStore()
     store.put(genus0_key(5, (2, 2, 3, 3, 3)), Fraction(1, 7))
     store.put(genus0_key(5, (3, 3, 3, 3, 3, 3)), Fraction(2, 25))
-    build = _SystemBuild(5, 7, store)
+    build = _SystemBuild(5, store)
     odd = build.value((2, 2, 3, 3, 3))
     assert type(odd) is Fraction and odd == Fraction(25, 7)
     even = build.value((3, 3, 3, 3, 3, 3))
@@ -231,6 +233,103 @@ def test_wdvv_system_sizes(r, n, unknowns, equations):
     system = wdvv_equations(r, n)
     assert (len(system.unknowns), len(system.equations)) == (unknowns, equations)
     assert system.unknowns == tuple(sorted(system.unknowns))
+
+
+def _reference_system(r, n, cache, zero_instances):
+    """Associativity system at (r, n), drawing the twists of each instance from 0.
+
+    This is the loop from before instances holding a twist 0 were skipped,
+    with its own value memo and a plain sum over index subsets of the rest.
+    A smaller bracket missing from ``cache`` has its own system built the
+    same way, solved and stored. For each multiset holding a 0 it appends
+    the list of its distinct pairing expansions to ``zero_instances``.
+    Returns (unknowns, equations) as :func:`wdvv_equations` builds them.
+    """
+    total = (n - 2) * r - 2
+    memo = {}
+
+    def value(a):
+        if a not in memo:
+            if len(a) == 3:
+                memo[a] = 1
+            elif len(a) == 4:
+                memo[a] = min(a[0], r - 1 - a[3])
+            elif a[0] == 0:
+                memo[a] = 0
+            else:
+                if genus0_key(r, a) not in cache:
+                    unknowns, equations = _reference_system(r, len(a), cache, [])
+                    values, _free = solve_exact(unknowns, equations)
+                    for key, v in values.items():
+                        cache.put(genus0_key(r, key), v / r ** (len(a) - 3))
+                memo[a] = cache.get(genus0_key(r, a)) * r ** (len(a) - 3)
+        return memo[a]
+
+    def pairing(first, second, rest):
+        coeffs, const = {}, 0
+        for mask in range(1 << len(rest)):
+            one = tuple(t for i, t in enumerate(rest) if mask >> i & 1)
+            other = tuple(t for i, t in enumerate(rest) if not mask >> i & 1)
+            twist_sum = sum(first + one)
+            nu = (-2 - twist_sum) % r
+            if nu == r - 1 or twist_sum + nu != (len(first + one) - 1) * r - 2:
+                continue
+            left = tuple(sorted(first + one + (nu,)))
+            right = tuple(sorted(second + other + (r - 2 - nu,)))
+            if len(left) == n and left[0]:
+                coeffs[left] = coeffs.get(left, 0) + value(right)
+            elif len(right) == n and right[0]:
+                coeffs[right] = coeffs.get(right, 0) + value(left)
+            else:
+                const += value(left) * value(right)
+        return {k: v for k, v in coeffs.items() if v}, const
+
+    equations, seen = [], set()
+    for y in ascending_multisets(0, max(0, r - 2), n + 1, total):
+        for dist in sorted(set(combinations(y, 4))):
+            rest = list(y)
+            for v in dist:
+                rest.remove(v)
+            d0, d1, d2, d3 = dist
+            pairings = {}
+            for p, q in (((d0, d1), (d2, d3)), ((d0, d2), (d1, d3)), ((d0, d3), (d1, d2))):
+                tag = (p, q) if p <= q else (q, p)
+                if tag not in pairings:
+                    pairings[tag] = pairing(p, q, tuple(rest))
+            if 0 in y:
+                zero_instances.append(list(pairings.values()))
+            for (ca, ka), (cb, kb) in combinations(pairings.values(), 2):
+                coeffs = {k: ca.get(k, 0) - cb.get(k, 0) for k in {**ca, **cb}}
+                coeffs = {k: v for k, v in coeffs.items() if v}
+                if not coeffs:
+                    assert kb == ka
+                    continue
+                row = _primitive(coeffs, kb - ka)
+                tag = (tuple(sorted(row[0].items())), row[1])
+                if tag not in seen:
+                    seen.add(tag)
+                    equations.append(row)
+    return tuple(ascending_multisets(1, r - 2, n, total)), equations
+
+
+def test_skipping_zero_twist_instances_changes_nothing():
+    # Instances whose twists hold a 0 give only 0 = 0 rows, so drawing the
+    # twists from 1 must leave the unknowns, the rows, their order and what
+    # the build stores unchanged.
+    zero_pairings = 0
+    for r in range(2, 11):
+        for n in (5, 6, 7):
+            want_store, got_store = CacheStore(), CacheStore()
+            zero_instances = []
+            unknowns, equations = _reference_system(r, n, want_store, zero_instances)
+            system = wdvv_equations(r, n, got_store)
+            assert system.unknowns == unknowns, (r, n)
+            assert list(system.equations) == equations, (r, n)
+            assert dict(got_store.items()) == dict(want_store.items()), (r, n)
+            for expansions in zero_instances:
+                assert all(e == expansions[0] for e in expansions), (r, n)
+                zero_pairings += len(expansions) > 1
+    assert zero_pairings > 1000
 
 
 def test_wdvv_system_r2_is_empty():
