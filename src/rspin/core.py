@@ -50,6 +50,7 @@ __all__ = [
     "parse_rational",
     "parse_key",
     "is_canonical_key",
+    "KeyCheck",
 ]
 
 Rational = Fraction
@@ -456,43 +457,141 @@ def parse_key(key: str):
     raise StructureError(f"unrecognized key {key!r}")
 
 
+# One field of a canonical key: ASCII digits, no leading zero, no "+", no "-0".
+_R_FIELD = re.compile(r"r=(?:0|[1-9][0-9]*)")
+_K_FIELD = re.compile(r"k=(?:0|-?[1-9][0-9]*)(?:,(?:0|-?[1-9][0-9]*))*")
+_A_FIELD = re.compile(r"a=(?:0|[1-9][0-9]*)(?:,(?:0|[1-9][0-9]*))*")
+
+
+def _field_ints(pattern: "re.Pattern[str]", text: str) -> Optional[Tuple[int, ...]]:
+    """The integers of a field spelled as a canonical key spells them, else ``None``."""
+    if not pattern.fullmatch(text):
+        return None
+    try:
+        return tuple(map(int, text[2:].split(",")))
+    except ValueError:  # more digits than int() converts
+        return None
+
+
+def _judge_r(text: str) -> Optional[int]:
+    """``r`` of an ``r=`` field, or ``None`` unless it reads an integer >= 2."""
+    r = _field_ints(_R_FIELD, text)
+    return r[0] if r is not None and r[0] >= 2 else None
+
+
+def _judge_k(text: str):
+    """What a canonical ``dr1`` key needs of its ``k=`` field alone, or ``None``.
+
+    The orders must balance, not all be zero, never increase along the row,
+    and have positive profile ``P`` at least the negative profile ``Q``.
+    Returns ``(n, ties, runs)``: the row length, the set of positions ``i``
+    with ``k[i-1] == k[i]``, and, only when ``P == Q``, the bounds of each
+    run of equal orders (else ``None``).
+    """
+    k = _field_ints(_K_FIELD, text)
+    if k is None or sum(k) != 0 or not any(k) or any(x < y for x, y in zip(k, k[1:])):
+        return None
+    pos = [x for x in k if x > 0]
+    neg = [-x for x in reversed(k) if x < 0]
+    if neg > pos:
+        return None
+    ties = frozenset(i for i in range(1, len(k)) if k[i - 1] == k[i])
+    runs = None
+    if neg == pos:
+        starts = [0] + [i for i in range(1, len(k)) if k[i - 1] != k[i]]
+        runs = tuple(zip(starts, starts[1:] + [len(k)]))
+    return len(k), ties, runs
+
+
+def _judge_a(text: str):
+    """``(twists, descents, max twist)`` of an ``a=`` field, or ``None``.
+
+    ``descents`` is the set of positions ``i`` with ``a[i-1] > a[i]``, empty
+    exactly when the twists ascend.
+    """
+    a = _field_ints(_A_FIELD, text)
+    if a is None:
+        return None
+    if a == tuple(sorted(a)):  # every genus-0 key: skip the scan
+        return a, frozenset(), a[-1]
+    return a, frozenset(i for i in range(1, len(a)) if a[i - 1] > a[i]), max(a)
+
+
+class _Verdicts(dict):
+    """Field text -> its judge's verdict, each judged on first lookup."""
+
+    __slots__ = ("judge",)
+
+    def __init__(self, judge):
+        super().__init__()
+        self.judge = judge
+
+    def __missing__(self, text):
+        verdict = self[text] = self.judge(text)
+        return verdict
+
+
+class KeyCheck:
+    """:func:`is_canonical_key` that judges each distinct field text once.
+
+    A cache repeats its fields: many keys share one ``r=``, ``k=`` or
+    ``a=`` field. The checker keeps each field's verdict, so a key whose
+    fields were all seen before costs a dict lookup per field plus the
+    checks that tie its fields together: equal row lengths, twists below
+    ``r``, twists ascending inside each run of equal orders, and, when the
+    two sign profiles tie, runs at most their reverse (the sign flip hands
+    each run the twists of its mirror run). A key is accepted iff
+    ``parse_key(key).key == key``, whatever keys came before.
+
+    >>> check = KeyCheck()
+    >>> check("dr1:r=4:k=2,-2:a=2,2"), check("dr1:r=4:k=-2,2:a=2,2")
+    (True, False)
+    """
+
+    __slots__ = ("_r", "_k", "_a")
+
+    def __init__(self):
+        self._r = _Verdicts(_judge_r)
+        self._k = _Verdicts(_judge_k)
+        self._a = _Verdicts(_judge_a)
+
+    def __call__(self, key: str) -> bool:
+        parts = key.split(":")
+        if len(parts) == 3 and parts[0] == "g0":
+            r = self._r[parts[1]]
+            a = self._a[parts[2]]
+            if r is None or a is None:
+                return False
+            twists, descents, top = a
+            return not descents and len(twists) >= 3 and top < r
+        if len(parts) != 4 or parts[0] != "dr1":
+            return False
+        r = self._r[parts[1]]
+        k = self._k[parts[2]]
+        a = self._a[parts[3]]
+        if r is None or k is None or a is None:
+            return False
+        n, ties, runs = k
+        twists, descents, top = a
+        if len(twists) != n or top >= r or not ties.isdisjoint(descents):
+            return False
+        if runs is None:
+            return True
+        row = [twists[i:j] for i, j in runs]
+        return row <= row[::-1]
+
+
 def is_canonical_key(key: str) -> bool:
     """True iff ``parse_key(key).key == key``, decided without building a bracket.
 
-    The integers are parsed, the twists range-checked, the row scanned once
-    for canonical order (and, for ``dr1`` keys, balance and orientation),
-    and the re-joined string compared with ``key``; that comparison rejects
-    every other spelling of the same integers (``01``, ``+1``, ``-0``,
-    whitespace). :class:`rspin.store.CacheStore` checks keys through this.
+    Each field is screened by a regex for the spelling a canonical key uses
+    (ASCII digits, no leading zero, no ``+``, no ``-0``, no whitespace),
+    then judged on its own, and the key checks only what ties its fields
+    together (see :class:`KeyCheck`). This call uses a fresh checker; each
+    :class:`rspin.store.CacheStore` keeps one for its whole life, so a field
+    that many keys share is judged once per store.
     """
-    parts = key.split(":")
-    try:
-        if parts[0] == "g0" and len(parts) == 3:
-            r = int(parts[1][2:])
-            a = list(map(int, parts[2][2:].split(",")))
-            ordered = all(x <= y for x, y in zip(a, a[1:]))
-            in_range = r >= 2 and len(a) >= 3 and 0 <= a[0] and a[-1] < r
-            return ordered and in_range and genus0_key(r, a) == key
-        if parts[0] != "dr1" or len(parts) != 4:
-            return False
-        r = int(parts[1][2:])
-        k = list(map(int, parts[2][2:].split(",")))
-        a = list(map(int, parts[3][2:].split(",")))
-    except ValueError:
-        return False
-    if r < 2 or len(k) != len(a) or sum(k) != 0 or not any(k) or min(a) < 0 or max(a) >= r:
-        return False
-    for i in range(1, len(k)):
-        # Orders never increase along the row; twists ascend within equal orders.
-        if k[i - 1] < k[i] or (k[i - 1] == k[i] and a[i - 1] > a[i]):
-            return False
-    pos = [kk for kk in k if kk > 0]
-    neg = [-kk for kk in reversed(k) if kk < 0]
-    if neg > pos:
-        return False
-    if neg == pos and _sorted_dr1_entries([(-kk, aa) for kk, aa in zip(k, a)]) < tuple(zip(k, a)):
-        return False
-    return _dr1_key(r, k, a) == key
+    return KeyCheck()(key)
 
 
 def _expect_field(part: str, name: str) -> str:

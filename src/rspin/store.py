@@ -7,13 +7,17 @@ serializable as a single human-inspectable JSON file:
 
 Save is atomic (write to a sibling temp file, then rename), so a crash mid
 save never damages an existing valid file. Loading rejects unknown schema
-versions and reports the offending entry on malformed content. Keys are
-checked on ``put`` and on ``load`` by one string scan,
-:func:`rspin.core.is_canonical_key`: a non-canonical key would make the same
-bracket cacheable under several names, so it is a contract error, explained
-by parsing the key only once it has been rejected. Values are exact:
-``put`` takes only an ``int`` or a ``Fraction``. A file that cannot be
-read or written raises :class:`rspin.core.CacheError` naming the path.
+versions (only the integer 1 is read) and repeated keys, and reports the
+offending entry on malformed content. Keys are checked on ``put`` and on
+``load`` by the store's own :class:`rspin.core.KeyCheck`, which decides
+:func:`rspin.core.is_canonical_key` and judges each distinct ``r=``, ``k=``
+and ``a=`` field once for the store's whole life: a file's keys share few
+fields, so most keys cost a few dict lookups. A non-canonical key would make
+the same bracket cacheable under several names, so it is a contract error,
+explained by parsing the key only once it has been rejected. Values are
+exact: ``put`` takes only an ``int`` or a ``Fraction``, and ``load`` parses
+each distinct value text once. A file that cannot be read or written raises
+:class:`rspin.core.CacheError` naming the path.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from fractions import Fraction
 from typing import Dict, Iterator, Optional, Tuple
 
 from .core import (
-    CacheError, StructureError, format_rational, is_canonical_key, parse_key, parse_rational,
+    CacheError, KeyCheck, StructureError, format_rational, parse_key, parse_rational,
 )
 
 __all__ = ["SCHEMA_VERSION", "CACHE_ENV_VAR", "CacheStore", "default_cache_path"]
@@ -51,6 +55,7 @@ class CacheStore:
     def __init__(self, entries: Optional[Dict[str, Fraction]] = None):
         self._entries: Dict[str, Fraction] = {}
         self._lock = threading.RLock()
+        self._key_check = KeyCheck()
         self.schema_version = SCHEMA_VERSION
         self.dirty = False
         if entries:
@@ -77,7 +82,7 @@ class CacheStore:
         Anything else, a float or a string for instance, raises ``CacheError``
         naming the key and the type: ``Fraction(0.2)`` is not 1/5.
         """
-        _check_key(key)
+        self._check_key(key)
         if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
             raise CacheError(
                 f"cache value for {key!r} must be an int or a Fraction, "
@@ -92,15 +97,15 @@ class CacheStore:
         """Read a cache file, validating schema, keys, and value format."""
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                payload = json.load(fh)
+                payload = json.load(fh, object_pairs_hook=_unique_keys)
         except OSError as exc:
             raise CacheError(f"cannot read cache file {path}: {exc.strerror or exc}") from exc
-        except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, nested too deep
+        except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, repeated key, too deep
             raise CacheError(f"malformed cache file {path}: {exc}") from exc
         if not isinstance(payload, dict):
             raise CacheError(f"malformed cache file {path}: top level must be an object")
         schema = payload.get("schema")
-        if schema != SCHEMA_VERSION:
+        if type(schema) is not int or schema != SCHEMA_VERSION:  # true and 1.0 equal 1
             raise CacheError(
                 f"unsupported cache schema {schema!r} in {path} (expected {SCHEMA_VERSION})"
             )
@@ -108,12 +113,15 @@ class CacheStore:
         if not isinstance(entries, dict):
             raise CacheError(f"malformed cache file {path}: 'entries' must be an object")
         store = cls()
+        values: Dict[str, Fraction] = {}
         for key, raw in entries.items():
             if not isinstance(raw, str):
                 raise CacheError(f"malformed cache file {path}: entry {key!r} is not a string")
             try:
-                value = parse_rational(raw)
-                _check_key(key)
+                value = values.get(raw)
+                if value is None:
+                    value = values[raw] = parse_rational(raw)
+                store._check_key(key)
             except CacheError as exc:
                 raise CacheError(f"{path}: entry {key!r}: {exc}") from exc
             store._entries[key] = value
@@ -146,13 +154,24 @@ class CacheStore:
                     os.unlink(tmp_path)
             self.dirty = False
 
+    def _check_key(self, key: str) -> None:
+        """Raise ``CacheError`` unless ``key`` is canonical; only a rejected key is parsed."""
+        if self._key_check(key):
+            return
+        try:
+            bracket = parse_key(key)
+        except (StructureError, ValueError) as exc:
+            raise CacheError(f"unusable cache key {key!r}: {exc}") from exc
+        raise CacheError(f"non-canonical cache key {key!r} (canonical form is {bracket.key!r})")
 
-def _check_key(key: str) -> None:
-    """Raise ``CacheError`` unless ``key`` is canonical; only a rejected key is parsed."""
-    if is_canonical_key(key):
-        return
-    try:
-        bracket = parse_key(key)
-    except (StructureError, ValueError) as exc:
-        raise CacheError(f"unusable cache key {key!r}: {exc}") from exc
-    raise CacheError(f"non-canonical cache key {key!r} (canonical form is {bracket.key!r})")
+
+def _unique_keys(pairs):
+    """``object_pairs_hook`` for ``json.load``: a repeated key is an error, not last-wins."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise CacheError(f"repeated key {key!r}")
+            seen.add(key)
+    return obj

@@ -13,6 +13,7 @@ from rspin.core import (
     EvalResult,
     Genus0Bracket,
     GradingError,
+    KeyCheck,
     StructureError,
     ascending_multisets,
     dr1_selection,
@@ -243,6 +244,31 @@ def _round_trips(key):
 @given(key_strings())
 def test_is_canonical_key_matches_parse_round_trip(key):
     assert is_canonical_key(key) == _round_trips(key)
+
+
+@given(st.lists(key_strings(), max_size=10))
+def test_key_check_memo_matches_parse_round_trip(keys):
+    """One checker answers every key as a fresh one would, whatever it saw before.
+
+    Besides the drawn keys, in order and then again reversed, it sees keys
+    that mix their fields: the second and third fields of one key with the
+    last field of another, or with that field reversed (what a sign flip
+    does to the twists of a two-order row), under both kinds. So a field
+    first met in a rejected key comes back in a canonical one, and the
+    reverse.
+    """
+    parts = [key.split(":") for key in keys if key.count(":") >= 2]
+    lasts = [p[-1] for p in parts]
+    lasts += [last[:2] + ",".join(reversed(last[2:].split(","))) for last in lasts]
+    mixed = [
+        ":".join(mix)
+        for p in parts
+        for last in lasts
+        for mix in (["dr1", p[1], p[2], last], ["g0", p[1], last])
+    ]
+    check = KeyCheck()
+    for key in keys + mixed + keys[::-1]:
+        assert check(key) == _round_trips(key), key
 
 
 def test_is_canonical_key_examples():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import threading
 from fractions import Fraction
 from itertools import combinations_with_replacement, islice
@@ -114,6 +115,15 @@ def test_load_rejects_unknown_schema(tmp_path):
         CacheStore.load(str(path))
 
 
+@pytest.mark.parametrize("schema", ["true", "1.0", '"1"', "null"])
+def test_load_reads_only_the_integer_schema_one(tmp_path, schema):
+    # true and 1.0 compare equal to 1, yet neither is the schema save writes
+    path = tmp_path / "cache.json"
+    path.write_text(f'{{"schema": {schema}, "entries": {{}}}}')
+    with pytest.raises(CacheError, match=rf"unsupported cache schema .* in {re.escape(str(path))}"):
+        CacheStore.load(str(path))
+
+
 @pytest.mark.parametrize(
     "content",
     [
@@ -125,6 +135,10 @@ def test_load_rejects_unknown_schema(tmp_path):
         '{"schema": 1, "entries": {"g0:r=5:a=3,1": "1/5"}}',
         '{"schema": 1, "entries": {"dr1:r=4:k=-2,2:a=2,2": "1/32"}}',  # wrong orientation
         '{"schema": 1, "entries": {"g0:r=5:a=01,1,3,3": "1/5"}}',  # leading zero
+        pytest.param(
+            '{"schema": 1, "entries": {"g0:r=5:a=1,1,3,3": "1/5", "g0:r=5:a=1,1,3,3": "1/5"}}',
+            id="repeated-key",
+        ),
         pytest.param(b'{"schema": 1, "entries": {"g0:r=5:a=1,1,3,3": "1/5\xff"}}', id="not-utf8"),
         pytest.param("[" * 100_000, id="nested-too-deep"),
         # value spellings format_rational never writes
@@ -162,6 +176,43 @@ def test_load_and_put_report_keys_alike(tmp_path):
         path.write_text(json.dumps({"schema": 1, "entries": {key: "1/1"}}))
         with pytest.raises(CacheError, match=reason):
             CacheStore.load(str(path))
+
+
+def test_repeated_key_is_named(tmp_path):
+    path = tmp_path / "cache.json"
+    path.write_text(
+        '{"schema": 1, "entries": {"g0:r=5:a=1,1,3,3": "1/5", '
+        '"dr1:r=4:k=2,-2:a=2,2": "1/32", "g0:r=5:a=1,1,3,3": "2/5"}}'
+    )
+    with pytest.raises(CacheError, match=re.escape(f"{path}: repeated key 'g0:r=5:a=1,1,3,3'")):
+        CacheStore.load(str(path))
+
+
+@pytest.mark.parametrize(
+    "seen,key,canonical",
+    [
+        # orders k=2,-1,-1 and twists a=1,4,0 each open a canonical key first
+        (("dr1:r=5:k=2,-1,-1:a=0,1,4", "dr1:r=5:k=3,-1,-2:a=1,4,0"),
+         "dr1:r=5:k=2,-1,-1:a=1,4,0", "dr1:r=5:k=2,-1,-1:a=1,0,4"),
+        # tied profiles: a canonical row is at most its sign flip
+        (("dr1:r=4:k=1,0,-1:a=0,2,2", "dr1:r=4:k=2,-1,-1:a=2,0,1"),
+         "dr1:r=4:k=1,0,-1:a=2,0,1", "dr1:r=4:k=1,0,-1:a=1,0,2"),
+        # twists first seen in a genus-0 key with a larger r, out of range for r=4
+        (("g0:r=9:a=1,3,5,7", "dr1:r=4:k=2,-2:a=1,2"),
+         "dr1:r=4:k=1,1,-1,-1:a=1,3,5,7", None),
+    ],
+)
+def test_load_refuses_a_key_whose_fields_passed_before(tmp_path, seen, key, canonical):
+    entries = {k: "1/1" for k in seen}
+    entries[key] = "1/1"
+    path = tmp_path / "cache.json"
+    path.write_text(json.dumps({"schema": 1, "entries": entries}))
+    reason = f"canonical form is {canonical!r}" if canonical else "unusable cache key"
+    with pytest.raises(CacheError, match=re.escape(reason)):
+        CacheStore.load(str(path))
+    store = CacheStore({k: 1 for k in seen})
+    with pytest.raises(CacheError, match=re.escape(reason)):
+        store.put(key, 1)
 
 
 def test_file_system_errors_become_cache_errors(tmp_path):
