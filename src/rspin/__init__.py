@@ -1,10 +1,14 @@
 """Exact calculator for r-spin correlators in genus 0 and 1.
 
 Every value is an exact :class:`fractions.Fraction`. Genus-0 brackets come
-from closed 3/4-point formulas plus associativity solving; genus-1
-double-ramification brackets come from a closed form and, independently,
-from a system of linear relations. The :mod:`rspin.verify` suites pin the
-two routes against each other over finite windows.
+from closed 3/4-point formulas plus associativity (WDVV) solving; brackets
+with five or more points have WDVV as their only route, and are checked
+through window sums against a closed product formula. Genus-1
+double-ramification brackets come from a closed form and from a system of
+linear relations; the relational route takes B from the same product as
+the closed form, so comparing the two checks the factor
+``sum(k_i^2)/2 - 1``. The :mod:`rspin.verify` suites run these checks over
+finite windows.
 """
 
 from .core import (

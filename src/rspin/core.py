@@ -22,7 +22,6 @@ like the interface they implement.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Tuple
 
@@ -103,8 +102,26 @@ def _check_twists(r: int, a: Iterable[int]) -> Tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class EvalResult:
+class _Frozen:
+    """Base of the frozen value classes: every attribute is set once, at birth.
+
+    Constructors set their slots through ``object.__setattr__``; assignment
+    and deletion afterwards raise ``AttributeError``. So each subclass
+    pickles and copies through its own ``__reduce__``, and writes out its
+    own ``__repr__`` and, if it compares by value, ``__eq__`` and
+    ``__hash__`` over its field tuple.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class EvalResult(_Frozen):
     """An exact bracket value together with the rule that produced it.
 
     ``status`` is ``"ok"`` for a genuine evaluation (which may still be 0,
@@ -115,17 +132,32 @@ class EvalResult:
     outermost first.
     """
 
-    value: Fraction
-    status: str = STATUS_OK
-    trace: Tuple[str, ...] = ()
+    __slots__ = ("value", "status", "trace")
 
-    def __post_init__(self) -> None:
-        if self.status not in (STATUS_OK, STATUS_DIMENSION_ZERO, STATUS_VANISHING_ZERO):
-            raise ValueError(f"unknown status {self.status!r}")
-        if self.status != STATUS_OK and self.value != 0:
-            raise ValueError(f"status {self.status} requires value 0, got {self.value}")
-        if not isinstance(self.value, Fraction):
-            object.__setattr__(self, "value", Fraction(self.value))
+    def __init__(self, value: Fraction, status: str = STATUS_OK, trace: Tuple[str, ...] = ()):
+        if status not in (STATUS_OK, STATUS_DIMENSION_ZERO, STATUS_VANISHING_ZERO):
+            raise ValueError(f"unknown status {status!r}")
+        if status != STATUS_OK and value != 0:
+            raise ValueError(f"status {status} requires value 0, got {value}")
+        if not isinstance(value, Fraction):
+            value = Fraction(value)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "trace", trace)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.value, self.status, self.trace) == (other.value, other.status, other.trace)
+
+    def __hash__(self):
+        return hash((self.value, self.status, self.trace))
+
+    def __repr__(self):
+        return f"EvalResult(value={self.value!r}, status={self.status!r}, trace={self.trace!r})"
+
+    def __reduce__(self):
+        return (EvalResult, (self.value, self.status, self.trace))
 
 
 def genus_of(r: int, insertions: Sequence[Tuple[int, int]]) -> Optional[int]:
@@ -210,12 +242,13 @@ def vanishing_by_axiom(r: int, a: Sequence[int]) -> bool:
     return any(x == r - 1 for x in a)
 
 
-@dataclass(frozen=True, order=True)
-class Genus0Bracket:
-    """Canonical key of a genus-0 correlator: ``r`` and ascending twists."""
+class Genus0Bracket(_Frozen):
+    """Canonical key of a genus-0 correlator: ``r`` and ascending twists.
 
-    r: int
-    a: Tuple[int, ...]
+    Equality, hashing, ordering and ``repr`` use ``(r, a)``.
+    """
+
+    __slots__ = ("r", "a")
 
     def __init__(self, r: int, a: Sequence[int]):
         _check_r(r)
@@ -224,6 +257,40 @@ class Genus0Bracket:
             raise StructureError(f"a genus-0 bracket needs >= 3 insertions, got {len(twists)}")
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "a", tuple(sorted(twists)))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.r, self.a) == (other.r, other.a)
+
+    def __lt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.r, self.a) < (other.r, other.a)
+
+    def __le__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.r, self.a) <= (other.r, other.a)
+
+    def __gt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.r, self.a) > (other.r, other.a)
+
+    def __ge__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.r, self.a) >= (other.r, other.a)
+
+    def __hash__(self):
+        return hash((self.r, self.a))
+
+    def __repr__(self):
+        return f"Genus0Bracket(r={self.r!r}, a={self.a!r})"
+
+    def __reduce__(self):
+        return (Genus0Bracket, (self.r, self.a))
 
     @property
     def n(self) -> int:
@@ -272,8 +339,7 @@ def _dr1_key(r: int, k_row: Sequence[int], a_row: Sequence[int]) -> str:
     return f"dr1:r={r}:k={','.join(map(str, k_row))}:a={','.join(map(str, a_row))}"
 
 
-@dataclass(frozen=True, order=True)
-class DR1Bracket:
+class DR1Bracket(_Frozen):
     """Canonical key of a genus-1 double-ramification bracket.
 
     ``entries`` holds the ``(k_i, a_i)`` pairs. Construction canonicalizes:
@@ -292,13 +358,10 @@ class DR1Bracket:
     twist multiset once and hand its status to every row over it; and rows
     rebuilt from a bracket's own pairs (relation terms, rewriting children)
     keep the same multiset and so take the status they are given. Equality,
-    hashing, ordering and ``repr`` use ``(r, entries)`` only: ``status`` is a
-    slot, not a dataclass field.
+    hashing, ordering and ``repr`` use ``(r, entries)`` only, not ``status``.
     """
 
     __slots__ = ("r", "entries", "status")
-    r: int
-    entries: Tuple[Tuple[int, int], ...]
 
     def __init__(self, r: int, entries: Sequence[Tuple[int, int]]):
         _check_r(r)
@@ -336,6 +399,37 @@ class DR1Bracket:
     def _canonical(cls, r: int, pairs: Sequence[Tuple[int, int]], status: str) -> "DR1Bracket":
         """Sort and orient checked pairs whose twist multiset has ``status``."""
         return cls._from_canonical(r, _orient(pairs), status)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.r, self.entries) == (other.r, other.entries)
+
+    def __lt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.r, self.entries) < (other.r, other.entries)
+
+    def __le__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.r, self.entries) <= (other.r, other.entries)
+
+    def __gt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.r, self.entries) > (other.r, other.entries)
+
+    def __ge__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.r, self.entries) >= (other.r, other.entries)
+
+    def __hash__(self):
+        return hash((self.r, self.entries))
+
+    def __repr__(self):
+        return f"DR1Bracket(r={self.r!r}, entries={self.entries!r})"
 
     def __reduce__(self):
         # pickle and copy: frozen slots cannot be restored by assignment

@@ -18,10 +18,13 @@ formula: the relational route checks the factor ``sum(k_i^2)/2 - 1`` of
 the closed form, not ``B`` itself. Everything else reduces through three
 rewriting moves extracted from the linear relations below; each move
 strictly shrinks either the number of nonzero ``k`` entries or the
-smallest nonzero magnitude, so the recursion terminates. A cycle guard
-plus a bounded-window linear solve (:func:`RelationInstance` rows fed to
-exact elimination) backs up the rewriting in case a reduction ever fails
-to make progress.
+smallest nonzero magnitude, so the reduction terminates. The moves are
+generators driven from an explicit stack, so the depth of a reduction
+(one step per unit of ``k`` on a two-point row) costs no Python
+recursion; rows with ``sum(|k|)`` above :data:`RELATIONAL_K_SUM_MAX` are
+refused before reducing. A cycle guard plus a bounded-window linear solve
+(:func:`RelationInstance` rows fed to exact elimination) backs up the
+rewriting in case a reduction ever fails to make progress.
 
 Whether a bracket can be nonzero at all depends on its twist multiset
 only, and every move above keeps that multiset. So each
@@ -48,7 +51,6 @@ rank, and the rows walked in that order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
 from math import factorial
@@ -63,6 +65,7 @@ from .core import (
     GradingError,
     ReductionStalledError,
     StructureError,
+    _Frozen,
     _check_r,
     _check_twists,
     _dr1_status,
@@ -85,6 +88,7 @@ __all__ = [
     "relation3_check",
     "anchored_instances",
     "solve_relational",
+    "RELATIONAL_K_SUM_MAX",
     "enumerate_brackets",
 ]
 
@@ -160,19 +164,48 @@ def closed_form(bracket: DR1Bracket) -> EvalResult:
     return EvalResult(value, STATUS_OK, ("closed-form",))
 
 
-@dataclass(frozen=True)
-class RelationInstance:
+class RelationInstance(_Frozen):
     """One linear relation ``b_coefficient * B(context) = sum(terms)``.
 
     ``terms`` maps canonical brackets to rational coefficients; repeated
     brackets produced while assembling an instance accumulate. ``context``
     is the ``(r, sorted-a-row)`` pair fixing which B appears on the left.
+    Equality and ``repr`` use all four fields; ``terms`` is a dict, so an
+    instance cannot be hashed.
     """
 
-    kind: str
-    b_coefficient: Fraction
-    terms: Dict[DR1Bracket, Fraction]
-    context: Tuple[int, Tuple[int, ...]]
+    __slots__ = ("kind", "b_coefficient", "terms", "context")
+
+    def __init__(
+        self,
+        kind: str,
+        b_coefficient: Fraction,
+        terms: Dict[DR1Bracket, Fraction],
+        context: Tuple[int, Tuple[int, ...]],
+    ):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "b_coefficient", b_coefficient)
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "context", context)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.b_coefficient, self.terms, self.context) == (
+            other.kind, other.b_coefficient, other.terms, other.context
+        )
+
+    def __hash__(self):
+        return hash((self.kind, self.b_coefficient, self.terms, self.context))
+
+    def __repr__(self):
+        return (
+            f"RelationInstance(kind={self.kind!r}, b_coefficient={self.b_coefficient!r}, "
+            f"terms={self.terms!r}, context={self.context!r})"
+        )
+
+    def __reduce__(self):
+        return (RelationInstance, (self.kind, self.b_coefficient, self.terms, self.context))
 
     def residual_closed(self) -> Fraction:
         """Left side minus right side with every bracket evaluated closed-form.
@@ -337,6 +370,12 @@ def anchored_instances(bracket: DR1Bracket):
                 yield o_idx, i, z, build(bracket.r, k_ord, a_ord)
 
 
+# The largest sum(|k|) solve_relational reduces. A two-point row takes one
+# rewriting step per unit of k and reduces at the limit in well under a
+# second; rows with more nonzero orders reach many more brackets per unit.
+RELATIONAL_K_SUM_MAX = 1000
+
+
 class _StallSignal(Exception):
     """Internal marker: rewriting revisited a key and must fall back."""
 
@@ -366,50 +405,76 @@ class _Reduction:
         return self._b
 
 
-def _solve_from_instance(inst: RelationInstance, target: DR1Bracket, red: _Reduction) -> Fraction:
-    """Solve one relation instance for the coefficient of ``target``."""
+def _solve_from_instance(inst: RelationInstance, target: DR1Bracket, red: _Reduction):
+    """Solve one relation instance for the coefficient of ``target``.
+
+    A rewriting step: it yields each other term's bracket and is sent back
+    its value (see :func:`_relational_value`).
+    """
     terms = dict(inst.terms)
     target_coeff = terms.pop(target, Fraction(0))
     if target_coeff == 0:
         raise _StallSignal(target.key)
     rhs = inst.b_coefficient * red.b
     for bracket, coeff in terms.items():
-        rhs -= coeff * _relational_value(bracket, red)[0]
+        rhs -= coeff * (yield bracket)
     return rhs / target_coeff
 
 
-def _relational_value(bracket: DR1Bracket, red: _Reduction) -> Tuple[Fraction, str]:
-    key = bracket.key
-    hit = red.cache.get(key)
-    if hit is not None:
-        return hit, "cache"
-    if relation3_check(bracket):
-        red.cache.put(key, Fraction(0))
-        return Fraction(0), "relation-3"
-    if key in red.visiting:
-        raise _StallSignal(key)
-    red.visiting.add(key)
-    try:
-        value, rule = _reduce_once(bracket, red)
-    finally:
-        red.visiting.discard(key)
-    red.cache.put(key, value)
-    return value, rule
+def _relational_value(bracket: DR1Bracket, key: str, red: _Reduction) -> Tuple[Fraction, str]:
+    """Value and first rule of a bracket that is neither stored nor relation-3.
+
+    Each rewriting step is a generator that yields the child brackets it
+    needs, one at a time, and is sent each child's value. This loop keeps
+    the steps on an explicit stack, so a reduction of any depth (one step
+    per unit of ``k`` magnitude on a two-point row) runs in constant Python
+    stack. Children are looked up, reduced and stored in the order a
+    recursive walk would take, so the store ends up the same.
+    """
+    cache, visiting = red.cache, red.visiting
+    rule, step = _reduce_once(bracket, red)
+    visiting.add(key)
+    stack = [(key, step)]
+    value = None
+    while True:
+        key, step = stack[-1]
+        try:
+            child = step.send(value)
+        except StopIteration as done:
+            value = done.value
+            stack.pop()
+            visiting.discard(key)
+            cache.put(key, value)
+            if not stack:
+                return value, rule
+            continue
+        key = child.key
+        value = cache.get(key)
+        if value is None:
+            if relation3_check(child):
+                value = Fraction(0)
+                cache.put(key, value)
+            elif key in visiting:
+                raise _StallSignal(key)
+            else:
+                visiting.add(key)
+                stack.append((key, _reduce_once(child, red)[1]))
 
 
-def _reduce_once(bracket: DR1Bracket, red: _Reduction) -> Tuple[Fraction, str]:
+def _reduce_once(bracket: DR1Bracket, red: _Reduction):
+    """The rule that reduces ``bracket`` and its rewriting step, not yet started."""
     mags = [abs(kk) for kk, _ in bracket.entries if kk != 0]
     if max(mags) == 1:
         # All nonzero entries are +-1 and the +1/-1 counts match; the pure
         # (+1, -1) pattern was already peeled off as relation 3, so at least
         # two of each remain.
-        return _case_all_units(bracket, red), "case-2"
+        return "case-2", _case_all_units(bracket, red)
     if min(mags) == 1:
-        return _case_unit_present(bracket, red), "case-1"
-    return _case_all_large(bracket, red), "case-3"
+        return "case-1", _case_unit_present(bracket, red)
+    return "case-3", _case_all_large(bracket, red)
 
 
-def _case_unit_present(bracket: DR1Bracket, red: _Reduction) -> Fraction:
+def _case_unit_present(bracket: DR1Bracket, red: _Reduction):
     """Some entry has magnitude 1 and some other entry magnitude >= 2.
 
     Orient so a ``-1`` entry and a positive entry ``p >= 2`` coexist, then
@@ -437,10 +502,10 @@ def _case_unit_present(bracket: DR1Bracket, red: _Reduction) -> Fraction:
     pairs[pos_idx] = (p - 1, pairs[pos_idx][1])
     pairs[neg_idx] = (0, pairs[neg_idx][1])
     child = DR1Bracket._canonical(bracket.r, pairs, bracket.status)
-    return p * red.b + _relational_value(child, red)[0]
+    return p * red.b + (yield child)
 
 
-def _case_all_units(bracket: DR1Bracket, red: _Reduction) -> Fraction:
+def _case_all_units(bracket: DR1Bracket, red: _Reduction):
     """Every nonzero entry is +-1 with at least two of each sign.
 
     The relation anchored at one of the ``+1`` entries involves the bracket
@@ -453,10 +518,10 @@ def _case_all_units(bracket: DR1Bracket, red: _Reduction) -> Fraction:
     anchor = k_row.index(1)
     order = [anchor] + [i for i in range(len(pairs)) if i != anchor]
     inst = relation1_instance(bracket.r, [k_row[i] for i in order], [a_row[i] for i in order])
-    return _solve_from_instance(inst, bracket, red)
+    return (yield from _solve_from_instance(inst, bracket, red))
 
 
-def _case_all_large(bracket: DR1Bracket, red: _Reduction) -> Fraction:
+def _case_all_large(bracket: DR1Bracket, red: _Reduction):
     """Every nonzero entry has magnitude >= 2.
 
     Orient so the globally smallest magnitude sits on the negative side,
@@ -489,7 +554,7 @@ def _case_all_large(bracket: DR1Bracket, red: _Reduction) -> Fraction:
         [context_k[i] for i in order],
         [a_row[i] for i in order],
     )
-    return _solve_from_instance(inst, bracket, red)
+    return (yield from _solve_from_instance(inst, bracket, red))
 
 
 def _partitions(total: int, max_part: int, max_len: int):
@@ -655,15 +720,31 @@ def solve_relational(bracket: DR1Bracket, cache: Optional[CacheStore] = None) ->
     brackets reduce by the three rewriting moves. If rewriting ever
     revisits a key or fails to anchor, a bounded-window elimination over
     all relation instances takes over; if that also leaves the value
-    undetermined a :class:`rspin.core.ReductionStalledError` is raised. With ``cache``
-    None the call uses a fresh store, so nothing outlives it.
+    undetermined a :class:`rspin.core.ReductionStalledError` is raised. A
+    bracket that is neither stored nor a relation-3 zero and whose
+    ``sum(|k|)`` exceeds :data:`RELATIONAL_K_SUM_MAX` raises that error
+    before any reduction. With ``cache`` None the call uses a fresh store,
+    so nothing outlives it.
     """
     if bracket.status != STATUS_OK:
         return _ZERO_RESULTS[bracket.status]
     if cache is None:
         cache = CacheStore()
+    key = bracket.key
+    hit = cache.get(key)
+    if hit is not None:
+        return EvalResult(hit, STATUS_OK, ("cache",))
+    if relation3_check(bracket):
+        cache.put(key, Fraction(0))
+        return EvalResult(Fraction(0), STATUS_OK, ("relation-3",))
+    k_sum = sum(abs(kk) for kk, _ in bracket.entries)
+    if k_sum > RELATIONAL_K_SUM_MAX:
+        raise ReductionStalledError(
+            f"{key} has sum |k| = {k_sum}, above {RELATIONAL_K_SUM_MAX}, "
+            "the most the relational route reduces"
+        )
     try:
-        value, rule = _relational_value(bracket, _Reduction(bracket, cache))
+        value, rule = _relational_value(bracket, key, _Reduction(bracket, cache))
         return EvalResult(value, STATUS_OK, (rule,))
     except _StallSignal:
         fallback = _window_solve(bracket, cache)

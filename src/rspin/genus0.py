@@ -37,7 +37,6 @@ formula, not the sum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, groupby
 from math import comb, factorial, gcd, lcm
@@ -51,6 +50,7 @@ from .core import (
     Genus0Bracket,
     GradingError,
     UnderdeterminedError,
+    _Frozen,
     _check_r,
     _check_twists,
     ascending_multisets,
@@ -171,8 +171,7 @@ def loop_sum(r: int, m: int, x: Sequence[int], extended: bool = False) -> Fracti
     return value
 
 
-@dataclass(frozen=True, eq=False)
-class WdvvSystem:
+class WdvvSystem(_Frozen):
     """Exact linear system for all unsolved n-point brackets at one (r, n).
 
     A bracket ``(r; a)`` is keyed by its ascending twist tuple ``a``.
@@ -183,12 +182,31 @@ class WdvvSystem:
     brackets. Each row is primitive: its entries are integers with no common
     factor and a positive leading coefficient (a row holding a non-integral
     scaled value is cleared of denominators first). :meth:`solve` unscales.
+    Systems compare and hash by identity.
     """
 
-    r: int
-    n: int
-    unknowns: Tuple[Key, ...]
-    equations: Tuple[Tuple[Dict[Key, int], int], ...]
+    __slots__ = ("r", "n", "unknowns", "equations")
+
+    def __init__(
+        self,
+        r: int,
+        n: int,
+        unknowns: Tuple[Key, ...],
+        equations: Tuple[Tuple[Dict[Key, int], int], ...],
+    ):
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "unknowns", unknowns)
+        object.__setattr__(self, "equations", equations)
+
+    def __repr__(self):
+        return (
+            f"WdvvSystem(r={self.r!r}, n={self.n!r}, unknowns={self.unknowns!r}, "
+            f"equations={self.equations!r})"
+        )
+
+    def __reduce__(self):
+        return (WdvvSystem, (self.r, self.n, self.unknowns, self.equations))
 
     def solve(self) -> Tuple[Dict[Key, Fraction], List[Key]]:
         """Eliminate, divide out ``r^(n-3)``; return (bracket values, free keys)."""

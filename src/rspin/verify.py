@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Tuple
+from typing import Iterable, List, Tuple
 
 from .core import (
     DR1Bracket,
@@ -48,23 +47,42 @@ __all__ = [
 ]
 
 
-@dataclass
 class SuiteReport:
     """Outcome of one suite: counts, failures and wall time.
 
     ``failures`` holds (case key, expected, got) triples; the values are
     kept as strings so non-numeric outcomes (a stalled reduction, a wrong
     status) can be reported through the same channel. Failures are sorted
-    by case key, making reports deterministic for fixed bounds.
+    by case key, making reports deterministic for fixed bounds. Reports
+    compare by all four fields; they are mutable, so they do not hash.
     """
 
-    suite: str
-    cases: int
-    failures: List[Tuple[str, str, str]] = field(default_factory=list)
-    elapsed_ms: int = 0
+    __slots__ = ("suite", "cases", "failures", "elapsed_ms")
 
-    def __post_init__(self) -> None:
-        self.failures = sorted(self.failures, key=lambda f: f[0])
+    def __init__(
+        self,
+        suite: str,
+        cases: int,
+        failures: Iterable[Tuple[str, str, str]] = (),
+        elapsed_ms: int = 0,
+    ):
+        self.suite = suite
+        self.cases = cases
+        self.failures: List[Tuple[str, str, str]] = sorted(failures, key=lambda f: f[0])
+        self.elapsed_ms = elapsed_ms
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.suite, self.cases, self.failures, self.elapsed_ms) == (
+            other.suite, other.cases, other.failures, other.elapsed_ms
+        )
+
+    def __repr__(self):
+        return (
+            f"SuiteReport(suite={self.suite!r}, cases={self.cases!r}, "
+            f"failures={self.failures!r}, elapsed_ms={self.elapsed_ms!r})"
+        )
 
     @property
     def passed(self) -> bool:

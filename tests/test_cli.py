@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -45,6 +48,67 @@ def test_loopsum_subcommand(capsys):
     code, out, _ = invoke(capsys, "loopsum", "--r", "5", "--m", "2", "--x", "3,3")
     assert code == 0
     assert out.strip() == "1/5"
+
+
+def test_loopsum_range_error_names_the_cli_flag(capsys):
+    code, _, err = invoke(capsys, "loopsum", "--r", "5", "--m", "9", "--x", "1")
+    assert code == 65
+    assert err == "error: m=9 exceeds r-2=3; pass --extended for m <= r\n"
+    code, out, _ = invoke(capsys, "loopsum", "--r", "5", "--m", "4", "--x", "2,2", "--extended")
+    assert code == 0 and out.strip() == "4/5"
+
+
+def _cli(*argv):
+    """Run the CLI in a fresh interpreter, as a shell user would."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(__import__("rspin").__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("RSPIN_CACHE", None)
+    return subprocess.run(
+        [sys.executable, "-m", "rspin.cli", *argv], env=env, capture_output=True, text=True
+    )
+
+
+def test_deep_dr1_rows_end_without_a_traceback():
+    for method in ("both", "relations"):
+        done = _cli("dr1", "--r", "4", "--k", "248,-248", "--a", "2,2", "--method", method)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["20501/32"] * (2 if method == "both" else 1)
+        assert done.stderr == ""
+    done = _cli("dr1", "--r", "4", "--k", "100000,-100000", "--a", "2,2", "--method", "both")
+    assert done.returncode == 1 and done.stdout == ""
+    assert done.stderr == (
+        "error: dr1:r=4:k=100000,-100000:a=2,2 has sum |k| = 200000, above 1000, "
+        "the most the relational route reduces\n"
+    )
+    done = _cli("dr1", "--r", "4", "--k", "100000,-100000", "--a", "2,2", "--method", "closed")
+    assert done.returncode == 0 and done.stdout.strip() == "3333333333/32"
+
+
+def test_cli_import_loads_every_module_and_no_introspection_stdlib():
+    """``import rspin.cli`` loads all seven submodules and skips the slow stdlib.
+
+    ``dataclasses`` pulls in ``inspect``, ``ast``, ``dis`` and ``tokenize``;
+    ``csv`` is imported by the ``table`` command alone. A module counts only
+    if the stdlib the CLI needs anyway (``argparse``, ``json``,
+    ``fractions``) does not load it by itself on this Python.
+    """
+    probe = "import sys, {}; print(' '.join(sorted(sys.modules)))"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(__import__("rspin").__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def loaded(modules):
+        out = subprocess.run(
+            [sys.executable, "-c", probe.format(modules)],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout
+        return set(out.split())
+
+    base = loaded("argparse, json, fractions")
+    cli = loaded("rspin.cli")
+    heavy = {"dataclasses", "inspect", "csv"} - base
+    assert not heavy & cli, sorted(heavy & cli)
+    submodules = {"core", "dr1", "elimination", "genus0", "store", "verify", "cli"}
+    assert {"rspin." + name for name in submodules} <= cli
 
 
 def test_usage_error_exits_64(capsys):
