@@ -207,35 +207,26 @@ class RelationInstance(_Frozen):
     def __reduce__(self):
         return (RelationInstance, (self.kind, self.b_coefficient, self.terms, self.context))
 
-    def residual_closed(self) -> Fraction:
+    def residual_closed(self, b: Optional[Fraction] = None) -> Fraction:
         """Left side minus right side with every bracket evaluated closed-form.
 
         Zero for every structurally valid instance; the verification suite
-        sweeps this over windows of contexts.
+        sweeps this over windows of contexts, passing ``b``, the B of the
+        context, which every instance anchored in one bracket shares.
+        Products with a zero closed-form factor are skipped.
         """
-        r, a_sorted = self.context
-        total = self.b_coefficient * b_value(r, a_sorted)
+        if b is None:
+            b = b_value(*self.context)
+        total = self.b_coefficient * b if b else Fraction(0)
         for bracket, coeff in self.terms.items():
-            total -= coeff * closed_form(bracket).value
+            value = closed_form(bracket).value
+            if value:
+                total -= coeff * value
         return total
 
 
-def _add_term(
-    terms: Dict[DR1Bracket, Fraction], r: int, k_row, a_row, status: str, coeff: Fraction
-) -> None:
-    """Accumulate ``coeff`` on the bracket of a row the caller has checked.
-
-    ``status`` is that of the instance's twist row, which every term keeps.
-    """
-    bracket = DR1Bracket._canonical(r, list(zip(k_row, a_row)), status)
-    new = terms.get(bracket, Fraction(0)) + coeff
-    if new == 0:
-        terms.pop(bracket, None)
-    else:
-        terms[bracket] = new
-
-
-def _check_rows(r: int, k: Sequence[int], a: Sequence[int]) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+def _check_rows(r: int, k: Sequence[int], a: Sequence[int]):
+    """Context, ``(k, a)`` pairs and status of a valid relation row, designated entry positive."""
     _check_r(r)
     k = tuple(int(v) for v in k)
     a = tuple(a)
@@ -246,7 +237,9 @@ def _check_rows(r: int, k: Sequence[int], a: Sequence[int]) -> Tuple[Tuple[int, 
         raise StructureError("k row must sum to zero")
     if all(v == 0 for v in k):
         raise StructureError("k row must contain a nonzero entry")
-    return k, a
+    if k[0] < 1:
+        raise StructureError("designated entry not positive")
+    return (r, tuple(sorted(a))), tuple(zip(k, a)), _dr1_status(r, a)
 
 
 def relation1_instance(r: int, k: Sequence[int], a: Sequence[int]) -> RelationInstance:
@@ -263,33 +256,7 @@ def relation1_instance(r: int, k: Sequence[int], a: Sequence[int]) -> RelationIn
 
     The twist row never moves; only the integer row is edited.
     """
-    k, a = _check_rows(r, k, a)
-    if k[0] < 1:
-        raise StructureError("designated entry not positive")
-    n_plus = sum(1 for v in k if v > 0)
-    n_minus = sum(1 for v in k if v < 0)
-    c0 = Fraction(k[0] + n_plus + n_minus + 1)
-    b_coeff = Fraction((k[0] + 1) * (n_plus + n_minus + 1))
-    status = _dr1_status(r, a)
-    terms: Dict[DR1Bracket, Fraction] = {}
-    _add_term(terms, r, k, a, status, -c0)
-    for i in range(1, len(k)):
-        if k[i] > 0:
-            coeff = Fraction(k[i] - 1)
-            if coeff == 0:
-                continue
-            edited = list(k)
-            edited[0] += 1
-            edited[i] -= 1
-            _add_term(terms, r, edited, a, status, -coeff)
-    for j in range(len(k)):
-        if k[j] < 0:
-            coeff = Fraction(-k[j] + 1)
-            edited = list(k)
-            edited[0] += 1
-            edited[j] -= 1
-            _add_term(terms, r, edited, a, status, coeff)
-    return RelationInstance("relation1", b_coeff, terms, (r, tuple(sorted(a))))
+    return _relation_instance("relation1", *_check_rows(r, k, a), None, {})
 
 
 def relation2_instance(r: int, k: Sequence[int], a: Sequence[int]) -> RelationInstance:
@@ -301,21 +268,55 @@ def relation2_instance(r: int, k: Sequence[int], a: Sequence[int]) -> RelationIn
 
         (k[0] + 1) B = -<k | a> + <.. k[0]+1 .. -1 ..| a>
     """
-    k, a = _check_rows(r, k, a)
-    if k[0] < 1:
-        raise StructureError("designated entry not positive")
-    zero_slots = [i for i, v in enumerate(k) if v == 0]
-    if not zero_slots:
+    context, pairs, status = _check_rows(r, k, a)
+    if all(kk for kk, _ in pairs):
         raise StructureError("relation needs a zero entry (n_0 = 0)")
-    b_coeff = Fraction(k[0] + 1)
-    edited = list(k)
-    edited[0] += 1
-    edited[zero_slots[0]] = -1
-    status = _dr1_status(r, a)
-    terms: Dict[DR1Bracket, Fraction] = {}
-    _add_term(terms, r, k, a, status, Fraction(-1))
-    _add_term(terms, r, edited, a, status, Fraction(1))
-    return RelationInstance("relation2", b_coeff, terms, (r, tuple(sorted(a))))
+    return _relation_instance("relation2", context, pairs, status, None, {})
+
+
+def _relation_instance(kind: str, context: Tuple[int, Tuple[int, ...]], pairs: Tuple[Tuple[int, int], ...],
+                       status: str, anchor: Optional[DR1Bracket], memo: dict) -> RelationInstance:
+    """The relation ``kind`` on a checked row of ``(k, a)`` pairs, designated entry first.
+
+    The one builder behind :func:`relation1_instance`,
+    :func:`relation2_instance`, :func:`anchored_instances` and the rewriting
+    moves; it checks nothing. ``context`` is ``(r, sorted twists)``, and
+    every term keeps ``status``, that of the twist multiset. ``anchor`` is
+    the row's own canonical bracket when the caller holds it (the row
+    reorders its entries), else None. ``memo``, owned by the caller and
+    shareable by rows with one ``r``, maps each other row, sorted, to its
+    canonical bracket. Coefficients add up as ints and never cancel: rows
+    with the row's own ``sum(|k|)`` (itself, lowered positives) take
+    negative ones, rows two higher (deepened negatives, a zero turned -1)
+    positive ones.
+    """
+    k0, a0 = pairs[0]
+    ks = [kk for kk, _ in pairs]
+    if kind == "relation1":
+        nonzero = len(ks) - ks.count(0)
+        b_coeff, coeff = (k0 + 1) * (nonzero + 1), -(k0 + nonzero + 1)
+        edits = [i for i in range(1, len(ks)) if ks[i] > 1] + [i for i in range(1, len(ks)) if ks[i] < 0]
+    else:
+        b_coeff, coeff = k0 + 1, -1
+        edits = [ks.index(0)]
+    rows = [(pairs, coeff)]
+    for i in edits:
+        # <.. k[0]+1 .. k_i-1 ..> with coefficient 1 - k_i; a zero slot becomes -1
+        kk, aa = pairs[i]
+        row = list(pairs)
+        row[0] = (k0 + 1, a0)
+        row[i] = (kk - 1, aa)
+        rows.append((tuple(row), 1 - kk))
+    terms: Dict[DR1Bracket, int] = {}
+    for row, coeff in rows:
+        bracket = anchor if row is pairs else None
+        if bracket is None:
+            key = tuple(sorted(row))
+            bracket = memo.get(key)
+            if bracket is None:
+                bracket = memo[key] = DR1Bracket._canonical(context[0], row, status)
+        terms[bracket] = terms.get(bracket, 0) + coeff
+    return RelationInstance(kind, Fraction(b_coeff), {br: Fraction(c) for br, c in terms.items()}, context)
 
 
 def relation3_check(bracket: DR1Bracket) -> bool:
@@ -324,12 +325,8 @@ def relation3_check(bracket: DR1Bracket) -> bool:
     Such brackets vanish outright; this is the terminal base case of the
     relational solver.
     """
-    return (
-        bracket.n_plus == 1
-        and bracket.n_minus == 1
-        and max(bracket.k_row) == 1
-        and min(bracket.k_row) == -1
-    )
+    k_row = bracket.k_row
+    return bracket.n_plus == 1 and bracket.n_minus == 1 and max(k_row) == 1 and min(k_row) == -1
 
 
 def _flipped_sorted(bracket: DR1Bracket) -> Tuple[Tuple[int, int], ...]:
@@ -337,37 +334,43 @@ def _flipped_sorted(bracket: DR1Bracket) -> Tuple[Tuple[int, int], ...]:
     return _sorted_dr1_entries([(-kk, aa) for kk, aa in bracket.entries])
 
 
-def anchored_instances(bracket: DR1Bracket):
+def anchored_instances(bracket: DR1Bracket, memo: Optional[dict] = None):
     """Yield ``(orientation, slot, zero_slot, instance)`` for each relation anchored in a bracket.
 
     Values are flip-invariant but relation instances are not, so both
     orientations of the row (0: as stored, 1: sign-flipped, when different)
     anchor instances. Each distinct positive ``(k, a)`` slot anchors one
     relation-1 instance (``zero_slot`` None) and one relation-2 instance per
-    distinct zero-order twist.
+    distinct zero-order twist. Every instance takes ``bracket`` itself as the
+    term of its unedited row; ``memo`` (one per ``r``, shared across a
+    window) canonicalises the edited rows.
     """
+    if memo is None:
+        memo = {}
+    context = (bracket.r, tuple(sorted(bracket.a_row)))
     orientations = [bracket.entries]
     flipped = _flipped_sorted(bracket)
     if flipped != bracket.entries:
         orientations.append(flipped)
     for o_idx, pairs in enumerate(orientations):
-        k_row = [kk for kk, _ in pairs]
-        a_row = [aa for _, aa in pairs]
         zero_slots: Dict[int, int] = {}
-        for i, kk in enumerate(k_row):
+        for i, (kk, aa) in enumerate(pairs):
             if kk == 0:
-                zero_slots.setdefault(a_row[i], i)
+                zero_slots.setdefault(aa, i)
         seen = set()
-        for i, kk in enumerate(k_row):
-            if kk < 1 or (kk, a_row[i]) in seen:
+        for i, pair in enumerate(pairs):
+            if pair[0] < 1 or pair in seen:
                 continue
-            seen.add((kk, a_row[i]))
-            rest = [j for j in range(len(pairs)) if j != i]
-            for z in [None, *zero_slots.values()]:
-                order = [i] + rest if z is None else [i, z] + [j for j in rest if j != z]
-                build = relation1_instance if z is None else relation2_instance
-                k_ord, a_ord = [k_row[j] for j in order], [a_row[j] for j in order]
-                yield o_idx, i, z, build(bracket.r, k_ord, a_ord)
+            seen.add(pair)
+            rest = pairs[:i] + pairs[i + 1:]
+            yield o_idx, i, None, _relation_instance(
+                "relation1", context, (pair,) + rest, bracket.status, bracket, memo
+            )
+            for z in zero_slots.values():
+                row = (pair, pairs[z]) + tuple(p for j, p in enumerate(pairs) if j != i and j != z)
+                yield o_idx, i, z, _relation_instance(
+                    "relation2", context, row, bracket.status, bracket, memo
+                )
 
 
 # The largest sum(|k|) solve_relational reduces. A two-point row takes one
@@ -383,20 +386,23 @@ class _StallSignal(Exception):
 class _Reduction:
     """State of one top-level reduction in :func:`solve_relational`.
 
-    It holds the store, the keys under reduction (the cycle guard) and B.
-    Every bracket a reduction reaches, relation term or rewriting child,
-    keeps the top-level twist multiset, so B is the same for all of them:
+    It holds the store, the keys under reduction (the cycle guard), B, and
+    the relation context and row memo of :func:`_relation_instance`. Every
+    bracket a reduction reaches, relation term or rewriting child, keeps the
+    top-level twist multiset, so B is the same for all of them:
     :func:`b_value_trr` runs on first use, at most once per reduction, and
     not at all when the top-level bracket is a cache hit or relation-3 shape.
     """
 
-    __slots__ = ("cache", "visiting", "_top", "_b")
+    __slots__ = ("cache", "visiting", "_top", "_b", "context", "memo")
 
     def __init__(self, top: DR1Bracket, cache: CacheStore):
         self.cache = cache
         self.visiting: Set[str] = set()
         self._top = top
         self._b: Optional[Fraction] = None
+        self.context = (top.r, tuple(sorted(top.a_row)))
+        self.memo: dict = {}
 
     @property
     def b(self) -> Fraction:
@@ -512,12 +518,10 @@ def _case_all_units(bracket: DR1Bracket, red: _Reduction):
     itself and copies where that entry becomes ``2`` and one ``-1`` becomes
     ``-2``; those children fall into the mixed-magnitude case.
     """
-    pairs = list(bracket.entries)
-    k_row = [kk for kk, _ in pairs]
-    a_row = [aa for _, aa in pairs]
-    anchor = k_row.index(1)
-    order = [anchor] + [i for i in range(len(pairs)) if i != anchor]
-    inst = relation1_instance(bracket.r, [k_row[i] for i in order], [a_row[i] for i in order])
+    pairs = bracket.entries
+    anchor = next(i for i, (kk, _) in enumerate(pairs) if kk == 1)
+    row = (pairs[anchor],) + pairs[:anchor] + pairs[anchor + 1:]
+    inst = _relation_instance("relation1", red.context, row, bracket.status, bracket, red.memo)
     return (yield from _solve_from_instance(inst, bracket, red))
 
 
@@ -530,30 +534,22 @@ def _case_all_large(bracket: DR1Bracket, red: _Reduction):
     expresses the bracket through rows whose smallest magnitude is strictly
     smaller, which is what drives termination.
     """
-    working = list(bracket.entries)
-    min_pos = min(kk for kk, _ in working if kk > 0)
-    min_neg = min(-kk for kk, _ in working if kk < 0)
+    pairs = bracket.entries
+    min_pos = min(kk for kk, _ in pairs if kk > 0)
+    min_neg = min(-kk for kk, _ in pairs if kk < 0)
     if min_pos < min_neg:
-        working = list(_flipped_sorted(bracket))
-    pairs = list(working)
-    k_row = [kk for kk, _ in pairs]
-    a_row = [aa for _, aa in pairs]
+        pairs = _flipped_sorted(bracket)
     # Target child: anchor bumped up, shallowest negative deepened. Undoing
     # that edit recovers the bracket itself from the instance context.
-    anchor = max(range(len(pairs)), key=lambda i: k_row[i])
-    neg_candidates = [i for i, kk in enumerate(k_row) if kk < 0]
-    shallow = min(neg_candidates, key=lambda i: -k_row[i])
-    context_k = list(k_row)
-    context_k[anchor] -= 1
-    context_k[shallow] += 1
-    if context_k[anchor] < 1:
+    anchor = max(range(len(pairs)), key=lambda i: pairs[i][0])
+    shallow = max((i for i, (kk, _) in enumerate(pairs) if kk < 0), key=lambda i: pairs[i][0])
+    row = list(pairs)
+    row[anchor] = (row[anchor][0] - 1, row[anchor][1])
+    row[shallow] = (row[shallow][0] + 1, row[shallow][1])
+    if row[anchor][0] < 1:
         raise _StallSignal(bracket.key)
-    order = [anchor] + [i for i in range(len(pairs)) if i != anchor]
-    inst = relation1_instance(
-        bracket.r,
-        [context_k[i] for i in order],
-        [a_row[i] for i in order],
-    )
+    row.insert(0, row.pop(anchor))
+    inst = _relation_instance("relation1", red.context, tuple(row), bracket.status, None, red.memo)
     return (yield from _solve_from_instance(inst, bracket, red))
 
 
@@ -689,6 +685,7 @@ def _window_solve(bracket: DR1Bracket, cache: CacheStore) -> Optional[Fraction]:
     b = b_value_trr(r, a_ms)
 
     unknown = {br.key: br for br in _canonical_brackets(r, [a_ms], s_max)}
+    memo: dict = {}
 
     equations: List[Tuple[Dict[str, Fraction], Fraction]] = []
     for key, br in unknown.items():
@@ -698,7 +695,7 @@ def _window_solve(bracket: DR1Bracket, cache: CacheStore) -> Optional[Fraction]:
         if s_here + 2 > s_max:
             # Relations anchored here reference rows outside the window.
             continue
-        for _, _, _, inst in anchored_instances(br):
+        for _, _, _, inst in anchored_instances(br, memo):
             equations.append(({t.key: c for t, c in inst.terms.items()}, inst.b_coefficient * b))
     values, _free = solve_exact(list(unknown), equations)
     if bracket.key in values:

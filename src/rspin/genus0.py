@@ -155,10 +155,10 @@ def loop_sum(r: int, m: int, x: Sequence[int], extended: bool = False) -> Fracti
     if any(v > r - 2 for v in xs):
         raise GradingError(f"fixed twists must lie in [0, {r - 2}] for r={r}")
     if m > r - 2:
-        if not extended:
-            raise GradingError(f"m={m} exceeds r-2={r - 2}; pass extended=True for m <= r")
         if m > r:
             raise GradingError(f"m={m} exceeds the extended bound r={r}")
+        if not extended:
+            raise GradingError(f"m={m} exceeds r-2={r - 2}; pass extended=True for m <= r")
         if n < 2:
             raise GradingError("extended range requires at least two fixed twists")
     if sum(xs) != n * r - m - 2:

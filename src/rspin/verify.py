@@ -5,8 +5,9 @@ on both sides with exact arithmetic, and reports mismatches. Nothing is
 sampled and nothing is approximate; a suite passes exactly when its failure
 list is empty.
 
-Default window bounds (r <= 6, n <= 5, sum(|k|) <= 8) keep the full run in
-the seconds-to-minutes range; every bound is a parameter.
+At the default window bounds (r <= 6, n <= 5, sum(|k|) <= 8) the four suites
+take about 0.07 s together on one core of a shared 2-vCPU machine under
+Python 3.11; every bound is a parameter.
 """
 
 from __future__ import annotations
@@ -158,23 +159,25 @@ def check_relations(r_max: int, k_sum_max: int, n_max: int) -> SuiteReport:
     Every canonical bracket in the window anchors relation-1 instances at
     each distinct positive slot (in both orientations) and relation-2
     instances at each distinct zero slot; each instance's residual must be
-    exactly zero. Relation-3 shaped brackets must evaluate to zero.
+    exactly zero. Relation-3 shaped brackets must evaluate to zero. The
+    instances anchored in a bracket share its ``(r, sorted a)`` context, so
+    B is computed once per bracket; one row memo per r serves the window.
     """
     t0 = time.perf_counter()
     cases = 0
     failures: List[Tuple[str, str, str]] = []
     for r in range(2, r_max + 1):
+        memo: dict = {}
         for br in enumerate_brackets(r, n_max, k_sum_max):
             if relation3_check(br):
                 cases += 1
                 got = closed_form(br).value
                 if got != 0:
-                    failures.append(
-                        ("relation3:" + br.key, "0/1", _fmt(got))
-                    )
-            for o_idx, slot, zero, inst in anchored_instances(br):
+                    failures.append(("relation3:" + br.key, "0/1", _fmt(got)))
+            b = b_value(r, br.a_row)
+            for o_idx, slot, zero, inst in anchored_instances(br, memo):
                 cases += 1
-                resid = inst.residual_closed()
+                resid = inst.residual_closed(b)
                 if resid != 0:
                     key = f"{inst.kind}:{br.key}:orient={o_idx}:slot={slot}"
                     if zero is not None:

@@ -51,11 +51,21 @@ def test_loopsum_subcommand(capsys):
 
 
 def test_loopsum_range_error_names_the_cli_flag(capsys):
-    code, _, err = invoke(capsys, "loopsum", "--r", "5", "--m", "9", "--x", "1")
-    assert code == 65
-    assert err == "error: m=9 exceeds r-2=3; pass --extended for m <= r\n"
+    for m in (4, 5):  # m = r - 1 and m = r: --extended would admit them
+        code, _, err = invoke(capsys, "loopsum", "--r", "5", "--m", str(m), "--x", "1")
+        assert code == 65
+        assert err == f"error: m={m} exceeds r-2=3; pass --extended for m <= r\n"
     code, out, _ = invoke(capsys, "loopsum", "--r", "5", "--m", "4", "--x", "2,2", "--extended")
     assert code == 0 and out.strip() == "4/5"
+
+
+def test_loopsum_past_the_extended_bound_gives_no_extended_hint(capsys):
+    # m > r fails with or without --extended, so the error must not suggest it
+    for extra in ((), ("--extended",)):
+        code, _, err = invoke(capsys, "loopsum", "--r", "5", "--m", "9", "--x", "1", *extra)
+        assert code == 65
+        assert err == "error: m=9 exceeds the extended bound r=5\n"
+        assert "--extended" not in err
 
 
 def _cli(*argv):

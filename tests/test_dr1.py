@@ -143,11 +143,30 @@ def test_relation1_fifteen_b_identity_structure():
     assert inst.residual_closed() == 0
 
 
+def test_relation1_term_order_follows_the_formula_on_unsorted_rows():
+    # the row, then each lowered positive, then each deepened negative, even
+    # when a negative entry comes before a positive one in the row given
+    inst = relation1_instance(9, [1, -2, 2, -1], [6, 7, 7, 7])
+    assert list(inst.terms.items()) == [
+        (DR1Bracket(9, [(1, 6), (-2, 7), (2, 7), (-1, 7)]), Fraction(-6)),
+        (DR1Bracket(9, [(2, 6), (-2, 7), (1, 7), (-1, 7)]), Fraction(-1)),
+        (DR1Bracket(9, [(2, 6), (-3, 7), (2, 7), (-1, 7)]), Fraction(3)),
+        (DR1Bracket(9, [(2, 6), (-2, 7), (2, 7), (-2, 7)]), Fraction(2)),
+    ]
+    assert inst.residual_closed() == 0
+
+
 def test_relation1_merges_coinciding_keys():
     # equal twists make the two deepened children the same canonical key
     inst = relation1_instance(8, [1, 1, -1, -1], [6, 6, 6, 6])
     child = DR1Bracket(8, [(2, 6), (1, 6), (-2, 6), (-1, 6)])
     assert inst.terms[child] == 4
+    # lowering the 2 next to the designated 1 on one twist gives the row
+    # back: the anchor term grows by that coefficient, it never cancels
+    inst = relation1_instance(6, [1, 2, -3], [4, 4, 4])
+    row = DR1Bracket(6, [(1, 4), (2, 4), (-3, 4)])
+    assert inst.terms[row] == -(1 + 3 + 1) - (2 - 1)
+    assert inst.residual_closed() == 0
 
 
 def test_relation1_requires_positive_designated():
@@ -194,6 +213,32 @@ def test_relation_residuals_vanish_on_window():
                 if 0 in k_row:
                     inst2 = relation2_instance(r, [k_row[j] for j in order], [a_row[j] for j in order])
                     assert inst2.residual_closed() == 0, (br.key, i)
+
+
+def test_anchored_instances_match_the_public_builders():
+    # the suite's unchecked route and the public, validating one build the
+    # same instance from the same ordered row: equal, and with the same repr,
+    # so the same term order. The suite shares one row memo per r.
+    count = 0
+    for r in range(2, 9):
+        memo = {}
+        for br in enumerate_brackets(r, 5, 10):
+            flipped = tuple(sorted(((-k, a) for k, a in br.entries), key=lambda e: (-e[0], e[1])))
+            for o_idx, slot, zero, inst in anchored_instances(br, memo):
+                pairs = (br.entries, flipped)[o_idx]
+                first = [slot] if zero is None else [slot, zero]
+                row = [pairs[j] for j in first] + [p for j, p in enumerate(pairs) if j not in first]
+                k_row, a_row = [k for k, _ in row], [a for _, a in row]
+                if zero is None:
+                    public = relation1_instance(r, k_row, a_row)
+                else:
+                    public = relation2_instance(r, k_row, a_row)
+                assert inst == public and repr(inst) == repr(public), (br.key, o_idx, slot, zero)
+                # the anchor term never cancels: the terms with the row's own
+                # sum |k| (the row, its lowered positives) are all negative
+                assert inst.terms[br] < 0
+                count += 1
+    assert count == 11661
 
 
 SOLVE_GOLDENS = [
@@ -469,10 +514,11 @@ def test_status_of_public_constructor_and_of_inherited_rows(row):
     br = DR1Bracket(r, pairs)
     _check_born_status(br)
     _check_zero_answers(br)
-    # relation terms are rebuilt from the bracket's own pairs: same multiset
+    # relation terms are rebuilt from the bracket's own pairs: same multiset;
+    # the term of the unedited row is the bracket itself, not a rebuilt copy
     with _recording_canonical() as made:
         for _, _, _, inst in anchored_instances(br):
-            assert set(inst.terms) <= set(made)
+            assert all(term is br or term in made for term in inst.terms)
     assert made
     for term in made:
         assert term.status == br.status

@@ -6,6 +6,9 @@ import json
 
 import pytest
 
+import rspin.dr1
+from rspin.core import DR1Bracket, EvalResult
+from rspin.dr1 import anchored_instances, enumerate_brackets
 from rspin.verify import (
     SuiteReport,
     check_axioms,
@@ -50,6 +53,50 @@ def test_relations_suite_passes():
     report = check_relations(5, 6, 4)
     assert report.passed
     assert report.cases > 100
+
+
+def test_relations_suite_sees_a_skewed_coefficient(monkeypatch):
+    # one coefficient off by one on every instance over a nonzero bracket:
+    # each of those instances must fail, and no other
+    ok_instances = sum(
+        1
+        for r in range(2, 7)
+        for br in enumerate_brackets(r, 5, 8)
+        if br.status == "ok"
+        for _ in anchored_instances(br)
+    )
+    real = rspin.dr1._relation_instance
+
+    def skewed(kind, context, pairs, status, anchor, memo):
+        inst = real(kind, context, pairs, status, anchor, memo)
+        if status == "ok":
+            # the last term has sum |k| two above the row, so a nonzero value
+            inst.terms[list(inst.terms)[-1]] += 1
+        return inst
+
+    monkeypatch.setattr(rspin.dr1, "_relation_instance", skewed)
+    report = check_relations(6, 8, 5)
+    assert report.cases == 1348
+    assert ok_instances > 0 and len(report.failures) == ok_instances
+
+
+def test_relations_suite_sees_a_wrong_closed_form(monkeypatch):
+    # one nonzero bracket off by one in the closed form: the instances that
+    # hold it as a term fail, all of them over its twist multiset
+    target = DR1Bracket(6, [(2, 4), (-1, 4), (-1, 4)])
+    assert target.status == "ok"
+    real = rspin.dr1.closed_form
+
+    def wrong(bracket):
+        result = real(bracket)
+        if bracket == target:
+            return EvalResult(result.value + 1, result.status, result.trace)
+        return result
+
+    monkeypatch.setattr(rspin.dr1, "closed_form", wrong)
+    report = check_relations(6, 8, 5)
+    assert report.cases == 1348 and report.failures
+    assert all(":r=6:" in key and ":a=4,4,4:" in key for key, _, _ in report.failures)
 
 
 def test_oracle_suite_passes():
