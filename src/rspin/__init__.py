@@ -7,8 +7,8 @@ through window sums against a closed product formula. Genus-1
 double-ramification brackets come from a closed form and from a system of
 linear relations; the relational route takes B from the same product as
 the closed form, so comparing the two checks the factor
-``sum(k_i^2)/2 - 1``. The :mod:`rspin.verify` suites run these checks over
-finite windows.
+``sum(k_i^2)/2 - 1``, while B itself is checked against a genus-0 window
+sum. The :mod:`rspin.verify` suites run these checks over finite windows.
 """
 
 from .core import (
@@ -27,8 +27,6 @@ from .core import (
     genus_of,
     parse_key,
     parse_rational,
-    spin_divisibility,
-    vanishing_by_axiom,
 )
 from .dr1 import (
     RelationInstance,
@@ -45,7 +43,6 @@ from .genus0 import (
     bracket_window_sum,
     four_point,
     loop_sum,
-    node_label,
     solve_bracket,
     three_point,
     wdvv_equations,
@@ -75,14 +72,11 @@ __all__ = [
     "genus_of",
     "genus0_selection",
     "dr1_selection",
-    "spin_divisibility",
-    "vanishing_by_axiom",
     "format_rational",
     "parse_rational",
     "parse_key",
     "three_point",
     "four_point",
-    "node_label",
     "loop_sum",
     "wdvv_equations",
     "solve_bracket",

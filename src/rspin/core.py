@@ -43,8 +43,6 @@ __all__ = [
     "genus0_selection",
     "dr1_selection",
     "dr1_status",
-    "spin_divisibility",
-    "vanishing_by_axiom",
     "format_rational",
     "parse_rational",
     "parse_key",
@@ -224,22 +222,6 @@ def _dr1_status(r: int, a: Sequence[int]) -> str:
     if sum(a) != (len(a) - 1) * r:
         return STATUS_DIMENSION_ZERO
     return STATUS_VANISHING_ZERO if r - 1 in a else STATUS_OK
-
-
-def spin_divisibility(r: int, g: int, a: Sequence[int]) -> bool:
-    """True iff ``r`` divides ``2g - 2 - sum(a)``, the spin-structure constraint."""
-    _check_r(r)
-    if not isinstance(g, int) or isinstance(g, bool) or g < 0:
-        raise GradingError(f"genus {g!r} must be a non-negative integer")
-    a = _check_twists(r, a)
-    return (2 * g - 2 - sum(a)) % r == 0
-
-
-def vanishing_by_axiom(r: int, a: Sequence[int]) -> bool:
-    """True iff some twist equals ``r - 1``, which kills the integrand class."""
-    _check_r(r)
-    a = _check_twists(r, a)
-    return any(x == r - 1 for x in a)
 
 
 class Genus0Bracket(_Frozen):
@@ -450,10 +432,6 @@ class DR1Bracket(_Frozen):
     @property
     def n_plus(self) -> int:
         return sum(1 for k, _ in self.entries if k > 0)
-
-    @property
-    def n_zero(self) -> int:
-        return sum(1 for k, _ in self.entries if k == 0)
 
     @property
     def n_minus(self) -> int:

@@ -8,35 +8,47 @@ The one-point quantity
 shows up as the inhomogeneous term of every relation, and the full bracket
 has the closed form ``(sum(k_i^2)/2 - 1) * B``.
 
-:func:`solve_relational` recomputes bracket values without ever touching
-that closed form. Its base cases are the sign pattern ``(+1, -1, 0, ..)``
-(which forces the value zero) and ``B`` obtained through
-:func:`b_value_trr`. That is the genus-0 window sum in the closed form of
-:func:`rspin.genus0.loop_sum`, which multiplies out to the same product as
-:func:`b_value`, so ``B`` is not yet checked independently of the product
-formula: the relational route checks the factor ``sum(k_i^2)/2 - 1`` of
-the closed form, not ``B`` itself. Everything else reduces through three
-rewriting moves extracted from the linear relations below; each move
-strictly shrinks either the number of nonzero ``k`` entries or the
-smallest nonzero magnitude, so the reduction terminates. The moves are
-generators driven from an explicit stack, so the depth of a reduction
-(one step per unit of ``k`` on a two-point row) costs no Python
-recursion; rows with ``sum(|k|)`` above :data:`RELATIONAL_K_SUM_MAX` are
-refused before reducing. A cycle guard plus a bounded-window linear solve
-(:func:`RelationInstance` rows fed to exact elimination) backs up the
-rewriting in case a reduction ever fails to make progress.
+Why B is a genus-0 window sum: on Mbar_{1,n}, genus-1 topological
+recursion gives ``psi_i = delta_irr/12 + sum_{S containing i} delta_0^S``.
+Each ``delta_0^S`` stratum carries a genus-1 component with only primary
+insertions, whose selection rule ``sum(b) = m * r`` fails for twists up to
+``r - 2`` (and a twist ``r - 1`` kills the class), so Witten's class meets
+only the ``delta_irr`` part of ``DR_1(k)``. Its coefficient is
+``(sum(k_i^2)/2 - 1)/12`` (Pixton's formula at g = 1,
+Janda-Pandharipande-Pixton-Zvonkine arXiv:1602.04705; Hain
+arXiv:1102.4031), and Witten's class on ``delta_irr`` gives
+``(1/2) sum_{a+b=r-2} <a, b, x>_0``; hence ``24 * B`` is that genus-0
+window sum. :func:`b_value_trr` computes B that way, from genus 0 alone.
+
+:func:`solve_relational` recomputes bracket values without the closed
+form. Its base cases are the pattern ``(+1, -1, 0, ..)`` (value zero) and
+B from the product formula, so it checks what the relations prove: the
+factor ``sum(k_i^2)/2 - 1``. Other rows reduce by three rewriting moves
+taken from the linear relations below. Measure a row by N, its number of
+nonzero ``k`` entries, and m, its smallest nonzero magnitude. A case-1
+step (a unit beside a larger entry) trades a ``-1`` for a zero: N drops.
+A case-3 step (every magnitude at least 2) reads rows with the same N and
+a smaller m. A case-2 step (every nonzero entry ``+-1``) keeps N and m,
+but its children are case-1 rows, whose children have N - 1. So every
+reduction ends at the ``(+1, -1)`` base case. A key revisited during its
+own reduction, or a row no move applies to, would break that argument and
+raises :class:`rspin.core.ReductionStalledError` naming the key. The moves
+are generators driven from an explicit stack, so a deep reduction (one
+step per unit of ``k`` on a two-point row) costs no Python recursion;
+rows with ``sum(|k|)`` above :data:`RELATIONAL_K_SUM_MAX` are refused
+before reducing.
 
 Whether a bracket can be nonzero at all depends on its twist multiset
 only, and every move above keeps that multiset. So each
 :class:`rspin.core.DR1Bracket` is born with its grading status, and
 :func:`closed_form` and :func:`solve_relational` answer a zero bracket
 with one attribute read and a shared result. The status is derived where
-the twists are already checked: :func:`enumerate_brackets` and the
-window solve check the range of each twist multiset once
-(:func:`rspin.core.dr1_status`) and hand its status to every row over it,
-since a window holds thousands of rows per multiset; relation terms and
-rewriting children take the status of the row they are rebuilt from. For
-the same reason B is computed once per top-level reduction.
+the twists are already checked: :func:`enumerate_brackets` checks the
+range of each twist multiset once (:func:`rspin.core.dr1_status`) and
+hands its status to every row over it, since a window holds thousands of
+rows per multiset; relation terms and rewriting children take the status
+of the row they are rebuilt from. For the same reason B is computed once
+per top-level reduction.
 
 Windows come out in key order with no key string built and no bracket
 sorted. With ``r`` fixed, ``dr1:r=R:k=K:a=A`` orders as ``(K + ":", A)``.
@@ -54,7 +66,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import groupby
 from math import factorial
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .core import (
     STATUS_DIMENSION_ZERO,
@@ -74,8 +86,7 @@ from .core import (
     dr1_selection,
     dr1_status,
 )
-from .elimination import solve_exact
-from .genus0 import loop_sum
+from .genus0 import bracket_window_sum
 from .store import CacheStore
 
 __all__ = [
@@ -121,30 +132,20 @@ def _b_product(r: int, a: Sequence[int]) -> Fraction:
 
 
 def b_value_trr(r: int, a: Sequence[int]) -> Fraction:
-    """B(r, a) through the closed form of the genus-0 window sum.
+    """B(r, a) as the genus-0 window sum ``sum_{b+c=r-2} <b, c, a>_0`` over 24.
 
-    The genus-1 one-point class restricts to a sum of genus-0 brackets over
-    a window of boundary twists; :func:`rspin.genus0.loop_sum` evaluates
-    that window in closed form at ``m = r - 2``, and dividing by 24 gives B.
-    That closed form is the same product ``((n-1)!/r^(n-1)) * prod(r-1-a_i)``
-    as :func:`b_value`, so comparing the two checks only the window
-    bookkeeping, not the product formula. An independent route would sum
-    the genus-0 brackets themselves (:func:`rspin.genus0.bracket_window_sum`).
+    Each bracket comes from :func:`rspin.genus0.solve_bracket`, so this route
+    never reads the product formula of :func:`b_value` (the module docstring
+    says why the two agree). Rows violating the selection rule give 0.
     """
     _check_r(r)
     a = tuple(a)
     _check_twists(r, a)
-    n = len(a)
-    if n < 1:
+    if not a:
         raise GradingError("b_value_trr needs at least one twist")
     if not dr1_selection(r, a):
         return Fraction(0)
-    if any(ai == r - 1 for ai in a):
-        # Every bracket in the window carries the twist r - 1 and vanishes.
-        # loop_sum cannot represent that window (its x entries stop at
-        # r - 2), so short-circuit rather than call it out of range.
-        return Fraction(0)
-    return loop_sum(r, r - 2, a) / 24
+    return bracket_window_sum(r, r - 2, a) / 24
 
 
 # The answer of both evaluators for a bracket whose status is not "ok";
@@ -379,36 +380,24 @@ def anchored_instances(bracket: DR1Bracket, memo: Optional[dict] = None):
 RELATIONAL_K_SUM_MAX = 1000
 
 
-class _StallSignal(Exception):
-    """Internal marker: rewriting revisited a key and must fall back."""
-
-
 class _Reduction:
     """State of one top-level reduction in :func:`solve_relational`.
 
     It holds the store, the keys under reduction (the cycle guard), B, and
     the relation context and row memo of :func:`_relation_instance`. Every
     bracket a reduction reaches, relation term or rewriting child, keeps the
-    top-level twist multiset, so B is the same for all of them:
-    :func:`b_value_trr` runs on first use, at most once per reduction, and
-    not at all when the top-level bracket is a cache hit or relation-3 shape.
+    top-level twist multiset, so one B, from the product formula, serves
+    them all.
     """
 
-    __slots__ = ("cache", "visiting", "_top", "_b", "context", "memo")
+    __slots__ = ("cache", "visiting", "b", "context", "memo")
 
     def __init__(self, top: DR1Bracket, cache: CacheStore):
         self.cache = cache
         self.visiting: Set[str] = set()
-        self._top = top
-        self._b: Optional[Fraction] = None
+        self.b = _b_product(top.r, top.a_row)
         self.context = (top.r, tuple(sorted(top.a_row)))
         self.memo: dict = {}
-
-    @property
-    def b(self) -> Fraction:
-        if self._b is None:
-            self._b = b_value_trr(self._top.r, self._top.a_row)
-        return self._b
 
 
 def _solve_from_instance(inst: RelationInstance, target: DR1Bracket, red: _Reduction):
@@ -420,7 +409,7 @@ def _solve_from_instance(inst: RelationInstance, target: DR1Bracket, red: _Reduc
     terms = dict(inst.terms)
     target_coeff = terms.pop(target, Fraction(0))
     if target_coeff == 0:
-        raise _StallSignal(target.key)
+        raise ReductionStalledError(f"reduction-stalled: {target.key} is not a term of its relation")
     rhs = inst.b_coefficient * red.b
     for bracket, coeff in terms.items():
         rhs -= coeff * (yield bracket)
@@ -461,7 +450,7 @@ def _relational_value(bracket: DR1Bracket, key: str, red: _Reduction) -> Tuple[F
                 value = Fraction(0)
                 cache.put(key, value)
             elif key in visiting:
-                raise _StallSignal(key)
+                raise ReductionStalledError(f"reduction-stalled: {key} revisited during its own reduction")
             else:
                 visiting.add(key)
                 stack.append((key, _reduce_once(child, red)[1]))
@@ -500,7 +489,7 @@ def _case_unit_present(bracket: DR1Bracket, red: _Reduction):
         if not qualifies(working):
             # Mixed-magnitude rows always admit one orientation or the
             # other; reaching here means the classification is off.
-            raise _StallSignal(bracket.key)
+            raise ReductionStalledError(f"reduction-stalled: {bracket.key} has no case-1 move")
     pairs = list(working)
     pos_idx = max(range(len(pairs)), key=lambda i: pairs[i][0])
     neg_idx = next(i for i, (kk, _) in enumerate(pairs) if kk == -1)
@@ -547,7 +536,7 @@ def _case_all_large(bracket: DR1Bracket, red: _Reduction):
     row[anchor] = (row[anchor][0] - 1, row[anchor][1])
     row[shallow] = (row[shallow][0] + 1, row[shallow][1])
     if row[anchor][0] < 1:
-        raise _StallSignal(bracket.key)
+        raise ReductionStalledError(f"reduction-stalled: {bracket.key} has no case-3 move")
     row.insert(0, row.pop(anchor))
     inst = _relation_instance("relation1", red.context, tuple(row), bracket.status, None, red.memo)
     return (yield from _solve_from_instance(inst, bracket, red))
@@ -669,59 +658,21 @@ def enumerate_brackets(r: int, n_max: int, k_sum_max: int) -> List[DR1Bracket]:
     return list(_canonical_brackets(r, multisets, k_sum_max))
 
 
-def _window_solve(bracket: DR1Bracket, cache: CacheStore) -> Optional[Fraction]:
-    """Assemble every relation over a bounded key window and eliminate.
-
-    The window fixes (r, n, twist multiset) and caps ``sum(|k|)`` a little
-    above the target's, generates relation-1 rows for each admissible anchor,
-    relation-2 rows for each zero slot, and the relation-3 vanishing rows,
-    then solves the whole linear system exactly. Returns None when the target
-    stays undetermined.
-    """
-    r = bracket.r
-    a_ms = tuple(sorted(bracket.a_row))
-    s_target = sum(abs(kk) for kk in bracket.k_row)
-    s_max = s_target + 4
-    b = b_value_trr(r, a_ms)
-
-    unknown = {br.key: br for br in _canonical_brackets(r, [a_ms], s_max)}
-    memo: dict = {}
-
-    equations: List[Tuple[Dict[str, Fraction], Fraction]] = []
-    for key, br in unknown.items():
-        if relation3_check(br):
-            equations.append(({key: Fraction(1)}, Fraction(0)))
-        s_here = sum(abs(kk) for kk in br.k_row)
-        if s_here + 2 > s_max:
-            # Relations anchored here reference rows outside the window.
-            continue
-        for _, _, _, inst in anchored_instances(br, memo):
-            equations.append(({t.key: c for t, c in inst.terms.items()}, inst.b_coefficient * b))
-    values, _free = solve_exact(list(unknown), equations)
-    if bracket.key in values:
-        for key, val in values.items():
-            if cache.get(key) is None:
-                cache.put(key, val)
-        return values[bracket.key]
-    return None
-
-
 def solve_relational(bracket: DR1Bracket, cache: Optional[CacheStore] = None) -> EvalResult:
     """Evaluate a bracket purely through the linear relations.
 
     A bracket whose status is not ``"ok"`` gets the same shared zero result
     as from :func:`closed_form`. Otherwise the value is computed without
     reference to :func:`closed_form`: base cases are the relation-3
-    vanishing pattern and ``B`` via :func:`b_value_trr` (once per call, as
+    vanishing pattern and B from the product formula (once per call, as
     every bracket reached shares the twist multiset), and composite
-    brackets reduce by the three rewriting moves. If rewriting ever
-    revisits a key or fails to anchor, a bounded-window elimination over
-    all relation instances takes over; if that also leaves the value
-    undetermined a :class:`rspin.core.ReductionStalledError` is raised. A
-    bracket that is neither stored nor a relation-3 zero and whose
-    ``sum(|k|)`` exceeds :data:`RELATIONAL_K_SUM_MAX` raises that error
-    before any reduction. With ``cache`` None the call uses a fresh store,
-    so nothing outlives it.
+    brackets reduce by the three rewriting moves, which terminate (see the
+    module docstring). A rewriting move that revisits a key or finds no
+    anchor raises :class:`rspin.core.ReductionStalledError` naming the key;
+    so does a bracket that is neither stored nor a relation-3 zero and
+    whose ``sum(|k|)`` exceeds :data:`RELATIONAL_K_SUM_MAX`, before any
+    reduction. With ``cache`` None the call uses a fresh store, so nothing
+    outlives it.
     """
     if bracket.status != STATUS_OK:
         return _ZERO_RESULTS[bracket.status]
@@ -740,14 +691,5 @@ def solve_relational(bracket: DR1Bracket, cache: Optional[CacheStore] = None) ->
             f"{key} has sum |k| = {k_sum}, above {RELATIONAL_K_SUM_MAX}, "
             "the most the relational route reduces"
         )
-    try:
-        value, rule = _relational_value(bracket, key, _Reduction(bracket, cache))
-        return EvalResult(value, STATUS_OK, (rule,))
-    except _StallSignal:
-        fallback = _window_solve(bracket, cache)
-        if fallback is None:
-            raise ReductionStalledError(
-                f"reduction-stalled: {bracket.key} not determined by rewriting "
-                "or by window elimination"
-            )
-        return EvalResult(fallback, STATUS_OK, ("window-elimination",))
+    value, rule = _relational_value(bracket, key, _Reduction(bracket, cache))
+    return EvalResult(value, STATUS_OK, (rule,))

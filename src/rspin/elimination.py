@@ -1,46 +1,43 @@
-"""Exact sparse elimination over rationals, to reduced row echelon form.
+"""Exact sparse elimination over integer rows, to reduced row echelon form.
 
-The two bracket solvers reduce to the same linear-algebra question: given
-equations ``sum coeff_j * U_j = constant`` over a fixed, ordered list of
-unknowns, which unknowns are forced to a unique value? Their rows are short
-(an associativity row touches a handful of the unknowns), so each row is
-kept sparse, keyed by column index, and elimination is incremental: every
-incoming row is reduced against the pivot rows kept so far, an inconsistent
-row (``0 = c`` with ``c != 0``) raises at once, and a row that survives
-becomes a pivot row on its leftmost column, which is then cleared from the
-earlier pivot rows. The pivot rows always form the reduced row echelon form
-of the rows seen so far, each row scaled by a nonzero factor, and that form
-is unique, so the result does not depend on the row order and matches dense
-Gauss-Jordan with the columns in the caller's order (the callers pass
-canonical key order).
+The genus-0 solver asks one linear-algebra question: given equations
+``sum coeff_j * U_j = constant`` with integer coefficients over a fixed,
+ordered list of unknowns, which unknowns are forced to a unique rational
+value? Its rows are short (an associativity row touches a handful of the
+unknowns), so each row is kept sparse, keyed by column index, and
+elimination is incremental: every incoming row is reduced against the
+pivot rows kept so far, an inconsistent row (``0 = c`` with ``c != 0``)
+raises at once, and a row that survives becomes a pivot row on its
+leftmost column, which is then cleared from the earlier pivot rows. The
+pivot rows always form the reduced row echelon form of the rows seen so
+far, each row scaled by a nonzero factor, and that form is unique, so the
+result does not depend on the row order and matches dense Gauss-Jordan
+with the columns in the caller's order (the caller passes canonical key
+order).
 
-Elimination is fraction-free. Entries may be ``int`` or ``Fraction``; a row
-holding a ``Fraction`` is cleared of denominators on arrival, and from then
-on every row is a primitive integer row: integer entries with greatest
-common divisor 1 and a positive leading coefficient. Clearing column ``j``
-of a row with entry ``b`` against a pivot row with lead ``a`` replaces the
-row by ``a * row - b * pivot`` (both factors first divided by
-``gcd(a, b)``). A new pivot row, and each earlier pivot row it clears, is
-then made primitive again. Each pivot row is
-therefore the reduced row of the echelon form times its lead, and the only
-``Fraction`` built is ``constant / lead`` for each determined unknown at the
-end.
+Elimination is fraction-free. Entries are ``int``, and every kept row is a
+primitive integer row: integer entries with greatest common divisor 1 and
+a positive leading coefficient. Clearing column ``j`` of a row with entry
+``b`` against a pivot row with lead ``a`` replaces the row by
+``a * row - b * pivot`` (both factors first divided by ``gcd(a, b)``). A
+new pivot row, and each earlier pivot row it clears, is then made
+primitive again. Each pivot row is therefore the reduced row of the
+echelon form times its lead, and the only ``Fraction`` built is
+``constant / lead`` for each determined unknown at the end.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
-from typing import Dict, Hashable, List, Mapping, Sequence, Tuple, Union
-
-Number = Union[int, Fraction]
+from math import gcd
+from typing import Dict, Hashable, List, Mapping, Sequence, Tuple
 
 __all__ = ["solve_exact"]
 
 
 def solve_exact(
     unknowns: Sequence[Hashable],
-    equations: Sequence[Tuple[Mapping[Hashable, Number], Number]],
+    equations: Sequence[Tuple[Mapping[Hashable, int], int]],
 ) -> Tuple[Dict[Hashable, Fraction], List[Hashable]]:
     """Solve ``coeffs . U = constant`` rows for the determined unknowns.
 
@@ -49,8 +46,9 @@ def solve_exact(
     unknowns:
         Ordered unknown identifiers; this order fixes the pivot order.
     equations:
-        Rows ``(coeffs, constant)`` where ``coeffs`` maps unknowns to exact
-        ``int`` or ``Fraction`` coefficients (missing entries are 0).
+        Rows ``(coeffs, constant)`` where ``coeffs`` maps unknowns to
+        ``int`` coefficients (missing entries are 0) and ``constant`` is an
+        ``int``.
 
     Returns
     -------
@@ -67,13 +65,15 @@ def solve_exact(
         If a row names an unknown outside ``unknowns``, or if the rows are
         mutually inconsistent (some combination reduces to ``0 = c`` with
         ``c != 0``).
+    TypeError
+        If a nonzero coefficient is not an ``int`` (``math.gcd`` refuses it).
     """
     cols = {u: j for j, u in enumerate(unknowns)}
     width = len(unknowns)
     # Pivot column -> its primitive row; the constant sits in column ``width``.
     pivots: Dict[int, Dict[int, int]] = {}
     for coeffs, const in equations:
-        row: Dict[int, Number] = {}
+        row: Dict[int, int] = {}
         for u, c in coeffs.items():
             if u not in cols:
                 raise ValueError(f"equation references undeclared unknown {u!r}")
@@ -81,9 +81,6 @@ def solve_exact(
                 row[cols[u]] = c
         if const:
             row[width] = const
-        if not all(type(c) is int for c in row.values()):
-            den = lcm(*(c.denominator for c in row.values()))
-            row = {k: int(c * den) for k, c in row.items()}
         for j in [j for j in row if j in pivots]:
             _clear(row, j, pivots[j])
         lead = min(row, default=width)

@@ -63,7 +63,6 @@ from .store import CacheStore
 __all__ = [
     "three_point",
     "four_point",
-    "node_label",
     "loop_sum",
     "WdvvSystem",
     "wdvv_equations",
@@ -108,19 +107,6 @@ def four_point(r: int, a1: int, a2: int, a3: int, a4: int) -> EvalResult:
         return EvalResult(Fraction(0), STATUS_VANISHING_ZERO, ("vanishing-axiom",))
     m = min(min(a), min(r - 1 - x for x in a))
     return EvalResult(Fraction(m, r), STATUS_OK, ("four-point",))
-
-
-def node_label(r: int, a_subset: Sequence[int]) -> int:
-    """Twist forced at a separating node by the twists on one side.
-
-    The two node branches carry twists ``a'`` and ``a'' = r - 2 - a'``, and
-    the side holding ``a_subset`` determines ``a'`` by the residue condition
-    ``a' = -2 - sum(a_subset) (mod r)``. Always exists and is unique in
-    ``[0, r-1]``.
-    """
-    _check_r(r)
-    a = _check_twists(r, a_subset)
-    return (-2 - sum(a)) % r
 
 
 def loop_sum(r: int, m: int, x: Sequence[int], extended: bool = False) -> Fraction:

@@ -221,8 +221,9 @@ def check_axioms(r_max: int, n_max: int) -> SuiteReport:
       and at exactly 4 points the min formula agrees with that rule;
     - genus_of reports 0 on genus-0 twist rows and 1 on one-point-plus-
       spectators genus-1 rows;
-    - b_value and b_value_trr agree, and both closed_form and
-      solve_relational vanish on genus-1 rows carrying a twist r - 1.
+    - b_value (product formula) equals b_value_trr (genus-0 window sum),
+      and both closed_form and solve_relational vanish on genus-1 rows
+      carrying a twist r - 1.
     """
     t0 = time.perf_counter()
     cases = 0

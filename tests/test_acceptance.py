@@ -97,7 +97,7 @@ def test_criterion_2_window_sum_formula():
     _finish(2, ok, time.perf_counter() - t0, 300.0, detail)
 
 
-def test_criterion_3_trr_equals_product_formula():
+def test_criterion_3_genus0_window_sum_b_equals_product_formula():
     t0 = time.perf_counter()
     cases = 0
     ok = True
@@ -112,7 +112,7 @@ def test_criterion_3_trr_equals_product_formula():
                     ok = False
     ok = ok and all(b_value(r, (0,)) == Fraction(r - 1, 24) for r in range(2, 11))
     _finish(3, ok, time.perf_counter() - t0, 60.0,
-            f"{cases} twist rows, product formula = window-sum route; (r-1)/24 at n=1")
+            f"{cases} twist rows, product formula = genus-0 window sum / 24; (r-1)/24 at n=1")
 
 
 def test_criterion_4_closed_form_goldens():

@@ -23,8 +23,6 @@ from rspin.core import (
     is_canonical_key,
     parse_key,
     parse_rational,
-    spin_divisibility,
-    vanishing_by_axiom,
 )
 
 
@@ -48,13 +46,6 @@ def test_selection_rules():
     assert not genus0_selection(5, (1, 3, 3))
     assert dr1_selection(4, (2, 2))
     assert not dr1_selection(4, (2, 1))
-    assert spin_divisibility(4, 0, (2, 2, 2))   # 2g-2-sum = -8
-    assert not spin_divisibility(4, 0, (2, 2, 1))
-
-
-def test_vanishing_by_axiom():
-    assert vanishing_by_axiom(4, (3, 1, 1))
-    assert not vanishing_by_axiom(4, (2, 1, 1))
 
 
 def test_genus0_bracket_sorts_and_keys():

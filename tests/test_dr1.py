@@ -18,7 +18,9 @@ from hypothesis import given, settings, strategies as st
 
 import rspin.core
 import rspin.dr1
+import rspin.genus0
 import rspin.store
+from rspin.cli import run
 from rspin.core import (
     DR1Bracket,
     EvalResult,
@@ -28,11 +30,9 @@ from rspin.core import (
     ascending_multisets,
     dr1_selection,
     parse_key,
-    vanishing_by_axiom,
 )
 from rspin.dr1 import (
     RELATIONAL_K_SUM_MAX,
-    _window_solve,
     anchored_instances,
     b_value,
     b_value_trr,
@@ -44,7 +44,7 @@ from rspin.dr1 import (
     solve_relational,
 )
 from rspin.store import CacheStore
-from rspin.verify import check_oracle_equivalence, check_relations
+from rspin.verify import check_axioms, check_oracle_equivalence, check_relations
 
 
 def test_b_value_goldens():
@@ -65,15 +65,44 @@ def test_b_value_rejects_bad_twists():
         b_value(4, ())
 
 
-def test_b_value_trr_matches_product_formula():
+def test_genus0_window_sum_b_matches_product_formula():
+    # b_value_trr sums genus-0 brackets over the window a + b = r - 2
     for r in range(2, 11):
         for n in range(1, 5):
             total = (n - 1) * r
             if total > n * (r - 1):
                 continue
-            from rspin.core import ascending_multisets
             for a in ascending_multisets(0, r - 1, n, total):
                 assert b_value_trr(r, a) == b_value(r, a), (r, a)
+
+
+def test_genus0_window_sum_b_is_independent_of_the_product(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the genus-0 B route read a product formula")
+
+    # both product formulas, under every module name they are bound to
+    for module in (rspin.dr1, rspin.genus0):
+        for name in ("_b_product", "loop_sum"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    for r in range(2, 11):
+        assert b_value_trr(r, (0,)) == Fraction(r - 1, 24)
+    assert b_value_trr(4, (2, 2)) == Fraction(1, 96)
+    assert b_value_trr(4, (2, 1)) == 0  # selection fails
+    assert b_value_trr(4, (3, 1)) == 0  # twist r - 1
+
+
+def test_axiom_suite_catches_a_wrong_product_formula(monkeypatch):
+    real = rspin.dr1._b_product
+
+    def doubled_at_three(r, a):
+        value = real(r, a)
+        return 2 * value if len(a) == 3 else value
+
+    assert check_axioms(6, 5).passed
+    monkeypatch.setattr(rspin.dr1, "_b_product", doubled_at_three)
+    keys = [key for key, _, _ in check_axioms(6, 5).failures]
+    assert keys and all(key.startswith("b:r=") and key.count(",") == 2 for key in keys)
 
 
 def test_closed_form_goldens():
@@ -293,19 +322,6 @@ def test_solve_relational_memoizes():
     assert second.trace == ("cache",)
 
 
-def test_window_solve_is_an_independent_route():
-    # the bounded-window eliminator alone reproduces closed-form values
-    for r, pairs in [
-        (6, [(2, 2), (-2, 4)]),
-        (8, [(2, 6), (1, 6), (-2, 6), (-1, 6)]),
-        (6, [(1, 4), (1, 4), (-2, 4)]),
-        (5, [(2, 3), (0, 2), (-2, 3), (0, 2)]),
-    ]:
-        br = DR1Bracket(r, pairs)
-        got = _window_solve(br, CacheStore())
-        assert got == closed_form(br).value, br.key
-
-
 def test_enumerate_brackets_window_properties():
     brs = enumerate_brackets(5, 4, 6)
     keys = [br.key for br in brs]
@@ -434,7 +450,7 @@ def _reference_status(r, a_row):
     """The status the evaluators reported before brackets carried one."""
     if not dr1_selection(r, a_row):
         return "dimension-mismatch-zero"
-    if vanishing_by_axiom(r, a_row):
+    if r - 1 in a_row:
         return "vanishing-axiom-zero"
     return "ok"
 
@@ -556,9 +572,10 @@ def test_status_windows_reach_every_status():
 
 
 def test_b_value_trr_runs_once_per_reduced_bracket(monkeypatch):
+    # the solver's B is the product formula, computed once per reduction
     calls = []
     reductions = []
-    real_b, real_reduce = rspin.dr1.b_value_trr, rspin.dr1._reduce_once
+    real_b, real_reduce = rspin.dr1._b_product, rspin.dr1._reduce_once
 
     def counted_b(r, a):
         calls.append((r, tuple(sorted(a))))
@@ -568,7 +585,7 @@ def test_b_value_trr_runs_once_per_reduced_bracket(monkeypatch):
         reductions.append(bracket)
         return real_reduce(bracket, red)
 
-    monkeypatch.setattr(rspin.dr1, "b_value_trr", counted_b)
+    monkeypatch.setattr(rspin.dr1, "_b_product", counted_b)
     monkeypatch.setattr(rspin.dr1, "_reduce_once", counted_reduce)
     cache = CacheStore()
     rules = {}
@@ -602,6 +619,32 @@ def test_deep_reduction_runs_without_python_recursion():
     at_limit = RELATIONAL_K_SUM_MAX // 2
     wide = DR1Bracket(4, [(at_limit, 2), (-at_limit, 2)])
     assert solve_relational(wide).value == closed_form(wide).value
+
+
+def _stuck_case_all_large(monkeypatch):
+    """Make every case-3 step ask for its own bracket, a reduction that cannot end."""
+
+    def stuck(bracket, red):
+        return (yield bracket)
+
+    monkeypatch.setattr(rspin.dr1, "_case_all_large", stuck)
+
+
+def test_a_stalled_reduction_raises_naming_the_key(monkeypatch):
+    _stuck_case_all_large(monkeypatch)
+    br = DR1Bracket(8, [(4, 2), (-4, 6)])
+    with pytest.raises(ReductionStalledError, match=f"^reduction-stalled: {br.key} revisited"):
+        solve_relational(br, CacheStore())
+
+
+def test_a_stalled_reduction_ends_the_cli_with_one_line(monkeypatch, capsys):
+    _stuck_case_all_large(monkeypatch)
+    code = run(["dr1", "--r", "8", "--k", "4,-4", "--a", "2,6", "--method", "relations"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "dr1:r=8:k=4,-4:a=2,6 revisited" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_rows_past_the_k_sum_limit_are_refused():

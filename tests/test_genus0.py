@@ -23,7 +23,6 @@ from rspin.genus0 import (
     bracket_window_sum,
     four_point,
     loop_sum,
-    node_label,
     solve_bracket,
     three_point,
     wdvv_equations,
@@ -66,12 +65,6 @@ def test_four_point_zero_entry_agrees_with_zero_rule():
     res = four_point(4, 0, 2, 2, 2)
     assert res.value == 0
     assert res.status == "ok"
-
-
-def test_node_label_examples():
-    assert node_label(4, (1, 1)) == 0
-    assert node_label(4, (2, 2, 2)) == 0
-    assert node_label(5, (1, 3)) == 4
 
 
 def test_loop_sum_goldens():
