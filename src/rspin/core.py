@@ -103,11 +103,11 @@ def _check_twists(r: int, a: Iterable[int]) -> Tuple[int, ...]:
 class _Frozen:
     """Base of the frozen value classes: every attribute is set once, at birth.
 
-    Constructors set their slots through ``object.__setattr__``; assignment
-    and deletion afterwards raise ``AttributeError``. So each subclass
-    pickles and copies through its own ``__reduce__``, and writes out its
-    own ``__repr__`` and, if it compares by value, ``__eq__`` and
-    ``__hash__`` over its field tuple.
+    Constructors set their slots through ``object.__setattr__`` (or the
+    slot descriptors); assignment and deletion afterwards raise
+    ``AttributeError``. So each subclass pickles and copies through its own
+    ``__reduce__``, and writes out its own ``__repr__`` and, if it compares
+    by value, ``__eq__`` and ``__hash__`` over its field tuple.
     """
 
     __slots__ = ()
@@ -372,9 +372,9 @@ class DR1Bracket(_Frozen):
         status of the row's twist multiset.
         """
         self = object.__new__(cls)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "status", status)
+        _set_dr1_r(self, r)
+        _set_dr1_entries(self, entries)
+        _set_dr1_status(self, status)
         return self
 
     @classmethod
@@ -430,20 +430,18 @@ class DR1Bracket(_Frozen):
         return tuple(a for _, a in self.entries)
 
     @property
-    def n_plus(self) -> int:
-        return sum(1 for k, _ in self.entries if k > 0)
-
-    @property
-    def n_minus(self) -> int:
-        return sum(1 for k, _ in self.entries if k < 0)
-
-    @property
     def selection_ok(self) -> bool:
         return self.status != STATUS_DIMENSION_ZERO
 
     @property
     def key(self) -> str:
         return _dr1_key(self.r, self.k_row, self.a_row)
+
+
+# _from_canonical sets a bracket's slots through their descriptors: past
+# _Frozen.__setattr__, and cheaper than object.__setattr__.
+_set_dr1_r, _set_dr1_entries, _set_dr1_status = (DR1Bracket.r.__set__, DR1Bracket.entries.__set__,
+                                                 DR1Bracket.status.__set__)
 
 
 def ascending_multisets(lo: int, hi: int, count: int, total: int):

@@ -34,21 +34,21 @@ reduction ends at the ``(+1, -1)`` base case. A key revisited during its
 own reduction, or a row no move applies to, would break that argument and
 raises :class:`rspin.core.ReductionStalledError` naming the key. The moves
 are generators driven from an explicit stack, so a deep reduction (one
-step per unit of ``k`` on a two-point row) costs no Python recursion;
-rows with ``sum(|k|)`` above :data:`RELATIONAL_K_SUM_MAX` are refused
-before reducing.
+step per unit of ``k`` on a two-point row) costs no Python recursion.
+Rows with ``sum(|k|)`` above :data:`RELATIONAL_K_SUM_MAX`, or that may
+reach more brackets than :data:`RELATIONAL_REACH_MAX`, are refused before
+reducing. Relation rows stay in integers from builder to solver:
+``_relation_row`` gives ``(b_coefficient, {bracket: coefficient})`` in
+ints, which the case-2 and case-3 steps and the verification suite read
+directly; only the public builders box them into ``Fraction`` values
+inside a :class:`RelationInstance`.
 
-Whether a bracket can be nonzero at all depends on its twist multiset
-only, and every move above keeps that multiset. So each
-:class:`rspin.core.DR1Bracket` is born with its grading status, and
-:func:`closed_form` and :func:`solve_relational` answer a zero bracket
-with one attribute read and a shared result. The status is derived where
-the twists are already checked: :func:`enumerate_brackets` checks the
-range of each twist multiset once (:func:`rspin.core.dr1_status`) and
-hands its status to every row over it, since a window holds thousands of
-rows per multiset; relation terms and rewriting children take the status
-of the row they are rebuilt from. For the same reason B is computed once
-per top-level reduction.
+Whether a bracket can be nonzero depends on its twist multiset only, which
+every move keeps, so each :class:`rspin.core.DR1Bracket` is born with its
+grading status: :func:`enumerate_brackets` derives it once per twist
+multiset, relation terms and rewriting children take their parent's, and
+both evaluators answer a zero bracket with one attribute read and a shared
+result. For the same reason B is computed once per top-level reduction.
 
 Windows come out in key order with no key string built and no bracket
 sorted. With ``r`` fixed, ``dr1:r=R:k=K:a=A`` orders as ``(K + ":", A)``.
@@ -65,7 +65,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import groupby
-from math import factorial
+from math import comb, factorial
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .core import (
@@ -100,6 +100,7 @@ __all__ = [
     "anchored_instances",
     "solve_relational",
     "RELATIONAL_K_SUM_MAX",
+    "RELATIONAL_REACH_MAX",
     "enumerate_brackets",
 ]
 
@@ -111,15 +112,17 @@ def b_value(r: int, a: Sequence[int]) -> Fraction:
     bracket and the coefficient is taken to be 0. A twist equal to ``r - 1``
     kills the product through its ``r - 1 - a_i`` factor.
     """
+    a = _b_row(r, a, "b_value")
+    return _b_product(r, a) if a else Fraction(0)
+
+
+def _b_row(r: int, a: Sequence[int], name: str) -> Tuple[int, ...]:
+    """``a`` checked as a B row of ``name``: the twists, or ``()`` off the selection rule."""
     _check_r(r)
-    a = tuple(a)
-    _check_twists(r, a)
-    n = len(a)
-    if n < 1:
-        raise GradingError("b_value needs at least one twist")
-    if not dr1_selection(r, a):
-        return Fraction(0)
-    return _b_product(r, a)
+    a = _check_twists(r, a)
+    if not a:
+        raise GradingError(f"{name} needs at least one twist")
+    return a if dr1_selection(r, a) else ()
 
 
 def _b_product(r: int, a: Sequence[int]) -> Fraction:
@@ -131,21 +134,16 @@ def _b_product(r: int, a: Sequence[int]) -> Fraction:
     return Fraction(factorial(n - 1) * prod, 24 * r ** (n - 1))
 
 
-def b_value_trr(r: int, a: Sequence[int]) -> Fraction:
+def b_value_trr(r: int, a: Sequence[int], cache: Optional[CacheStore] = None) -> Fraction:
     """B(r, a) as the genus-0 window sum ``sum_{b+c=r-2} <b, c, a>_0`` over 24.
 
     Each bracket comes from :func:`rspin.genus0.solve_bracket`, so this route
     never reads the product formula of :func:`b_value` (the module docstring
-    says why the two agree). Rows violating the selection rule give 0.
+    says why the two agree). Rows violating the selection rule give 0. Calls
+    at one ``r`` may share ``cache``, the genus-0 store.
     """
-    _check_r(r)
-    a = tuple(a)
-    _check_twists(r, a)
-    if not a:
-        raise GradingError("b_value_trr needs at least one twist")
-    if not dr1_selection(r, a):
-        return Fraction(0)
-    return bracket_window_sum(r, r - 2, a) / 24
+    a = _b_row(r, a, "b_value_trr")
+    return bracket_window_sum(r, r - 2, a, cache) / 24 if a else Fraction(0)
 
 
 # The answer of both evaluators for a bracket whose status is not "ok";
@@ -157,11 +155,13 @@ _ZERO_RESULTS = {
 
 
 def closed_form(bracket: DR1Bracket) -> EvalResult:
-    """Evaluate a bracket as ``(sum(k_i^2)/2 - 1) * B(r, a)``."""
+    """Evaluate a bracket as ``(sum(k_i^2)/2 - 1) * B(r, a)``, one ``Fraction``."""
     if bracket.status != STATUS_OK:
         return _ZERO_RESULTS[bracket.status]
-    coeff = Fraction(sum(k * k for k, _ in bracket.entries), 2) - 1
-    value = coeff * _b_product(bracket.r, bracket.a_row)
+    r, n, squares, prod = bracket.r, len(bracket.entries), -2, 1
+    for kk, aa in bracket.entries:
+        squares, prod = squares + kk * kk, prod * (r - 1 - aa)
+    value = Fraction(squares * factorial(n - 1) * prod, 48 * r ** (n - 1))
     return EvalResult(value, STATUS_OK, ("closed-form",))
 
 
@@ -211,23 +211,25 @@ class RelationInstance(_Frozen):
     def residual_closed(self, b: Optional[Fraction] = None) -> Fraction:
         """Left side minus right side with every bracket evaluated closed-form.
 
-        Zero for every structurally valid instance; the verification suite
-        sweeps this over windows of contexts, passing ``b``, the B of the
-        context, which every instance anchored in one bracket shares.
-        Products with a zero closed-form factor are skipped.
+        Zero for every valid instance; ``b`` is the B of the context.
         """
         if b is None:
             b = b_value(*self.context)
-        total = self.b_coefficient * b if b else Fraction(0)
-        for bracket, coeff in self.terms.items():
-            value = closed_form(bracket).value
-            if value:
-                total -= coeff * value
-        return total
+        return _residual_closed(self.b_coefficient, self.terms, b)
 
 
-def _check_rows(r: int, k: Sequence[int], a: Sequence[int]):
-    """Context, ``(k, a)`` pairs and status of a valid relation row, designated entry positive."""
+def _residual_closed(b_coefficient, terms, b: Fraction) -> Fraction:
+    """``b_coefficient * b - sum(coeff * closed_form(bracket))`` over ``terms``, zero products skipped."""
+    total = b * b_coefficient if b else Fraction(0)
+    for bracket, coeff in terms.items():
+        value = closed_form(bracket).value
+        if value:
+            total -= value * coeff
+    return total
+
+
+def _public_instance(kind: str, r: int, k: Sequence[int], a: Sequence[int]) -> RelationInstance:
+    """The relation ``kind`` on a checked public row whose designated entry is positive."""
     _check_r(r)
     k = tuple(int(v) for v in k)
     a = tuple(a)
@@ -240,7 +242,10 @@ def _check_rows(r: int, k: Sequence[int], a: Sequence[int]):
         raise StructureError("k row must contain a nonzero entry")
     if k[0] < 1:
         raise StructureError("designated entry not positive")
-    return (r, tuple(sorted(a))), tuple(zip(k, a)), _dr1_status(r, a)
+    if kind == "relation2" and all(k):
+        raise StructureError("relation needs a zero entry (n_0 = 0)")
+    row = _relation_row(kind, r, tuple(zip(k, a)), _dr1_status(r, a), None, {})
+    return _boxed(kind, (r, tuple(sorted(a))), row)
 
 
 def relation1_instance(r: int, k: Sequence[int], a: Sequence[int]) -> RelationInstance:
@@ -257,7 +262,7 @@ def relation1_instance(r: int, k: Sequence[int], a: Sequence[int]) -> RelationIn
 
     The twist row never moves; only the integer row is edited.
     """
-    return _relation_instance("relation1", *_check_rows(r, k, a), None, {})
+    return _public_instance("relation1", r, k, a)
 
 
 def relation2_instance(r: int, k: Sequence[int], a: Sequence[int]) -> RelationInstance:
@@ -269,27 +274,25 @@ def relation2_instance(r: int, k: Sequence[int], a: Sequence[int]) -> RelationIn
 
         (k[0] + 1) B = -<k | a> + <.. k[0]+1 .. -1 ..| a>
     """
-    context, pairs, status = _check_rows(r, k, a)
-    if all(kk for kk, _ in pairs):
-        raise StructureError("relation needs a zero entry (n_0 = 0)")
-    return _relation_instance("relation2", context, pairs, status, None, {})
+    return _public_instance("relation2", r, k, a)
 
 
-def _relation_instance(kind: str, context: Tuple[int, Tuple[int, ...]], pairs: Tuple[Tuple[int, int], ...],
-                       status: str, anchor: Optional[DR1Bracket], memo: dict) -> RelationInstance:
+def _boxed(kind: str, context: Tuple[int, Tuple[int, ...]], row) -> RelationInstance:
+    """The public :class:`RelationInstance` of an integer row of :func:`_relation_row`."""
+    return RelationInstance(kind, Fraction(row[0]), {br: Fraction(c) for br, c in row[1].items()}, context)
+
+
+def _relation_row(kind: str, r: int, pairs: Tuple[Tuple[int, int], ...], status: str,
+                  anchor: Optional[DR1Bracket], memo: dict) -> Tuple[int, Dict[DR1Bracket, int]]:
     """The relation ``kind`` on a checked row of ``(k, a)`` pairs, designated entry first.
 
-    The one builder behind :func:`relation1_instance`,
-    :func:`relation2_instance`, :func:`anchored_instances` and the rewriting
-    moves; it checks nothing. ``context`` is ``(r, sorted twists)``, and
-    every term keeps ``status``, that of the twist multiset. ``anchor`` is
-    the row's own canonical bracket when the caller holds it (the row
-    reorders its entries), else None. ``memo``, owned by the caller and
-    shareable by rows with one ``r``, maps each other row, sorted, to its
-    canonical bracket. Coefficients add up as ints and never cancel: rows
-    with the row's own ``sum(|k|)`` (itself, lowered positives) take
-    negative ones, rows two higher (deepened negatives, a zero turned -1)
-    positive ones.
+    Returns ``(b_coefficient, {bracket: coefficient})`` in ints, terms in
+    formula order, each with ``status``; it checks nothing. ``anchor`` is the
+    row's own canonical bracket when the caller holds it, else None.
+    ``memo``, owned by the caller and shareable by rows with one ``r``, maps
+    each other row, sorted, to its canonical bracket. Coefficients never
+    cancel: terms with the row's own ``sum(|k|)`` take negative ones, terms
+    two higher positive ones.
     """
     k0, a0 = pairs[0]
     ks = [kk for kk, _ in pairs]
@@ -307,7 +310,7 @@ def _relation_instance(kind: str, context: Tuple[int, Tuple[int, ...]], pairs: T
         row = list(pairs)
         row[0] = (k0 + 1, a0)
         row[i] = (kk - 1, aa)
-        rows.append((tuple(row), 1 - kk))
+        rows.append((row, 1 - kk))
     terms: Dict[DR1Bracket, int] = {}
     for row, coeff in rows:
         bracket = anchor if row is pairs else None
@@ -315,19 +318,20 @@ def _relation_instance(kind: str, context: Tuple[int, Tuple[int, ...]], pairs: T
             key = tuple(sorted(row))
             bracket = memo.get(key)
             if bracket is None:
-                bracket = memo[key] = DR1Bracket._canonical(context[0], row, status)
+                bracket = memo[key] = DR1Bracket._canonical(r, row, status)
         terms[bracket] = terms.get(bracket, 0) + coeff
-    return RelationInstance(kind, Fraction(b_coeff), {br: Fraction(c) for br, c in terms.items()}, context)
+    return b_coeff, terms
 
 
 def relation3_check(bracket: DR1Bracket) -> bool:
     """True when the integer row is one ``+1``, one ``-1`` and zeros.
 
     Such brackets vanish outright; this is the terminal base case of the
-    relational solver.
+    relational solver. Canonical entries run from the largest order down.
     """
-    k_row = bracket.k_row
-    return bracket.n_plus == 1 and bracket.n_minus == 1 and max(k_row) == 1 and min(k_row) == -1
+    entries = bracket.entries
+    return (entries[0][0] == 1 and entries[-1][0] == -1
+            and entries[1][0] < 1 and entries[-2][0] > -1)
 
 
 def _flipped_sorted(bracket: DR1Bracket) -> Tuple[Tuple[int, int], ...]:
@@ -346,9 +350,14 @@ def anchored_instances(bracket: DR1Bracket, memo: Optional[dict] = None):
     term of its unedited row; ``memo`` (one per ``r``, shared across a
     window) canonicalises the edited rows.
     """
-    if memo is None:
-        memo = {}
     context = (bracket.r, tuple(sorted(bracket.a_row)))
+    for o_idx, slot, zero_slot, kind, row in _anchored_rows(bracket, {} if memo is None else memo):
+        yield o_idx, slot, zero_slot, _boxed(kind, context, row)
+
+
+def _anchored_rows(bracket: DR1Bracket, memo: dict):
+    """:func:`anchored_instances` as ``(orientation, slot, zero_slot, kind, row)``, rows in ints."""
+    r, status = bracket.r, bracket.status
     orientations = [bracket.entries]
     flipped = _flipped_sorted(bracket)
     if flipped != bracket.entries:
@@ -364,55 +373,83 @@ def anchored_instances(bracket: DR1Bracket, memo: Optional[dict] = None):
                 continue
             seen.add(pair)
             rest = pairs[:i] + pairs[i + 1:]
-            yield o_idx, i, None, _relation_instance(
-                "relation1", context, (pair,) + rest, bracket.status, bracket, memo
+            yield o_idx, i, None, "relation1", _relation_row(
+                "relation1", r, (pair,) + rest, status, bracket, memo
             )
             for z in zero_slots.values():
                 row = (pair, pairs[z]) + tuple(p for j, p in enumerate(pairs) if j != i and j != z)
-                yield o_idx, i, z, _relation_instance(
-                    "relation2", context, row, bracket.status, bracket, memo
+                yield o_idx, i, z, "relation2", _relation_row(
+                    "relation2", r, row, status, bracket, memo
                 )
 
 
-# The largest sum(|k|) solve_relational reduces. A two-point row takes one
-# rewriting step per unit of k and reduces at the limit in well under a
-# second; rows with more nonzero orders reach many more brackets per unit.
+# The largest sum(|k|) solve_relational reduces: a two-point row takes one
+# step per unit of k, well under a second at the limit. Then the largest
+# _reach_estimate: on random rows of three to six nonzero orders, near-ties
+# included, no reduction reached 1.5 times its estimate, so at 60-100 us a
+# bracket a row at the limit takes seconds; rows measured under two pass.
 RELATIONAL_K_SUM_MAX = 1000
+RELATIONAL_REACH_MAX = 100_000
+
+
+def _reach_estimate(entries: Sequence[Tuple[int, int]]) -> int:
+    """An estimate of the brackets a reduction of ``entries`` reaches.
+
+    Moves never make a zero order nonzero or flip a sign, so rows with j
+    nonzero orders hold one of ``F_j`` signed twist sub-multisets. Case-3
+    steps lower the smallest magnitude m_j while moving one other order, so
+    each gives about ``C(m_j + j - 2, j - 1)`` rows (twice at the top if both
+    signs hold its smallest magnitude); below the top, m_j sums the
+    ``N - j + 1`` smallest magnitudes, at most ``sum|k| / j``. As
+    ``F_j <= C(N, j)``, ``2^N C(sum|k|/2 + N - 2, N - 1)`` is returned
+    instead when within the limit.
+    """
+    mags = sorted(abs(kk) for kk, _ in entries if kk)
+    n, half = len(mags), sum(mags) // 2
+    coarse = 2 ** n * comb(half + n - 2, n - 1)
+    if coarse <= RELATIONAL_REACH_MAX:
+        return coarse
+    pos, neg = (tuple((a, len(list(g))) for a, g in groupby(sorted(a for kk, a in entries if kk * sign > 0)))
+                for sign in (1, -1))
+    tied = min(kk for kk, _ in entries if kk > 0) == min(-kk for kk, _ in entries if kk < 0)
+    total = comb(mags[0] + n - 2, n - 1) if tied else 0
+    for j in range(2, n + 1):
+        choices = sum(len(list(_sub_multisets(pos, u))) * len(list(_sub_multisets(neg, j - u))) for u in range(1, j))
+        total += choices * comb(min(2 * half // j, sum(mags[:n - j + 1])) + j - 2, j - 1)
+    return total
 
 
 class _Reduction:
     """State of one top-level reduction in :func:`solve_relational`.
 
     It holds the store, the keys under reduction (the cycle guard), B, and
-    the relation context and row memo of :func:`_relation_instance`. Every
-    bracket a reduction reaches, relation term or rewriting child, keeps the
-    top-level twist multiset, so one B, from the product formula, serves
-    them all.
+    the row memo of :func:`_relation_row`. Every bracket a reduction
+    reaches, relation term or rewriting child, keeps the top-level twist
+    multiset, so one B, from the product formula, serves them all.
     """
 
-    __slots__ = ("cache", "visiting", "b", "context", "memo")
+    __slots__ = ("cache", "visiting", "b", "memo")
 
     def __init__(self, top: DR1Bracket, cache: CacheStore):
         self.cache = cache
         self.visiting: Set[str] = set()
         self.b = _b_product(top.r, top.a_row)
-        self.context = (top.r, tuple(sorted(top.a_row)))
         self.memo: dict = {}
 
 
-def _solve_from_instance(inst: RelationInstance, target: DR1Bracket, red: _Reduction):
-    """Solve one relation instance for the coefficient of ``target``.
+def _solve_from_row(row, target: DR1Bracket, red: _Reduction):
+    """Solve one integer relation row of :func:`_relation_row` for the coefficient of ``target``.
 
     A rewriting step: it yields each other term's bracket and is sent back
-    its value (see :func:`_relational_value`).
+    its value (see :func:`_relational_value`). The row is the caller's own.
     """
-    terms = dict(inst.terms)
-    target_coeff = terms.pop(target, Fraction(0))
-    if target_coeff == 0:
+    b_coeff, terms = row
+    target_coeff = terms.pop(target, 0)
+    if not target_coeff:
         raise ReductionStalledError(f"reduction-stalled: {target.key} is not a term of its relation")
-    rhs = inst.b_coefficient * red.b
+    rhs = red.b * b_coeff
     for bracket, coeff in terms.items():
-        rhs -= coeff * (yield bracket)
+        rhs -= (yield bracket) * coeff
     return rhs / target_coeff
 
 
@@ -479,9 +516,8 @@ def _case_unit_present(bracket: DR1Bracket, red: _Reduction):
     """
 
     def qualifies(entries: Sequence[Tuple[int, int]]) -> bool:
-        has_neg_one = any(kk == -1 for kk, _ in entries)
-        has_big_pos = any(kk >= 2 for kk, _ in entries)
-        return has_neg_one and has_big_pos
+        # sorted entries lead with their largest order
+        return entries[0][0] >= 2 and any(kk == -1 for kk, _ in entries)
 
     working = bracket.entries
     if not qualifies(working):
@@ -491,10 +527,9 @@ def _case_unit_present(bracket: DR1Bracket, red: _Reduction):
             # other; reaching here means the classification is off.
             raise ReductionStalledError(f"reduction-stalled: {bracket.key} has no case-1 move")
     pairs = list(working)
-    pos_idx = max(range(len(pairs)), key=lambda i: pairs[i][0])
     neg_idx = next(i for i, (kk, _) in enumerate(pairs) if kk == -1)
-    p = pairs[pos_idx][0]
-    pairs[pos_idx] = (p - 1, pairs[pos_idx][1])
+    p = pairs[0][0]
+    pairs[0] = (p - 1, pairs[0][1])
     pairs[neg_idx] = (0, pairs[neg_idx][1])
     child = DR1Bracket._canonical(bracket.r, pairs, bracket.status)
     return p * red.b + (yield child)
@@ -510,8 +545,8 @@ def _case_all_units(bracket: DR1Bracket, red: _Reduction):
     pairs = bracket.entries
     anchor = next(i for i, (kk, _) in enumerate(pairs) if kk == 1)
     row = (pairs[anchor],) + pairs[:anchor] + pairs[anchor + 1:]
-    inst = _relation_instance("relation1", red.context, row, bracket.status, bracket, red.memo)
-    return (yield from _solve_from_instance(inst, bracket, red))
+    relation = _relation_row("relation1", bracket.r, row, bracket.status, bracket, red.memo)
+    return (yield from _solve_from_row(relation, bracket, red))
 
 
 def _case_all_large(bracket: DR1Bracket, red: _Reduction):
@@ -528,18 +563,17 @@ def _case_all_large(bracket: DR1Bracket, red: _Reduction):
     min_neg = min(-kk for kk, _ in pairs if kk < 0)
     if min_pos < min_neg:
         pairs = _flipped_sorted(bracket)
-    # Target child: anchor bumped up, shallowest negative deepened. Undoing
-    # that edit recovers the bracket itself from the instance context.
-    anchor = max(range(len(pairs)), key=lambda i: pairs[i][0])
-    shallow = max((i for i, (kk, _) in enumerate(pairs) if kk < 0), key=lambda i: pairs[i][0])
+    # Target child: anchor bumped up, shallowest negative deepened; sorted
+    # pairs lead with the anchor and hold the shallowest negative first among
+    # the negatives. Undoing that edit recovers the bracket from the row.
+    shallow = next(i for i, (kk, _) in enumerate(pairs) if kk < 0)
     row = list(pairs)
-    row[anchor] = (row[anchor][0] - 1, row[anchor][1])
+    row[0] = (row[0][0] - 1, row[0][1])
     row[shallow] = (row[shallow][0] + 1, row[shallow][1])
-    if row[anchor][0] < 1:
+    if row[0][0] < 1:
         raise ReductionStalledError(f"reduction-stalled: {bracket.key} has no case-3 move")
-    row.insert(0, row.pop(anchor))
-    inst = _relation_instance("relation1", red.context, tuple(row), bracket.status, None, red.memo)
-    return (yield from _solve_from_instance(inst, bracket, red))
+    relation = _relation_row("relation1", bracket.r, tuple(row), bracket.status, None, red.memo)
+    return (yield from _solve_from_row(relation, bracket, red))
 
 
 def _partitions(total: int, max_part: int, max_len: int):
@@ -691,5 +725,9 @@ def solve_relational(bracket: DR1Bracket, cache: Optional[CacheStore] = None) ->
             f"{key} has sum |k| = {k_sum}, above {RELATIONAL_K_SUM_MAX}, "
             "the most the relational route reduces"
         )
+    reach = _reach_estimate(bracket.entries)
+    if reach > RELATIONAL_REACH_MAX:
+        raise ReductionStalledError(f"{key} may reach {reach} brackets, above {RELATIONAL_REACH_MAX}, "
+                                    "the most the relational route reduces")
     value, rule = _relational_value(bracket, key, _Reduction(bracket, cache))
     return EvalResult(value, STATUS_OK, (rule,))

@@ -6,7 +6,7 @@ sampled and nothing is approximate; a suite passes exactly when its failure
 list is empty.
 
 At the default window bounds (r <= 6, n <= 5, sum(|k|) <= 8) the four suites
-take about 0.07 s together on one core of a shared 2-vCPU machine under
+take about 0.03 s together on one core of a shared 2-vCPU machine under
 Python 3.11; every bound is a parameter.
 """
 
@@ -26,7 +26,8 @@ from .core import (
     genus_of,
 )
 from .dr1 import (
-    anchored_instances,
+    _anchored_rows,
+    _residual_closed,
     b_value,
     b_value_trr,
     closed_form,
@@ -175,11 +176,11 @@ def check_relations(r_max: int, k_sum_max: int, n_max: int) -> SuiteReport:
                 if got != 0:
                     failures.append(("relation3:" + br.key, "0/1", _fmt(got)))
             b = b_value(r, br.a_row)
-            for o_idx, slot, zero, inst in anchored_instances(br, memo):
+            for o_idx, slot, zero, kind, (b_coeff, terms) in _anchored_rows(br, memo):
                 cases += 1
-                resid = inst.residual_closed(b)
+                resid = _residual_closed(b_coeff, terms, b)
                 if resid != 0:
-                    key = f"{inst.kind}:{br.key}:orient={o_idx}:slot={slot}"
+                    key = f"{kind}:{br.key}:orient={o_idx}:slot={slot}"
                     if zero is not None:
                         key += f":zero={zero}"
                     failures.append((key, "0/1", _fmt(resid)))
@@ -221,9 +222,9 @@ def check_axioms(r_max: int, n_max: int) -> SuiteReport:
       and at exactly 4 points the min formula agrees with that rule;
     - genus_of reports 0 on genus-0 twist rows and 1 on one-point-plus-
       spectators genus-1 rows;
-    - b_value (product formula) equals b_value_trr (genus-0 window sum),
-      and both closed_form and solve_relational vanish on genus-1 rows
-      carrying a twist r - 1.
+    - b_value (product formula) equals b_value_trr (genus-0 window sum,
+      one genus-0 store per r), and both closed_form and solve_relational
+      vanish on genus-1 rows carrying a twist r - 1.
     """
     t0 = time.perf_counter()
     cases = 0
@@ -260,6 +261,7 @@ def check_axioms(r_max: int, n_max: int) -> SuiteReport:
                             failures.append(
                                 ("zero-entry-formula:" + br.key, "0/1", _fmt(direct.value))
                             )
+        b_cache = CacheStore()
         for n in range(1, n_max + 1):
             total = (n - 1) * r
             if total > n * (r - 1):
@@ -267,7 +269,7 @@ def check_axioms(r_max: int, n_max: int) -> SuiteReport:
             for a in ascending_multisets(0, r - 1, n, total):
                 cases += 1
                 direct = b_value(r, a)
-                via_trr = b_value_trr(r, a)
+                via_trr = b_value_trr(r, a, b_cache)
                 if direct != via_trr:
                     key = "b:r={}:a={}".format(r, ",".join(str(v) for v in a))
                     failures.append((key, _fmt(direct), _fmt(via_trr)))

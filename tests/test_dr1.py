@@ -33,6 +33,7 @@ from rspin.core import (
 )
 from rspin.dr1 import (
     RELATIONAL_K_SUM_MAX,
+    RELATIONAL_REACH_MAX,
     anchored_instances,
     b_value,
     b_value_trr,
@@ -66,14 +67,16 @@ def test_b_value_rejects_bad_twists():
 
 
 def test_genus0_window_sum_b_matches_product_formula():
-    # b_value_trr sums genus-0 brackets over the window a + b = r - 2
+    # b_value_trr sums genus-0 brackets over the window a + b = r - 2,
+    # alone or sharing one genus-0 store per r
     for r in range(2, 11):
+        cache = CacheStore()
         for n in range(1, 5):
             total = (n - 1) * r
             if total > n * (r - 1):
                 continue
             for a in ascending_multisets(0, r - 1, n, total):
-                assert b_value_trr(r, a) == b_value(r, a), (r, a)
+                assert b_value_trr(r, a) == b_value(r, a) == b_value_trr(r, a, cache), (r, a)
 
 
 def test_genus0_window_sum_b_is_independent_of_the_product(monkeypatch):
@@ -90,6 +93,21 @@ def test_genus0_window_sum_b_is_independent_of_the_product(monkeypatch):
     assert b_value_trr(4, (2, 2)) == Fraction(1, 96)
     assert b_value_trr(4, (2, 1)) == 0  # selection fails
     assert b_value_trr(4, (3, 1)) == 0  # twist r - 1
+
+
+def test_axiom_suite_shares_one_genus0_store_per_r(monkeypatch):
+    real = rspin.dr1.bracket_window_sum
+    stores = {}
+
+    def recording(r, m, x, cache=None):
+        assert cache is not None
+        stores.setdefault(r, set()).add(id(cache))
+        return real(r, m, x, cache)
+
+    monkeypatch.setattr(rspin.dr1, "bracket_window_sum", recording)
+    assert check_axioms(6, 5).passed
+    assert sorted(stores) == list(range(2, 7))
+    assert all(len(ids) == 1 for ids in stores.values())
 
 
 def test_axiom_suite_catches_a_wrong_product_formula(monkeypatch):
@@ -661,3 +679,41 @@ def test_rows_past_the_k_sum_limit_are_refused():
     zero = DR1Bracket(4, [(100000, 3), (-100000, 1)])
     assert zero.status == "vanishing-axiom-zero"
     assert solve_relational(zero).trace == ("vanishing-axiom",)
+
+
+def test_multi_point_rows_past_the_reach_limit_are_refused():
+    # sum |k| = 1000 passes the sum |k| guard, but four orders of 250 would
+    # reach millions of brackets: refused before anything is stored
+    big = DR1Bracket(8, [(250, 6), (250, 6), (-250, 6), (-250, 6)])
+    cache = CacheStore()
+    with pytest.raises(ReductionStalledError, match=r"may reach \d+ brackets, above 100000"):
+        solve_relational(big, cache)
+    assert len(cache) == 0
+    cache.put(big.key, closed_form(big).value)
+    assert solve_relational(big, cache).trace == ("cache",)
+    # rows that reduce in about two seconds or less stay under the limit
+    for r, k, a in [
+        (8, (50, 50, -50, -50), (6, 6, 6, 6)),
+        (8, (60, 60, -60, -60), (6, 6, 6, 6)),
+        (8, (150, -50, -50, -50), (6, 6, 6, 6)),
+        (10, (40, 30, -20, -25, -25), (8, 8, 8, 8, 8)),
+        (20, (30, 30, -30, -30), (15, 16, 17, 12)),
+        (6, (300, -150, -150), (4, 4, 4)),
+        (4, (500, -500), (2, 2)),
+    ]:
+        assert rspin.dr1._reach_estimate(DR1Bracket(r, list(zip(k, a))).entries) <= RELATIONAL_REACH_MAX
+
+
+@pytest.mark.parametrize("r, k, a", [
+    (20, (20, 20, -20, -20), (15, 16, 17, 12)),  # both signs hold the smallest magnitude
+    (20, (20, -20, 20, -20), (15, 16, 17, 12)),
+    (8, (20, 20, -20, -20), (6, 6, 6, 6)),
+    (10, (20, 20, -13, -13, -14), (8, 8, 8, 8, 8)),
+    (12, (12, 12, -12, -12, 6, -6), (10, 10, 10, 10, 10, 10)),
+    (12, (200, -100, -100), (7, 8, 9)),
+])
+def test_reach_estimate_holds(r, k, a):
+    br = DR1Bracket(r, list(zip(k, a)))
+    cache = CacheStore()
+    solve_relational(br, cache)
+    assert len(cache) <= rspin.dr1._reach_estimate(br.entries)

@@ -55,6 +55,20 @@ def test_relations_suite_passes():
     assert report.cases > 100
 
 
+def _skew_relation_rows(monkeypatch):
+    """Add 1 to the last coefficient of every integer relation row over a nonzero bracket."""
+    real = rspin.dr1._relation_row
+
+    def skewed(kind, r, pairs, status, anchor, memo):
+        b_coeff, terms = real(kind, r, pairs, status, anchor, memo)
+        if status == "ok":
+            # the last term has sum |k| two above the row, so a nonzero value
+            terms[list(terms)[-1]] += 1
+        return b_coeff, terms
+
+    monkeypatch.setattr(rspin.dr1, "_relation_row", skewed)
+
+
 def test_relations_suite_sees_a_skewed_coefficient(monkeypatch):
     # one coefficient off by one on every instance over a nonzero bracket:
     # each of those instances must fail, and no other
@@ -65,19 +79,20 @@ def test_relations_suite_sees_a_skewed_coefficient(monkeypatch):
         if br.status == "ok"
         for _ in anchored_instances(br)
     )
-    real = rspin.dr1._relation_instance
-
-    def skewed(kind, context, pairs, status, anchor, memo):
-        inst = real(kind, context, pairs, status, anchor, memo)
-        if status == "ok":
-            # the last term has sum |k| two above the row, so a nonzero value
-            inst.terms[list(inst.terms)[-1]] += 1
-        return inst
-
-    monkeypatch.setattr(rspin.dr1, "_relation_instance", skewed)
+    _skew_relation_rows(monkeypatch)
     report = check_relations(6, 8, 5)
     assert report.cases == 1348
     assert ok_instances > 0 and len(report.failures) == ok_instances
+
+
+def test_oracle_suite_sees_a_skewed_coefficient(monkeypatch):
+    # the solver's case-2 and case-3 steps read the same integer rows as
+    # the relations suite, so the same skew must show in the oracle suite
+    assert check_oracle_equivalence(6, 8, 5).passed
+    _skew_relation_rows(monkeypatch)
+    report = check_oracle_equivalence(6, 8, 5)
+    assert report.cases == 369 and report.failures
+    assert all(got != "reduction-stalled" for _, _, got in report.failures)
 
 
 def test_relations_suite_sees_a_wrong_closed_form(monkeypatch):
