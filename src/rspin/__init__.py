@@ -9,94 +9,57 @@ linear relations; the relational route takes B from the same product as
 the closed form, so comparing the two checks the factor
 ``sum(k_i^2)/2 - 1``, while B itself is checked against a genus-0 window
 sum. The :mod:`rspin.verify` suites run these checks over finite windows.
+
+``import rspin`` runs none of the submodules. Each name in ``__all__``, and
+each submodule (``rspin.dr1``), is imported on first access (PEP 562).
 """
 
-from .core import (
-    CacheError,
-    DR1Bracket,
-    EvalResult,
-    Genus0Bracket,
-    GradingError,
-    Rational,
-    ReductionStalledError,
-    StructureError,
-    UnderdeterminedError,
-    dr1_selection,
-    format_rational,
-    genus0_selection,
-    genus_of,
-    parse_key,
-    parse_rational,
-)
-from .dr1 import (
-    RelationInstance,
-    b_value,
-    b_value_trr,
-    closed_form,
-    enumerate_brackets,
-    relation1_instance,
-    relation2_instance,
-    relation3_check,
-    solve_relational,
-)
-from .genus0 import (
-    bracket_window_sum,
-    four_point,
-    loop_sum,
-    solve_bracket,
-    three_point,
-    wdvv_equations,
-)
-from .store import CacheStore, default_cache_path
-from .verify import (
-    SuiteReport,
-    check_axioms,
-    check_oracle_equivalence,
-    check_prop_loop,
-    check_relations,
-    run_suite,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Rational",
-    "EvalResult",
-    "Genus0Bracket",
-    "DR1Bracket",
-    "GradingError",
-    "StructureError",
-    "UnderdeterminedError",
-    "ReductionStalledError",
-    "CacheError",
-    "genus_of",
-    "genus0_selection",
-    "dr1_selection",
-    "format_rational",
-    "parse_rational",
-    "parse_key",
-    "three_point",
-    "four_point",
-    "loop_sum",
-    "wdvv_equations",
-    "solve_bracket",
-    "bracket_window_sum",
-    "b_value",
-    "b_value_trr",
-    "closed_form",
-    "RelationInstance",
-    "relation1_instance",
-    "relation2_instance",
-    "relation3_check",
-    "solve_relational",
-    "enumerate_brackets",
-    "CacheStore",
-    "default_cache_path",
-    "SuiteReport",
-    "check_prop_loop",
-    "check_relations",
-    "check_oracle_equivalence",
-    "check_axioms",
-    "run_suite",
-    "__version__",
-]
+# Public name -> the submodule that defines it.
+_HOME = {
+    name: module
+    for module, names in (
+        ("core", (
+            "Rational", "EvalResult", "Genus0Bracket", "DR1Bracket", "GradingError",
+            "StructureError", "UnderdeterminedError", "ReductionStalledError",
+            "CacheError", "genus_of", "genus0_selection", "dr1_selection",
+            "format_rational", "parse_rational", "parse_key",
+        )),
+        ("genus0", (
+            "three_point", "four_point", "loop_sum", "wdvv_equations",
+            "solve_bracket", "bracket_window_sum",
+        )),
+        ("dr1", (
+            "b_value", "b_value_trr", "closed_form", "RelationInstance",
+            "relation1_instance", "relation2_instance", "relation3_check",
+            "solve_relational", "enumerate_brackets",
+        )),
+        ("store", ("CacheStore", "default_cache_path")),
+        ("verify", (
+            "SuiteReport", "check_prop_loop", "check_relations",
+            "check_oracle_equivalence", "check_axioms", "run_suite",
+        )),
+    )
+    for name in names
+}
+_SUBMODULES = ("core", "elimination", "genus0", "dr1", "store", "verify")
+
+__all__ = [*_HOME, "__version__"]
+
+
+def __getattr__(name):
+    if name in _SUBMODULES:
+        value = importlib.import_module(f"{__name__}.{name}")
+    elif name in _HOME:
+        value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_SUBMODULES})

@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import argparse
 import errno
+import importlib.util
 import json
 import os
 import sys
-from fractions import Fraction
 from typing import List, Optional, Sequence
 
 from .core import (
+    SUITES,
     CacheError,
     DR1Bracket,
     Genus0Bracket,
@@ -29,10 +30,30 @@ from .core import (
     ascending_multisets,
     format_rational,
 )
-from .dr1 import b_value, closed_form, enumerate_brackets, solve_relational
-from .genus0 import loop_sum, solve_bracket
 from .store import CACHE_ENV_VAR, CacheStore, default_cache_path
-from .verify import SUITES, run_suite
+
+
+def _lazy(name: str):
+    """``rspin.<name>`` in ``sys.modules``, run on its first attribute access.
+
+    A command runs only the modules it calls into; any ``getattr`` on the
+    placeholder (a profiler's or a tracer's too) runs the module. A module
+    already imported is returned as it is. Before Python 3.13 a placeholder
+    may run without a lock, so only this single-threaded front end makes them.
+    """
+    fullname = f"{__package__}.{name}"
+    module = sys.modules.get(fullname)
+    if module is None:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[fullname] = module
+        spec.loader.exec_module(module)
+    return module
+
+
+_lazy("elimination")  # run by genus0 alone; registered so that a tracer finds it
+genus0, dr1, verify = map(_lazy, ("genus0", "dr1", "verify"))
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -176,7 +197,7 @@ def _cmd_g0(args) -> int:
     bracket = Genus0Bracket(args.r, args.a)
     path = _cache_path(args.cache)
     store = _open_store(path)
-    result = solve_bracket(args.r, tuple(args.a), store)
+    result = genus0.solve_bracket(args.r, tuple(args.a), store)
     _close_store(store, path)
     if args.format == "json":
         payload = {
@@ -197,7 +218,7 @@ def _cmd_g0(args) -> int:
 
 def _cmd_loopsum(args) -> int:
     try:
-        value = loop_sum(args.r, args.m, tuple(args.x), extended=args.extended)
+        value = genus0.loop_sum(args.r, args.m, tuple(args.x), extended=args.extended)
     except GradingError as exc:
         # the library names its keyword argument; a CLI user needs the flag
         raise GradingError(str(exc).replace("extended=True", "--extended")) from None
@@ -224,12 +245,12 @@ def _cmd_dr1(args) -> int:
     results = []
     for method in methods:
         if method == "closed":
-            results.append(("closed", closed_form(bracket)))
+            results.append(("closed", dr1.closed_form(bracket)))
         else:
             store = _open_store(path)
             if store is None:
                 store = CacheStore()
-            results.append(("relations", solve_relational(bracket, store)))
+            results.append(("relations", dr1.solve_relational(bracket, store)))
             _close_store(store, path)
     agree = len({(res.value, res.status) for _, res in results}) == 1
     if args.format == "json":
@@ -256,7 +277,7 @@ def _cmd_dr1(args) -> int:
 
 
 def _cmd_b(args) -> int:
-    value = b_value(args.r, tuple(args.a))
+    value = dr1.b_value(args.r, tuple(args.a))
     if args.format == "json":
         payload = {
             "r": args.r,
@@ -270,7 +291,7 @@ def _cmd_b(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    reports = run_suite(
+    reports = verify.run_suite(
         args.suite,
         r_max=args.r_max,
         n_max=args.n_max,
@@ -304,7 +325,7 @@ def _cmd_table(args) -> int:
                 continue
             for a in ascending_multisets(0, args.r - 1, n, total):
                 br = Genus0Bracket(args.r, a)
-                res = solve_bracket(args.r, a, store)
+                res = genus0.solve_bracket(args.r, a, store)
                 rows.append(
                     {
                         "key": br.key,
@@ -317,8 +338,8 @@ def _cmd_table(args) -> int:
         rows.sort(key=lambda row: row["key"])
         columns = ["r", "a", "value"]
     else:
-        for br in enumerate_brackets(args.r, args.n_max, args.k_sum_max):
-            res = closed_form(br)
+        for br in dr1.enumerate_brackets(args.r, args.n_max, args.k_sum_max):
+            res = dr1.closed_form(br)
             rows.append(
                 {
                     "key": br.key,

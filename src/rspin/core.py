@@ -77,6 +77,10 @@ STATUS_OK = "ok"
 STATUS_DIMENSION_ZERO = "dimension-mismatch-zero"
 STATUS_VANISHING_ZERO = "vanishing-axiom-zero"
 
+# The rspin.verify suites, named here so that the CLI can offer them
+# without running that module.
+SUITES = ("loop", "relations", "oracle", "axioms")
+
 # Exactly the spellings format_rational writes, up to the gcd check: ASCII
 # digits, no leading zeros, no "-0", a positive denominator.
 _VALUE_RE = re.compile(r"\A(0|-?[1-9][0-9]*)/([1-9][0-9]*)\Z")

@@ -86,7 +86,6 @@ from .core import (
     dr1_selection,
     dr1_status,
 )
-from .genus0 import bracket_window_sum
 from .store import CacheStore
 
 __all__ = [
@@ -142,8 +141,10 @@ def b_value_trr(r: int, a: Sequence[int], cache: Optional[CacheStore] = None) ->
     says why the two agree). Rows violating the selection rule give 0. Calls
     at one ``r`` may share ``cache``, the genus-0 store.
     """
+    from . import genus0  # imported here, so that genus-1 requests never run genus0
+
     a = _b_row(r, a, "b_value_trr")
-    return bracket_window_sum(r, r - 2, a, cache) / 24 if a else Fraction(0)
+    return genus0.bracket_window_sum(r, r - 2, a, cache) / 24 if a else Fraction(0)
 
 
 # The answer of both evaluators for a bracket whose status is not "ok";

@@ -18,6 +18,7 @@ from fractions import Fraction
 from typing import Iterable, List, Tuple
 
 from .core import (
+    SUITES,
     DR1Bracket,
     Genus0Bracket,
     ReductionStalledError,
@@ -289,9 +290,6 @@ def check_axioms(r_max: int, n_max: int) -> SuiteReport:
                             ("vanish-dr1:" + br1.key, "0/1", _fmt(got_c.value) + "|" + _fmt(got_r.value))
                         )
     return SuiteReport("axioms", cases, failures, _elapsed_ms(t0))
-
-
-SUITES = ("loop", "relations", "oracle", "axioms")
 
 
 def run_suite(

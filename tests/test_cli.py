@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+from datetime import timedelta
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from rspin.cli import run
 from rspin.store import CacheStore
@@ -95,7 +99,7 @@ def test_deep_dr1_rows_end_without_a_traceback():
 
 
 def test_cli_import_loads_every_module_and_no_introspection_stdlib():
-    """``import rspin.cli`` loads all seven submodules and skips the slow stdlib.
+    """``import rspin.cli`` registers all seven submodules and skips the slow stdlib.
 
     ``dataclasses`` pulls in ``inspect``, ``ast``, ``dis`` and ``tokenize``;
     ``csv`` is imported by the ``table`` command alone. A module counts only
@@ -119,6 +123,100 @@ def test_cli_import_loads_every_module_and_no_introspection_stdlib():
     assert not heavy & cli, sorted(heavy & cli)
     submodules = {"core", "dr1", "elimination", "genus0", "store", "verify", "cli"}
     assert {"rspin." + name for name in submodules} <= cli
+
+
+_SUBMODULES = ("cli", "core", "dr1", "elimination", "genus0", "store", "verify")
+
+
+def _modules_run(*argvs, before="", after=""):
+    """In a fresh interpreter: ``import rspin.cli``, run each argv, list the modules run.
+
+    ``before`` runs ahead of the import and ``after`` once the commands are
+    done. A placeholder module that has not run yet is of a ``ModuleType``
+    subclass, and ``type()`` reads that without running it.
+    """
+    probe = "\n".join([
+        "import sys, types",
+        before,
+        "import rspin.cli",
+        f"codes = [rspin.cli.run(argv) for argv in {[list(a) for a in argvs]!r}]",
+        after,
+        f"ran = [n for n in {_SUBMODULES!r} if type(sys.modules['rspin.' + n]) is types.ModuleType]",
+        "print(codes)",
+        "print(*ran)",
+    ])
+    src = os.path.dirname(os.path.dirname(os.path.abspath(__import__("rspin").__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("RSPIN_CACHE", None)
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    *printed, codes, ran = done.stdout.splitlines()
+    return json.loads(codes), set(ran.split()), printed
+
+
+def test_cli_import_runs_only_core_and_store():
+    codes, ran, _ = _modules_run()
+    assert codes == [] and ran == {"cli", "core", "store"}
+
+
+@pytest.mark.parametrize(
+    "argv, value",
+    [
+        (("b", "--r", "9", "--a", "7,7,6,7"), ["1/1458"]),
+        (("dr1", "--r", "8", "--k", "4,-4", "--a", "2,6", "--method", "both"), ["25/64", "25/64"]),
+    ],
+    ids=["b", "dr1"],
+)
+def test_genus1_requests_leave_genus0_unrun(argv, value):
+    codes, ran, printed = _modules_run(argv)
+    assert codes == [0] and printed == value
+    assert ran == {"cli", "core", "store", "dr1"}
+
+
+def test_g0_cache_hit_leaves_dr1_and_verify_unrun(tmp_path):
+    path = str(tmp_path / "c.json")
+    argv = ("g0", "--r", "7", "--a", "3,3,4,4,5", "--cache", path)
+    assert _cli(*argv).stdout == "4/49\n"  # a miss, which fills the cache file
+    stamp = os.stat(path).st_mtime_ns
+    codes, ran, printed = _modules_run(argv)
+    assert codes == [0] and printed == ["4/49"]
+    assert os.stat(path).st_mtime_ns == stamp  # a hit: nothing to save
+    assert ran == {"cli", "core", "store", "genus0", "elimination"}
+
+
+def test_getattr_on_a_placeholder_returns_the_real_function():
+    # the benchmark tracer reads getattr(sys.modules[name], attr) to wrap a layer
+    after = "\n".join([
+        "mod = sys.modules['rspin.genus0']",
+        "fn = getattr(mod, 'solve_bracket')",
+        "assert type(mod) is types.ModuleType and vars(mod)['solve_bracket'] is fn",
+        "assert fn.__module__ == 'rspin.genus0' and rspin.cli.genus0 is mod",
+        "print(fn(7, (3, 3, 4, 4, 5)).value)",
+    ])
+    codes, ran, printed = _modules_run(after=after)
+    assert printed == ["4/49"]
+    assert ran == {"cli", "core", "store", "genus0", "elimination"}
+
+
+def test_cli_import_keeps_a_module_already_imported():
+    before = "import rspin.dr1; first = sys.modules['rspin.dr1']"
+    after = "assert sys.modules['rspin.dr1'] is first is rspin.cli.dr1"
+    codes, ran, _ = _modules_run(before=before, after=after)
+    assert ran == {"cli", "core", "store", "dr1"}
+
+
+def test_verify_suite_choices_are_the_verify_suites():
+    import argparse
+
+    import rspin.verify
+    from rspin.cli import _build_parser
+
+    commands = next(
+        action for action in _build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    suite = next(a for a in commands.choices["verify"]._actions if a.dest == "suite")
+    assert tuple(suite.choices) == ("all",) + rspin.verify.SUITES
 
 
 def test_usage_error_exits_64(capsys):
@@ -364,8 +462,8 @@ def test_unwritable_cache_path_fails_before_solving(capsys, tmp_path, monkeypatc
     def refuse(*args, **kwargs):
         raise AssertionError("solver called although the cache path cannot be written")
 
-    monkeypatch.setattr("rspin.cli.solve_bracket", refuse)
-    monkeypatch.setattr("rspin.cli.solve_relational", refuse)
+    monkeypatch.setattr("rspin.genus0.solve_bracket", refuse)
+    monkeypatch.setattr("rspin.dr1.solve_relational", refuse)
     if problem == "directory":
         path = tmp_path
         reason = "Is a directory"
@@ -387,3 +485,64 @@ def test_help_exits_zero(capsys):
     code, out, _ = invoke(capsys, "--help")
     assert code == 0
     assert "usage" in out
+
+
+# Bounded argv for every subcommand: r <= 8, rows of at most five entries,
+# small suite and table windows. Each flag is usually present, a row's entries
+# mostly lie in range, and junk tokens sometimes land anywhere.
+_FORMAT = st.sampled_from(("text", "json"))
+_JUNK = st.sampled_from(
+    ("", "-", "--", "x", "1,,2", "1.5", "-3", "--r", "--a", "--k", "--bogus", "--help",
+     "--format", "json", "g0", "verify", "\u0663", "1e3", " 7", "--cache")
+)
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(("g0", "loopsum", "dr1", "b", "verify", "table")))
+    r = draw(st.integers(-1, 8))
+    twists = st.lists(st.integers(-1, max(r, 1)), min_size=1, max_size=5)
+    k = draw(st.lists(st.integers(-12, 12), min_size=1, max_size=5))
+    if draw(st.booleans()):
+        k[-1] = -sum(k[:-1])
+    flags = {
+        "g0": {"--r": r, "--a": twists, "--format": _FORMAT},
+        "loopsum": {"--r": r, "--m": st.integers(-1, 10), "--x": twists,
+                    "--extended": None, "--format": _FORMAT},
+        "dr1": {"--r": r, "--k": k, "--a": st.lists(st.integers(-1, max(r, 1)), min_size=len(k),
+                                                   max_size=len(k) + draw(st.integers(0, 1))),
+                "--method": st.sampled_from(("closed", "relations", "both")), "--format": _FORMAT},
+        "b": {"--r": r, "--a": twists, "--format": _FORMAT},
+        "verify": {"--suite": st.sampled_from(("all", "loop", "relations", "oracle", "axioms")),
+                   "--r-max": st.integers(-1, 5), "--n-max": st.integers(-1, 4),
+                   "--k-sum-max": st.integers(-1, 6), "--extended": None, "--format": _FORMAT},
+        "table": {"--kind": st.sampled_from(("g0", "dr1")), "--r": r, "--n-max": st.integers(-1, 5),
+                  "--k-sum-max": st.integers(-1, 8), "--format": st.sampled_from(("csv", "json"))},
+    }[command]
+    argv = [command]
+    for flag, value in flags.items():
+        if not draw(st.integers(0, 9)):
+            continue
+        if isinstance(value, st.SearchStrategy):
+            value = draw(value)
+        if value is None:
+            argv.append(flag)
+            continue
+        text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+        # "--k -2,2" reads -2,2 as an option; "--k=-2,2" is a value
+        argv.extend([f"{flag}={text}"] if draw(st.booleans()) else [flag, text])
+    if not draw(st.integers(0, 3)):
+        for token in draw(st.lists(_JUNK, min_size=1, max_size=2)):
+            argv.insert(draw(st.integers(0, len(argv))), token)
+    return argv
+
+
+@settings(max_examples=300, deadline=timedelta(seconds=5))
+@given(_argvs())
+@example(["verify", "--suite", "loop", "--extended", "--r-max", "4", "--n-max", "4"])  # exit 1
+@example(["dr1", "--r", "4", "--k", "-2,2", "--a", "2,2"])  # exit 64, see _argvs
+def test_cli_argv_fuzz_ends_with_a_documented_exit_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    assert code in (0, 1, 2, 64, 65), (argv, code, err.getvalue())

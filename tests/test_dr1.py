@@ -96,7 +96,7 @@ def test_genus0_window_sum_b_is_independent_of_the_product(monkeypatch):
 
 
 def test_axiom_suite_shares_one_genus0_store_per_r(monkeypatch):
-    real = rspin.dr1.bracket_window_sum
+    real = rspin.genus0.bracket_window_sum
     stores = {}
 
     def recording(r, m, x, cache=None):
@@ -104,7 +104,7 @@ def test_axiom_suite_shares_one_genus0_store_per_r(monkeypatch):
         stores.setdefault(r, set()).add(id(cache))
         return real(r, m, x, cache)
 
-    monkeypatch.setattr(rspin.dr1, "bracket_window_sum", recording)
+    monkeypatch.setattr(rspin.genus0, "bracket_window_sum", recording)
     assert check_axioms(6, 5).passed
     assert sorted(stores) == list(range(2, 7))
     assert all(len(ids) == 1 for ids in stores.values())
