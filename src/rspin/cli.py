@@ -368,10 +368,25 @@ def _cmd_table(args) -> int:
     return EXIT_OK
 
 
+def _join_negative_rows(argv: Sequence[str]) -> List[str]:
+    """Join ``--k`` and a following row that starts with a negative order.
+
+    argparse takes ``-2,2`` for an option, so ``--k -2,2`` would leave
+    ``--k`` without its row; ``--k=-2,2`` is the spelling it reads.
+    """
+    out: List[str] = []
+    for token in argv:
+        if out and out[-1] == "--k" and token[:1] == "-" and token[1:2].isdigit():
+            out[-1] = "--k=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def run(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_negative_rows(sys.argv[1:] if argv is None else argv))
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

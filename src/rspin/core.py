@@ -21,6 +21,7 @@ like the interface they implement.
 
 from __future__ import annotations
 
+import operator
 import re
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Tuple
@@ -104,14 +105,46 @@ def _check_twists(r: int, a: Iterable[int]) -> Tuple[int, ...]:
     return tuple(out)
 
 
-class _Frozen:
-    """Base of the frozen value classes: every attribute is set once, at birth.
+class _Record:
+    """Base of the value classes: a value is the tuple of its ``_fields``.
+
+    Each subclass names, in constructor order, the two or more slots that
+    make up its value. Instances compare equal when they are of the same
+    class with equal fields (any other operand gets ``NotImplemented``),
+    ``repr`` lists the fields by name, and pickling and copying call the
+    constructor on them. All three read the fields through one
+    ``operator.attrgetter`` per class, which ``__init_subclass__`` builds
+    with the ``repr`` format. Defining ``__eq__`` alone leaves a record
+    unhashable, as a mutable one must be.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "_fields" in cls.__dict__:
+            cls._values = operator.attrgetter(*cls._fields)
+            cls._repr = f"{cls.__name__}({', '.join(name + '=%r' for name in cls._fields)})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == other._values(other)
+
+    def __repr__(self):
+        return self._repr % self._values(self)
+
+    def __reduce__(self):
+        return (self.__class__, self._values(self))
+
+
+class _Frozen(_Record):
+    """A record whose every attribute is set once, at birth, and that hashes.
 
     Constructors set their slots through ``object.__setattr__`` (or the
     slot descriptors); assignment and deletion afterwards raise
-    ``AttributeError``. So each subclass pickles and copies through its own
-    ``__reduce__``, and writes out its own ``__repr__`` and, if it compares
-    by value, ``__eq__`` and ``__hash__`` over its field tuple.
+    ``AttributeError``. The hash is that of the field tuple, so a record
+    holding a dict refuses to hash.
     """
 
     __slots__ = ()
@@ -121,6 +154,29 @@ class _Frozen:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+
+def _ordering(compare):
+    """One ordering method: ``compare`` on the field tuples of a single class."""
+
+    def method(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return compare(self._values(self), other._values(other))
+
+    method.__name__ = f"__{compare.__name__}__"
+    return method
+
+
+class _Ordered(_Frozen):
+    """A frozen record ordered by its field tuple, against its own class only."""
+
+    __slots__ = ()
+
+    __lt__, __le__, __gt__, __ge__ = map(_ordering, (operator.lt, operator.le, operator.gt, operator.ge))
 
 
 class EvalResult(_Frozen):
@@ -134,7 +190,7 @@ class EvalResult(_Frozen):
     outermost first.
     """
 
-    __slots__ = ("value", "status", "trace")
+    __slots__ = _fields = ("value", "status", "trace")
 
     def __init__(self, value: Fraction, status: str = STATUS_OK, trace: Tuple[str, ...] = ()):
         if status not in (STATUS_OK, STATUS_DIMENSION_ZERO, STATUS_VANISHING_ZERO):
@@ -146,20 +202,6 @@ class EvalResult(_Frozen):
         object.__setattr__(self, "value", value)
         object.__setattr__(self, "status", status)
         object.__setattr__(self, "trace", trace)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.value, self.status, self.trace) == (other.value, other.status, other.trace)
-
-    def __hash__(self):
-        return hash((self.value, self.status, self.trace))
-
-    def __repr__(self):
-        return f"EvalResult(value={self.value!r}, status={self.status!r}, trace={self.trace!r})"
-
-    def __reduce__(self):
-        return (EvalResult, (self.value, self.status, self.trace))
 
 
 def genus_of(r: int, insertions: Sequence[Tuple[int, int]]) -> Optional[int]:
@@ -228,13 +270,13 @@ def _dr1_status(r: int, a: Sequence[int]) -> str:
     return STATUS_VANISHING_ZERO if r - 1 in a else STATUS_OK
 
 
-class Genus0Bracket(_Frozen):
+class Genus0Bracket(_Ordered):
     """Canonical key of a genus-0 correlator: ``r`` and ascending twists.
 
     Equality, hashing, ordering and ``repr`` use ``(r, a)``.
     """
 
-    __slots__ = ("r", "a")
+    __slots__ = _fields = ("r", "a")
 
     def __init__(self, r: int, a: Sequence[int]):
         _check_r(r)
@@ -243,40 +285,6 @@ class Genus0Bracket(_Frozen):
             raise StructureError(f"a genus-0 bracket needs >= 3 insertions, got {len(twists)}")
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "a", tuple(sorted(twists)))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.r, self.a) == (other.r, other.a)
-
-    def __lt__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.r, self.a) < (other.r, other.a)
-
-    def __le__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.r, self.a) <= (other.r, other.a)
-
-    def __gt__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.r, self.a) > (other.r, other.a)
-
-    def __ge__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.r, self.a) >= (other.r, other.a)
-
-    def __hash__(self):
-        return hash((self.r, self.a))
-
-    def __repr__(self):
-        return f"Genus0Bracket(r={self.r!r}, a={self.a!r})"
-
-    def __reduce__(self):
-        return (Genus0Bracket, (self.r, self.a))
 
     @property
     def n(self) -> int:
@@ -325,7 +333,7 @@ def _dr1_key(r: int, k_row: Sequence[int], a_row: Sequence[int]) -> str:
     return f"dr1:r={r}:k={','.join(map(str, k_row))}:a={','.join(map(str, a_row))}"
 
 
-class DR1Bracket(_Frozen):
+class DR1Bracket(_Ordered):
     """Canonical key of a genus-1 double-ramification bracket.
 
     ``entries`` holds the ``(k_i, a_i)`` pairs. Construction canonicalizes:
@@ -348,6 +356,7 @@ class DR1Bracket(_Frozen):
     """
 
     __slots__ = ("r", "entries", "status")
+    _fields = ("r", "entries")
 
     def __init__(self, r: int, entries: Sequence[Tuple[int, int]]):
         _check_r(r)
@@ -386,39 +395,8 @@ class DR1Bracket(_Frozen):
         """Sort and orient checked pairs whose twist multiset has ``status``."""
         return cls._from_canonical(r, _orient(pairs), status)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.r, self.entries) == (other.r, other.entries)
-
-    def __lt__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.r, self.entries) < (other.r, other.entries)
-
-    def __le__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.r, self.entries) <= (other.r, other.entries)
-
-    def __gt__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.r, self.entries) > (other.r, other.entries)
-
-    def __ge__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.r, self.entries) >= (other.r, other.entries)
-
-    def __hash__(self):
-        return hash((self.r, self.entries))
-
-    def __repr__(self):
-        return f"DR1Bracket(r={self.r!r}, entries={self.entries!r})"
-
     def __reduce__(self):
-        # pickle and copy: frozen slots cannot be restored by assignment
+        # status is not a field: pickling and copying hand it on here
         return (type(self)._from_canonical, (self.r, self.entries, self.status))
 
     @property

@@ -35,11 +35,10 @@ own reduction, or a row no move applies to, would break that argument and
 raises :class:`rspin.core.ReductionStalledError` naming the key. The moves
 are generators driven from an explicit stack, so a deep reduction (one
 step per unit of ``k`` on a two-point row) costs no Python recursion.
-Rows with ``sum(|k|)`` above :data:`RELATIONAL_K_SUM_MAX`, or that may
-reach more brackets than :data:`RELATIONAL_REACH_MAX`, are refused before
-reducing. Relation rows stay in integers from builder to solver:
-``_relation_row`` gives ``(b_coefficient, {bracket: coefficient})`` in
-ints, which the case-2 and case-3 steps and the verification suite read
+Rows that may reach more brackets than :data:`RELATIONAL_REACH_MAX` are
+refused before reducing. Relation rows stay in integers from builder to
+solver: ``_relation_row`` gives ``(b_coefficient, {bracket: coefficient})``
+in ints, which the case-2 and case-3 steps and the verification suite read
 directly; only the public builders box them into ``Fraction`` values
 inside a :class:`RelationInstance`.
 
@@ -98,7 +97,6 @@ __all__ = [
     "relation3_check",
     "anchored_instances",
     "solve_relational",
-    "RELATIONAL_K_SUM_MAX",
     "RELATIONAL_REACH_MAX",
     "enumerate_brackets",
 ]
@@ -176,7 +174,7 @@ class RelationInstance(_Frozen):
     instance cannot be hashed.
     """
 
-    __slots__ = ("kind", "b_coefficient", "terms", "context")
+    __slots__ = _fields = ("kind", "b_coefficient", "terms", "context")
 
     def __init__(
         self,
@@ -189,25 +187,6 @@ class RelationInstance(_Frozen):
         object.__setattr__(self, "b_coefficient", b_coefficient)
         object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "context", context)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.kind, self.b_coefficient, self.terms, self.context) == (
-            other.kind, other.b_coefficient, other.terms, other.context
-        )
-
-    def __hash__(self):
-        return hash((self.kind, self.b_coefficient, self.terms, self.context))
-
-    def __repr__(self):
-        return (
-            f"RelationInstance(kind={self.kind!r}, b_coefficient={self.b_coefficient!r}, "
-            f"terms={self.terms!r}, context={self.context!r})"
-        )
-
-    def __reduce__(self):
-        return (RelationInstance, (self.kind, self.b_coefficient, self.terms, self.context))
 
     def residual_closed(self, b: Optional[Fraction] = None) -> Fraction:
         """Left side minus right side with every bracket evaluated closed-form.
@@ -384,12 +363,11 @@ def _anchored_rows(bracket: DR1Bracket, memo: dict):
                 )
 
 
-# The largest sum(|k|) solve_relational reduces: a two-point row takes one
-# step per unit of k, well under a second at the limit. Then the largest
-# _reach_estimate: on random rows of three to six nonzero orders, near-ties
-# included, no reduction reached 1.5 times its estimate, so at 60-100 us a
-# bracket a row at the limit takes seconds; rows measured under two pass.
-RELATIONAL_K_SUM_MAX = 1000
+# The largest _reach_estimate solve_relational reduces: on random rows of
+# three to six nonzero orders, near-ties included, no reduction reached 1.5
+# times its estimate, so at 60-100 us a bracket a row at the limit takes
+# seconds; rows measured under two pass. A two-point row +-K stores K
+# brackets; its estimate, 2K above K = 25,000, admits K <= 50,000.
 RELATIONAL_REACH_MAX = 100_000
 
 
@@ -705,8 +683,8 @@ def solve_relational(bracket: DR1Bracket, cache: Optional[CacheStore] = None) ->
     module docstring). A rewriting move that revisits a key or finds no
     anchor raises :class:`rspin.core.ReductionStalledError` naming the key;
     so does a bracket that is neither stored nor a relation-3 zero and
-    whose ``sum(|k|)`` exceeds :data:`RELATIONAL_K_SUM_MAX`, before any
-    reduction. With ``cache`` None the call uses a fresh store, so nothing
+    that may reach more than :data:`RELATIONAL_REACH_MAX` brackets, before
+    any reduction. With ``cache`` None the call uses a fresh store, so nothing
     outlives it.
     """
     if bracket.status != STATUS_OK:
@@ -720,12 +698,6 @@ def solve_relational(bracket: DR1Bracket, cache: Optional[CacheStore] = None) ->
     if relation3_check(bracket):
         cache.put(key, Fraction(0))
         return EvalResult(Fraction(0), STATUS_OK, ("relation-3",))
-    k_sum = sum(abs(kk) for kk, _ in bracket.entries)
-    if k_sum > RELATIONAL_K_SUM_MAX:
-        raise ReductionStalledError(
-            f"{key} has sum |k| = {k_sum}, above {RELATIONAL_K_SUM_MAX}, "
-            "the most the relational route reduces"
-        )
     reach = _reach_estimate(bracket.entries)
     if reach > RELATIONAL_REACH_MAX:
         raise ReductionStalledError(f"{key} may reach {reach} brackets, above {RELATIONAL_REACH_MAX}, "

@@ -55,7 +55,6 @@ from .core import (
     _check_twists,
     ascending_multisets,
     genus0_key,
-    genus0_selection,
 )
 from .elimination import solve_exact
 from .store import CacheStore
@@ -79,16 +78,9 @@ def three_point(r: int, a1: int, a2: int, a3: int) -> EvalResult:
 
     Grading failures return 0 with ``dimension-mismatch-zero``. A twist of
     ``r - 1`` cannot coexist with a valid 3-point grading (the remaining
-    twists would need a negative sum), but the axiom branch is kept so the
-    precedence matches the other evaluators.
+    twists would need a negative sum). The same as :func:`solve_bracket`.
     """
-    _check_r(r)
-    a = _check_twists(r, (a1, a2, a3))
-    if sum(a) != r - 2:
-        return EvalResult(Fraction(0), STATUS_DIMENSION_ZERO, ("selection",))
-    if any(x == r - 1 for x in a):
-        return EvalResult(Fraction(0), STATUS_VANISHING_ZERO, ("vanishing-axiom",))
-    return EvalResult(Fraction(1), STATUS_OK, ("three-point",))
+    return solve_bracket(r, (a1, a2, a3))
 
 
 def four_point(r: int, a1: int, a2: int, a3: int, a4: int) -> EvalResult:
@@ -97,16 +89,10 @@ def four_point(r: int, a1: int, a2: int, a3: int, a4: int) -> EvalResult:
     For ``sum a_i = 2r - 2`` the value is ``(1/r) * min`` over the multiset
     ``{a_1..a_4, r-1-a_1..r-1-a_4}``. A zero twist therefore gives value 0
     with status ``ok`` (the formula itself vanishes), while a twist of
-    ``r - 1`` is reported as the vanishing axiom.
+    ``r - 1`` is reported as the vanishing axiom. The same as
+    :func:`solve_bracket`.
     """
-    _check_r(r)
-    a = _check_twists(r, (a1, a2, a3, a4))
-    if sum(a) != 2 * r - 2:
-        return EvalResult(Fraction(0), STATUS_DIMENSION_ZERO, ("selection",))
-    if any(x == r - 1 for x in a):
-        return EvalResult(Fraction(0), STATUS_VANISHING_ZERO, ("vanishing-axiom",))
-    m = min(min(a), min(r - 1 - x for x in a))
-    return EvalResult(Fraction(m, r), STATUS_OK, ("four-point",))
+    return solve_bracket(r, (a1, a2, a3, a4))
 
 
 def loop_sum(r: int, m: int, x: Sequence[int], extended: bool = False) -> Fraction:
@@ -171,7 +157,8 @@ class WdvvSystem(_Frozen):
     Systems compare and hash by identity.
     """
 
-    __slots__ = ("r", "n", "unknowns", "equations")
+    __slots__ = _fields = ("r", "n", "unknowns", "equations")
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __init__(
         self,
@@ -184,15 +171,6 @@ class WdvvSystem(_Frozen):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "unknowns", unknowns)
         object.__setattr__(self, "equations", equations)
-
-    def __repr__(self):
-        return (
-            f"WdvvSystem(r={self.r!r}, n={self.n!r}, unknowns={self.unknowns!r}, "
-            f"equations={self.equations!r})"
-        )
-
-    def __reduce__(self):
-        return (WdvvSystem, (self.r, self.n, self.unknowns, self.equations))
 
     def solve(self) -> Tuple[Dict[Key, Fraction], List[Key]]:
         """Eliminate, divide out ``r^(n-3)``; return (bracket values, free keys)."""
@@ -428,26 +406,29 @@ def wdvv_equations(r: int, n: int, cache: Optional[CacheStore] = None) -> WdvvSy
 def solve_bracket(r: int, a: Sequence[int], cache: Optional[CacheStore] = None) -> EvalResult:
     """Evaluate a genus-0 bracket of any size, exactly.
 
-    Dispatch order: grading check, vanishing axiom, closed 3/4-point forms,
-    the zero-twist rule for five or more insertions, then the associativity
-    system at (r, n) with memoization through ``cache`` (a fresh store when
-    it is None). Raises ``UnderdeterminedError`` if the system does not pin
-    the bracket down; the value is never guessed.
+    Dispatch order: grading check ``sum a = (n - 2) r - 2``, vanishing
+    axiom, the closed forms (1 at three points, ``min(a_i, r - 1 - a_i)/r``
+    at four; :func:`three_point` and :func:`four_point` return these), the
+    zero-twist rule for five or more insertions, then the associativity
+    system at (r, n) with memoization through ``cache``. With ``cache``
+    None, a fresh store is made once a request gets that far. Raises
+    ``UnderdeterminedError`` if the system does not pin the bracket down;
+    the value is never guessed.
     """
+    bracket = Genus0Bracket(r, a)
+    a_sorted, n = bracket.a, len(bracket.a)
+    if sum(a_sorted) != (n - 2) * r - 2:
+        return EvalResult(Fraction(0), STATUS_DIMENSION_ZERO, ("selection",))
+    if a_sorted[-1] == r - 1:
+        return EvalResult(Fraction(0), STATUS_VANISHING_ZERO, ("vanishing-axiom",))
+    if n == 3:
+        return EvalResult(Fraction(1), STATUS_OK, ("three-point",))
+    if n == 4:
+        return EvalResult(Fraction(min(a_sorted[0], r - 1 - a_sorted[3]), r), STATUS_OK, ("four-point",))
+    if a_sorted[0] == 0:
+        return EvalResult(Fraction(0), STATUS_OK, ("zero-entry",))
     if cache is None:
         cache = CacheStore()
-    bracket = Genus0Bracket(r, a)
-    a_sorted = bracket.a
-    if not genus0_selection(r, a_sorted):
-        return EvalResult(Fraction(0), STATUS_DIMENSION_ZERO, ("selection",))
-    if any(x == r - 1 for x in a_sorted):
-        return EvalResult(Fraction(0), STATUS_VANISHING_ZERO, ("vanishing-axiom",))
-    if bracket.n == 3:
-        return EvalResult(Fraction(1), STATUS_OK, ("three-point",))
-    if bracket.n == 4:
-        return EvalResult(four_point(r, *a_sorted).value, STATUS_OK, ("four-point",))
-    if 0 in a_sorted:
-        return EvalResult(Fraction(0), STATUS_OK, ("zero-entry",))
     cached = cache.get(bracket.key)
     if cached is not None:
         return EvalResult(cached, STATUS_OK, ("cache",))

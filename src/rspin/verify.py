@@ -22,6 +22,7 @@ from .core import (
     DR1Bracket,
     Genus0Bracket,
     ReductionStalledError,
+    _Record,
     ascending_multisets,
     format_rational,
     genus_of,
@@ -50,7 +51,7 @@ __all__ = [
 ]
 
 
-class SuiteReport:
+class SuiteReport(_Record):
     """Outcome of one suite: counts, failures and wall time.
 
     ``failures`` holds (case key, expected, got) triples; the values are
@@ -60,7 +61,7 @@ class SuiteReport:
     compare by all four fields; they are mutable, so they do not hash.
     """
 
-    __slots__ = ("suite", "cases", "failures", "elapsed_ms")
+    __slots__ = _fields = ("suite", "cases", "failures", "elapsed_ms")
 
     def __init__(
         self,
@@ -73,19 +74,6 @@ class SuiteReport:
         self.cases = cases
         self.failures: List[Tuple[str, str, str]] = sorted(failures, key=lambda f: f[0])
         self.elapsed_ms = elapsed_ms
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.suite, self.cases, self.failures, self.elapsed_ms) == (
-            other.suite, other.cases, other.failures, other.elapsed_ms
-        )
-
-    def __repr__(self):
-        return (
-            f"SuiteReport(suite={self.suite!r}, cases={self.cases!r}, "
-            f"failures={self.failures!r}, elapsed_ms={self.elapsed_ms!r})"
-        )
 
     @property
     def passed(self) -> bool:

@@ -30,6 +30,18 @@ def test_dr1_both_methods_prints_value_twice(capsys):
     assert out.splitlines() == ["1/32", "1/32"]
 
 
+def test_dr1_row_with_a_negative_first_order_needs_no_equals_sign(capsys):
+    # argparse alone reads "-2,2" as an option and leaves --k without its row
+    for k in (["--k", "-2,2"], ["--k=-2,2"]):
+        code, out, err = invoke(capsys, "dr1", "--r", "4", *k, "--a", "2,2")
+        assert (code, out, err) == (0, "1/32\n1/32\n", ""), k
+    code, out, err = invoke(capsys, "dr1", "--r", "4", "--k", "-3,3", "--a", "2,2", "--method", "closed")
+    assert (code, out) == (0, "1/12\n")
+    # a following option is still an option, not a row
+    code, _, err = invoke(capsys, "dr1", "--r", "4", "--k", "--a", "2,2")
+    assert code == 64 and "--k: expected one argument" in err
+
+
 def test_dr1_relation3_prints_zero(capsys):
     code, out, _ = invoke(capsys, "dr1", "--r", "4", "--k", "1,-1", "--a", "2,2")
     assert code == 0
@@ -88,10 +100,12 @@ def test_deep_dr1_rows_end_without_a_traceback():
         assert done.returncode == 0, done.stderr
         assert done.stdout.split() == ["20501/32"] * (2 if method == "both" else 1)
         assert done.stderr == ""
+    done = _cli("dr1", "--r", "4", "--k", "2000,-2000", "--a", "2,2", "--method", "both")
+    assert (done.returncode, done.stdout, done.stderr) == (0, "1333333/32\n1333333/32\n", "")
     done = _cli("dr1", "--r", "4", "--k", "100000,-100000", "--a", "2,2", "--method", "both")
     assert done.returncode == 1 and done.stdout == ""
     assert done.stderr == (
-        "error: dr1:r=4:k=100000,-100000:a=2,2 has sum |k| = 200000, above 1000, "
+        "error: dr1:r=4:k=100000,-100000:a=2,2 may reach 200000 brackets, above 100000, "
         "the most the relational route reduces\n"
     )
     done = _cli("dr1", "--r", "4", "--k", "100000,-100000", "--a", "2,2", "--method", "closed")
@@ -529,7 +543,7 @@ def _argvs(draw):
             argv.append(flag)
             continue
         text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
-        # "--k -2,2" reads -2,2 as an option; "--k=-2,2" is a value
+        # "--flag value" or "--flag=value": "--k -2,2" and "--k=-2,2" both give the row
         argv.extend([f"{flag}={text}"] if draw(st.booleans()) else [flag, text])
     if not draw(st.integers(0, 3)):
         for token in draw(st.lists(_JUNK, min_size=1, max_size=2)):
@@ -540,7 +554,7 @@ def _argvs(draw):
 @settings(max_examples=300, deadline=timedelta(seconds=5))
 @given(_argvs())
 @example(["verify", "--suite", "loop", "--extended", "--r-max", "4", "--n-max", "4"])  # exit 1
-@example(["dr1", "--r", "4", "--k", "-2,2", "--a", "2,2"])  # exit 64, see _argvs
+@example(["dr1", "--r", "4", "--k", "-2,2", "--a", "2,2"])  # exit 0, 1/32 twice
 def test_cli_argv_fuzz_ends_with_a_documented_exit_code(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

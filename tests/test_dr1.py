@@ -32,7 +32,6 @@ from rspin.core import (
     parse_key,
 )
 from rspin.dr1 import (
-    RELATIONAL_K_SUM_MAX,
     RELATIONAL_REACH_MAX,
     anchored_instances,
     b_value,
@@ -634,9 +633,11 @@ def test_deep_reduction_runs_without_python_recursion():
     assert res.value == closed_form(br).value
     assert len(cache) == 248  # (j, -j) for j = 1..248
     assert solve_relational(br, cache).trace == ("cache",)
-    at_limit = RELATIONAL_K_SUM_MAX // 2
-    wide = DR1Bracket(4, [(at_limit, 2), (-at_limit, 2)])
-    assert solve_relational(wide).value == closed_form(wide).value
+    # sum |k| = 4000: one stored bracket per step
+    wide = DR1Bracket(4, [(2000, 2), (-2000, 2)])
+    cache = CacheStore()
+    assert solve_relational(wide, cache).value == closed_form(wide).value == Fraction(1333333, 32)
+    assert len(cache) == 2000
 
 
 def _stuck_case_all_large(monkeypatch):
@@ -665,12 +666,14 @@ def test_a_stalled_reduction_ends_the_cli_with_one_line(monkeypatch, capsys):
     assert "Traceback" not in captured.err
 
 
-def test_rows_past_the_k_sum_limit_are_refused():
+def test_two_point_rows_past_the_reach_limit_are_refused():
     big = DR1Bracket(4, [(100000, 2), (-100000, 2)])
-    with pytest.raises(ReductionStalledError, match=r"sum \|k\| = 200000, above 1000"):
+    with pytest.raises(ReductionStalledError, match=r"may reach 200000 brackets, above 100000"):
         solve_relational(big)
-    over = DR1Bracket(4, [(RELATIONAL_K_SUM_MAX // 2 + 1, 2), (-(RELATIONAL_K_SUM_MAX // 2 + 1), 2)])
-    with pytest.raises(ReductionStalledError):
+    # +-K reaches K brackets and is estimated at 2K: +-50,000 is the widest row that reduces
+    assert rspin.dr1._reach_estimate(DR1Bracket(4, [(50000, 2), (-50000, 2)]).entries) == RELATIONAL_REACH_MAX
+    over = DR1Bracket(4, [(50001, 2), (-50001, 2)])
+    with pytest.raises(ReductionStalledError, match=r"may reach 100002 brackets, above 100000"):
         solve_relational(over)
     # the guard comes after the answers that need no reduction
     cache = CacheStore()
@@ -682,8 +685,8 @@ def test_rows_past_the_k_sum_limit_are_refused():
 
 
 def test_multi_point_rows_past_the_reach_limit_are_refused():
-    # sum |k| = 1000 passes the sum |k| guard, but four orders of 250 would
-    # reach millions of brackets: refused before anything is stored
+    # four orders of 250, sum |k| = 1000, would reach millions of brackets:
+    # refused before anything is stored
     big = DR1Bracket(8, [(250, 6), (250, 6), (-250, 6), (-250, 6)])
     cache = CacheStore()
     with pytest.raises(ReductionStalledError, match=r"may reach \d+ brackets, above 100000"):

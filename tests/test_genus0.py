@@ -9,13 +9,20 @@ the generator against silent regressions.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rspin.core import GradingError, Genus0Bracket, ascending_multisets, genus0_key, parse_key
+from rspin.core import (
+    EvalResult,
+    GradingError,
+    Genus0Bracket,
+    ascending_multisets,
+    genus0_key,
+    parse_key,
+)
 from rspin.elimination import solve_exact
 from rspin.genus0 import (
     _primitive,
@@ -65,6 +72,49 @@ def test_four_point_zero_entry_agrees_with_zero_rule():
     res = four_point(4, 0, 2, 2, 2)
     assert res.value == 0
     assert res.status == "ok"
+
+
+def _closed_small(r, a):
+    """The 3- and 4-point result the dispatch must give, written out independently."""
+    if sum(a) != (len(a) - 2) * r - 2:
+        return EvalResult(0, "dimension-mismatch-zero", ("selection",))
+    if r - 1 in a:
+        return EvalResult(0, "vanishing-axiom-zero", ("vanishing-axiom",))
+    if len(a) == 3:
+        return EvalResult(1, "ok", ("three-point",))
+    return EvalResult(Fraction(min(min(a), min(r - 1 - x for x in a)), r), "ok", ("four-point",))
+
+
+def _grading_error(call, *args):
+    with pytest.raises(GradingError) as info:
+        call(*args)
+    return str(info.value)
+
+
+def test_three_and_four_point_agree_with_solve_bracket_on_every_twist_tuple():
+    # every ordered tuple, graded or not, at 2 <= r <= 9, trace included
+    for r in range(2, 10):
+        for size, closed in ((3, three_point), (4, four_point)):
+            for a in product(range(r), repeat=size):
+                want = _closed_small(r, a)
+                assert closed(r, *a) == solve_bracket(r, a) == want, (r, a)
+            for i, bad in product(range(size), (-1, r, True)):
+                a = [r - 2] * size
+                a[i] = bad
+                message = _grading_error(closed, r, *a)
+                assert message == _grading_error(solve_bracket, r, a), (r, a)
+    assert _grading_error(three_point, 1, 0, 0, 0) == _grading_error(solve_bracket, 1, (0, 0, 0))
+
+
+def test_solve_bracket_makes_a_store_only_when_a_request_reaches_it(monkeypatch):
+    made = []
+    monkeypatch.setattr("rspin.genus0.CacheStore", lambda: made.append(1) or CacheStore())
+    for a, rule in (((1, 1, 2), "three-point"), ((1, 3, 3, 3), "four-point"), ((1, 1, 1, 1, 1), "selection"),
+                    ((1, 1, 4, 5, 5), "vanishing-axiom"), ((0, 4, 4, 4, 4), "zero-entry")):
+        assert solve_bracket(6, a).trace == (rule,)
+    assert made == []
+    assert solve_bracket(6, (2, 3, 3, 4, 4)).trace == ("wdvv-elimination",)
+    assert made == [1]
 
 
 def test_loop_sum_goldens():

@@ -2,7 +2,8 @@
 
 ``EvalResult``, ``Genus0Bracket`` and ``DR1Bracket`` (core),
 ``RelationInstance`` (dr1), ``WdvvSystem`` (genus0) and ``SuiteReport``
-(verify) are written out by hand; these tests pin what callers may rely on.
+(verify) take these from one base, ``core._Record``, through the fields each
+names; these tests pin what callers may rely on.
 """
 
 import copy
