@@ -86,70 +86,54 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="rspin", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p_g0 = sub.add_parser("g0", help="evaluate a genus-0 bracket")
-    p_g0.add_argument("--r", type=int, required=True)
-    p_g0.add_argument("--a", type=_int_list, required=True, metavar="a1,..,an")
-    p_g0.add_argument("--format", choices=("text", "json"), default="text")
-    p_g0.add_argument(
-        "--cache",
-        nargs="?",
-        const="",
-        default=None,
-        metavar="PATH",
-        help="persist memoized values in PATH; a bare flag uses "
-        f"${CACHE_ENV_VAR}, which must then be set",
-    )
-    p_g0.set_defaults(func=_cmd_g0)
+    def command(name, func, summary, formats=("text", "json"), cache=None):
+        """Add subcommand ``name`` run by ``func``; return its ``add_argument``.
 
-    p_loop = sub.add_parser("loopsum", help="evaluate the window-sum formula")
-    p_loop.add_argument("--r", type=int, required=True)
-    p_loop.add_argument("--m", type=int, required=True)
-    p_loop.add_argument("--x", type=_int_list, required=True, metavar="x1,..,xn")
-    p_loop.add_argument("--extended", action="store_true")
-    p_loop.add_argument("--format", choices=("text", "json"), default="text")
-    p_loop.set_defaults(func=_cmd_loopsum)
+        Each takes ``--format`` (default ``formats[0]``); with ``cache`` set,
+        ``--cache`` persists what ``cache`` names.
+        """
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--format", choices=formats, default=formats[0])
+        if cache:
+            p.add_argument(
+                "--cache", nargs="?", const="", default=None, metavar="PATH",
+                help=f"persist {cache} in PATH; a bare flag uses ${CACHE_ENV_VAR}, which must then be set",
+            )
+        p.set_defaults(func=func)
+        return p.add_argument
 
-    p_dr1 = sub.add_parser("dr1", help="evaluate a genus-1 bracket")
-    p_dr1.add_argument("--r", type=int, required=True)
-    p_dr1.add_argument("--k", type=_int_list, required=True, metavar="k1,..,kn")
-    p_dr1.add_argument("--a", type=_int_list, required=True, metavar="a1,..,an")
-    p_dr1.add_argument(
-        "--method", choices=("closed", "relations", "both"), default="both"
-    )
-    p_dr1.add_argument("--format", choices=("text", "json"), default="text")
-    p_dr1.add_argument(
-        "--cache",
-        nargs="?",
-        const="",
-        default=None,
-        metavar="PATH",
-        help="persist the relational solver's memo table in PATH; a bare "
-        f"flag uses ${CACHE_ENV_VAR}, which must then be set",
-    )
-    p_dr1.set_defaults(func=_cmd_dr1)
+    arg = command("g0", _cmd_g0, "evaluate a genus-0 bracket", cache="memoized values")
+    arg("--r", type=int, required=True)
+    arg("--a", type=_int_list, required=True, metavar="a1,..,an")
 
-    p_b = sub.add_parser("b", help="evaluate the genus-1 one-point coefficient B")
-    p_b.add_argument("--r", type=int, required=True)
-    p_b.add_argument("--a", type=_int_list, required=True, metavar="a1,..,an")
-    p_b.add_argument("--format", choices=("text", "json"), default="text")
-    p_b.set_defaults(func=_cmd_b)
+    arg = command("loopsum", _cmd_loopsum, "evaluate the window-sum formula")
+    arg("--r", type=int, required=True)
+    arg("--m", type=int, required=True)
+    arg("--x", type=_int_list, required=True, metavar="x1,..,xn")
+    arg("--extended", action="store_true")
 
-    p_verify = sub.add_parser("verify", help="run a property suite")
-    p_verify.add_argument("--suite", choices=("all",) + SUITES, default="all")
-    p_verify.add_argument("--r-max", type=int, default=6)
-    p_verify.add_argument("--n-max", type=int, default=5)
-    p_verify.add_argument("--k-sum-max", type=int, default=8)
-    p_verify.add_argument("--extended", action="store_true")
-    p_verify.add_argument("--format", choices=("text", "json"), default="text")
-    p_verify.set_defaults(func=_cmd_verify)
+    arg = command("dr1", _cmd_dr1, "evaluate a genus-1 bracket", cache="the relational solver's memo table")
+    arg("--r", type=int, required=True)
+    arg("--k", type=_int_list, required=True, metavar="k1,..,kn")
+    arg("--a", type=_int_list, required=True, metavar="a1,..,an")
+    arg("--method", choices=("closed", "relations", "both"), default="both")
 
-    p_table = sub.add_parser("table", help="enumerate all brackets in a window")
-    p_table.add_argument("--kind", choices=("g0", "dr1"), required=True)
-    p_table.add_argument("--r", type=int, required=True)
-    p_table.add_argument("--n-max", type=int, default=5)
-    p_table.add_argument("--k-sum-max", type=int, default=8)
-    p_table.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_table.set_defaults(func=_cmd_table)
+    arg = command("b", _cmd_b, "evaluate the genus-1 one-point coefficient B")
+    arg("--r", type=int, required=True)
+    arg("--a", type=_int_list, required=True, metavar="a1,..,an")
+
+    arg = command("verify", _cmd_verify, "run a property suite")
+    arg("--suite", choices=("all",) + SUITES, default="all")
+    arg("--r-max", type=int, default=6)
+    arg("--n-max", type=int, default=5)
+    arg("--k-sum-max", type=int, default=8)
+    arg("--extended", action="store_true")
+
+    arg = command("table", _cmd_table, "enumerate all brackets in a window", formats=("csv", "json"))
+    arg("--kind", choices=("g0", "dr1"), required=True)
+    arg("--r", type=int, required=True)
+    arg("--n-max", type=int, default=5)
+    arg("--k-sum-max", type=int, default=8)
 
     return parser
 
@@ -193,26 +177,30 @@ def _close_store(store: Optional[CacheStore], path: Optional[str]) -> None:
         store.save(path)
 
 
+def _emit(args, payload, *lines) -> None:
+    """Print ``payload`` as JSON under ``--format json``, else each of ``lines``."""
+    if args.format == "json":
+        print(json.dumps(payload, indent=2, sort_keys=True))
+    else:
+        for line in lines:
+            print(line)
+
+
+def _results(pairs) -> list:
+    """The ``results`` entries of a JSON payload, one per ``(method, EvalResult)``."""
+    return [
+        {"method": method, "value": format_rational(res.value), "status": res.status}
+        for method, res in pairs
+    ]
+
+
 def _cmd_g0(args) -> int:
     bracket = Genus0Bracket(args.r, args.a)
     path = _cache_path(args.cache)
     store = _open_store(path)
     result = genus0.solve_bracket(args.r, tuple(args.a), store)
     _close_store(store, path)
-    if args.format == "json":
-        payload = {
-            "key": bracket.key,
-            "results": [
-                {
-                    "method": "wdvv",
-                    "value": format_rational(result.value),
-                    "status": result.status,
-                }
-            ],
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(str(result.value))
+    _emit(args, {"key": bracket.key, "results": _results([("wdvv", result)])}, result.value)
     return EXIT_OK
 
 
@@ -222,17 +210,9 @@ def _cmd_loopsum(args) -> int:
     except GradingError as exc:
         # the library names its keyword argument; a CLI user needs the flag
         raise GradingError(str(exc).replace("extended=True", "--extended")) from None
-    if args.format == "json":
-        payload = {
-            "r": args.r,
-            "m": args.m,
-            "x": list(args.x),
-            "extended": bool(args.extended),
-            "value": format_rational(value),
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(str(value))
+    payload = {"r": args.r, "m": args.m, "x": args.x, "extended": args.extended,
+               "value": format_rational(value)}
+    _emit(args, payload, value)
     return EXIT_OK
 
 
@@ -253,23 +233,8 @@ def _cmd_dr1(args) -> int:
             results.append(("relations", dr1.solve_relational(bracket, store)))
             _close_store(store, path)
     agree = len({(res.value, res.status) for _, res in results}) == 1
-    if args.format == "json":
-        payload = {
-            "key": bracket.key,
-            "results": [
-                {
-                    "method": method,
-                    "value": format_rational(res.value),
-                    "status": res.status,
-                }
-                for method, res in results
-            ],
-            "agree": agree,
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        for _, res in results:
-            print(str(res.value))
+    payload = {"key": bracket.key, "results": _results(results), "agree": agree}
+    _emit(args, payload, *(res.value for _, res in results))
     if not agree:
         print("method disagreement on " + bracket.key, file=sys.stderr)
         return EXIT_DISAGREEMENT
@@ -278,15 +243,7 @@ def _cmd_dr1(args) -> int:
 
 def _cmd_b(args) -> int:
     value = dr1.b_value(args.r, tuple(args.a))
-    if args.format == "json":
-        payload = {
-            "r": args.r,
-            "a": list(args.a),
-            "value": format_rational(value),
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(str(value))
+    _emit(args, {"r": args.r, "a": args.a, "value": format_rational(value)}, value)
     return EXIT_OK
 
 
@@ -302,13 +259,11 @@ def _cmd_verify(args) -> int:
     if empty:
         bounds = f"--r-max {args.r_max} --n-max {args.n_max} --k-sum-max {args.k_sum_max}"
         raise _UsageError(f"no cases at {bounds} in {', '.join(empty)}")
-    if args.format == "json":
-        print(json.dumps([rep.to_payload() for rep in reports], indent=2, sort_keys=True))
-    else:
-        for rep in reports:
-            print(rep.summary_line())
-            for key, expected, got in rep.failures:
-                print(f"  FAIL {key}: expected {expected}, got {got}")
+    lines = []
+    for rep in reports:
+        lines.append(rep.summary_line())
+        lines.extend(f"  FAIL {key}: expected {expected}, got {got}" for key, expected, got in rep.failures)
+    _emit(args, [rep.to_payload() for rep in reports], *lines)
     if any(not rep.passed for rep in reports):
         return EXIT_FAILURE
     return EXIT_OK
@@ -384,25 +339,19 @@ def _join_negative_rows(argv: Sequence[str]) -> List[str]:
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(_join_negative_rows(sys.argv[1:] if argv is None else argv))
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        args = _build_parser().parse_args(_join_negative_rows(sys.argv[1:] if argv is None else argv))
         return args.func(args)
+    except SystemExit as exc:  # --help
+        return int(exc.code or 0)
     except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        code, error = EXIT_USAGE, exc
     except (GradingError, StructureError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        code, error = EXIT_DATA, exc
     except (UnderdeterminedError, ReductionStalledError, CacheError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
+        code, error = EXIT_FAILURE, exc
+    print(f"error: {error}", file=sys.stderr)
+    return code
 
 
 def main() -> None:

@@ -36,7 +36,8 @@ raises :class:`rspin.core.ReductionStalledError` naming the key. The moves
 are generators driven from an explicit stack, so a deep reduction (one
 step per unit of ``k`` on a two-point row) costs no Python recursion.
 Rows that may reach more brackets than :data:`RELATIONAL_REACH_MAX` are
-refused before reducing. Relation rows stay in integers from builder to
+refused before reducing, and a reduction that would store more is stopped
+as it runs. Relation rows stay in integers from builder to
 solver: ``_relation_row`` gives ``(b_coefficient, {bracket: coefficient})``
 in ints, which the case-2 and case-3 steps and the verification suite read
 directly; only the public builders box them into ``Fraction`` values
@@ -363,11 +364,12 @@ def _anchored_rows(bracket: DR1Bracket, memo: dict):
                 )
 
 
-# The largest _reach_estimate solve_relational reduces: on random rows of
-# three to six nonzero orders, near-ties included, no reduction reached 1.5
-# times its estimate, so at 60-100 us a bracket a row at the limit takes
-# seconds; rows measured under two pass. A two-point row +-K stores K
-# brackets; its estimate, 2K above K = 25,000, admits K <= 50,000.
+# The largest _reach_estimate solve_relational reduces, and the most
+# brackets one reduction stores: on random rows of three to six nonzero
+# orders, near-ties included, no reduction reached 1.5 times its estimate,
+# so at 60-100 us a bracket a row at the limit takes seconds; rows measured
+# under two pass. A two-point row +-K stores K brackets; its estimate, 2K
+# above K = 25,000, admits K <= 50,000.
 RELATIONAL_REACH_MAX = 100_000
 
 
@@ -401,19 +403,30 @@ def _reach_estimate(entries: Sequence[Tuple[int, int]]) -> int:
 class _Reduction:
     """State of one top-level reduction in :func:`solve_relational`.
 
-    It holds the store, the keys under reduction (the cycle guard), B, and
-    the row memo of :func:`_relation_row`. Every bracket a reduction
-    reaches, relation term or rewriting child, keeps the top-level twist
-    multiset, so one B, from the product formula, serves them all.
+    It holds the store, the keys under reduction (the cycle guard), B, the
+    row memo of :func:`_relation_row`, and the count of brackets it has
+    stored. Every bracket a reduction reaches, relation term or rewriting
+    child, keeps the top-level twist multiset, so one B, from the product
+    formula, serves them all.
     """
 
-    __slots__ = ("cache", "visiting", "b", "memo")
+    __slots__ = ("cache", "visiting", "b", "memo", "top", "stored")
 
     def __init__(self, top: DR1Bracket, cache: CacheStore):
         self.cache = cache
         self.visiting: Set[str] = set()
         self.b = _b_product(top.r, top.a_row)
         self.memo: dict = {}
+        self.top = top
+        self.stored = 0
+
+    def put(self, key: str, value: Fraction) -> None:
+        """Store a reached bracket; refuse the reduction past :data:`RELATIONAL_REACH_MAX` of them."""
+        self.stored += 1
+        if self.stored > RELATIONAL_REACH_MAX:
+            raise ReductionStalledError(f"{self.top.key} reached more than {RELATIONAL_REACH_MAX} brackets, "
+                                        "the most the relational route reduces")
+        self.cache.put(key, value)
 
 
 def _solve_from_row(row, target: DR1Bracket, red: _Reduction):
@@ -442,7 +455,7 @@ def _relational_value(bracket: DR1Bracket, key: str, red: _Reduction) -> Tuple[F
     stack. Children are looked up, reduced and stored in the order a
     recursive walk would take, so the store ends up the same.
     """
-    cache, visiting = red.cache, red.visiting
+    cache, visiting, put = red.cache, red.visiting, red.put
     rule, step = _reduce_once(bracket, red)
     visiting.add(key)
     stack = [(key, step)]
@@ -455,7 +468,7 @@ def _relational_value(bracket: DR1Bracket, key: str, red: _Reduction) -> Tuple[F
             value = done.value
             stack.pop()
             visiting.discard(key)
-            cache.put(key, value)
+            put(key, value)
             if not stack:
                 return value, rule
             continue
@@ -464,7 +477,7 @@ def _relational_value(bracket: DR1Bracket, key: str, red: _Reduction) -> Tuple[F
         if value is None:
             if relation3_check(child):
                 value = Fraction(0)
-                cache.put(key, value)
+                put(key, value)
             elif key in visiting:
                 raise ReductionStalledError(f"reduction-stalled: {key} revisited during its own reduction")
             else:
@@ -684,7 +697,8 @@ def solve_relational(bracket: DR1Bracket, cache: Optional[CacheStore] = None) ->
     anchor raises :class:`rspin.core.ReductionStalledError` naming the key;
     so does a bracket that is neither stored nor a relation-3 zero and
     that may reach more than :data:`RELATIONAL_REACH_MAX` brackets, before
-    any reduction. With ``cache`` None the call uses a fresh store, so nothing
+    any reduction, and a reduction as it would store one bracket more than
+    that. With ``cache`` None the call uses a fresh store, so nothing
     outlives it.
     """
     if bracket.status != STATUS_OK:

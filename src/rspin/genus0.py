@@ -56,7 +56,6 @@ from .core import (
     ascending_multisets,
     genus0_key,
 )
-from .elimination import solve_exact
 from .store import CacheStore
 
 __all__ = [
@@ -174,6 +173,8 @@ class WdvvSystem(_Frozen):
 
     def solve(self) -> Tuple[Dict[Key, Fraction], List[Key]]:
         """Eliminate, divide out ``r^(n-3)``; return (bracket values, free keys)."""
+        from .elimination import solve_exact  # run only when a request solves
+
         values, free = solve_exact(self.unknowns, self.equations)
         scale = self.r ** (self.n - 3)
         return {key: value / scale for key, value in values.items()}, free

@@ -6,6 +6,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from datetime import timedelta
@@ -82,6 +83,187 @@ def test_loopsum_past_the_extended_bound_gives_no_extended_hint(capsys):
         assert code == 65
         assert err == "error: m=9 exceeds the extended bound r=5\n"
         assert "--extended" not in err
+
+
+# Every subcommand in each format, usage errors, a data error, a refusal and a
+# row whose first order is negative: (argv, exit code, stdout, stderr), byte
+# for byte. Timings vary, so "elapsed_ms" and the "... ms" ending a verify
+# summary line read "…" on both sides.
+_GOLDEN = [
+    pytest.param("g0 --r 7 --a 3,3,4,4,5", 0, "4/49\n", "", id="g0-text"),
+    pytest.param("g0 --r 7 --a 3,3,4,4,5 --format json", 0, """\
+{
+  "key": "g0:r=7:a=3,3,4,4,5",
+  "results": [
+    {
+      "method": "wdvv",
+      "status": "ok",
+      "value": "4/49"
+    }
+  ]
+}
+""", "", id="g0-json"),
+    pytest.param("loopsum --r 7 --m 5 --x 3,4", 0, "6/7\n", "", id="loopsum-text"),
+    pytest.param("loopsum --r 5 --m 4 --x 2,2 --extended --format json", 0, """\
+{
+  "extended": true,
+  "m": 4,
+  "r": 5,
+  "value": "4/5",
+  "x": [
+    2,
+    2
+  ]
+}
+""", "", id="loopsum-json"),
+    pytest.param("dr1 --r 8 --k 4,-4 --a 2,6 --method both", 0, """\
+25/64
+25/64
+""", "", id="dr1-text"),
+    pytest.param("dr1 --r 6 --k 2,1,-3 --a 4,4,4 --format json", 0, """\
+{
+  "agree": true,
+  "key": "dr1:r=6:k=3,-1,-2:a=4,4,4",
+  "results": [
+    {
+      "method": "closed",
+      "status": "ok",
+      "value": "1/72"
+    },
+    {
+      "method": "relations",
+      "status": "ok",
+      "value": "1/72"
+    }
+  ]
+}
+""", "", id="dr1-json"),
+    pytest.param("dr1 --r 5 --k 1,-1 --a 3,1 --method closed --format json", 0, """\
+{
+  "agree": true,
+  "key": "dr1:r=5:k=1,-1:a=1,3",
+  "results": [
+    {
+      "method": "closed",
+      "status": "dimension-mismatch-zero",
+      "value": "0/1"
+    }
+  ]
+}
+""", "", id="dr1-closed-json"),
+    pytest.param("dr1 --r 4 --k -2,2 --a 2,2", 0, """\
+1/32
+1/32
+""", "", id="dr1-negative-first-order"),
+    pytest.param("b --r 9 --a 7,7,6,7", 0, "1/1458\n", "", id="b-text"),
+    pytest.param("b --r 9 --a 7,7,6,7 --format json", 0, """\
+{
+  "a": [
+    7,
+    7,
+    6,
+    7
+  ],
+  "r": 9,
+  "value": "1/1458"
+}
+""", "", id="b-json"),
+    pytest.param("verify --r-max 4 --n-max 4 --k-sum-max 4", 0, """\
+loop: 7 cases, pass, … ms
+relations: 52 cases, pass, … ms
+oracle: 21 cases, pass, … ms
+axioms: 47 cases, pass, … ms
+""", "", id="verify-text"),
+    pytest.param("verify --suite loop --r-max 4 --n-max 4 --extended", 1, """\
+loop: 13 cases, FAIL (4 failures), … ms
+  FAIL loop:r=2:m=2:x=0,0: expected 0/1, got 1/2
+  FAIL loop:r=3:m=3:x=0,1: expected 0/1, got 2/3
+  FAIL loop:r=4:m=4:x=0,2: expected 0/1, got 3/4
+  FAIL loop:r=4:m=4:x=1,1: expected 1/4, got 1/1
+""", "", id="verify-text-failing"),
+    pytest.param("verify --r-max 4 --n-max 4 --k-sum-max 4 --format json", 0, """\
+[
+  {
+    "cases": 7,
+    "elapsed_ms": …,
+    "failures": [],
+    "suite": "loop"
+  },
+  {
+    "cases": 52,
+    "elapsed_ms": …,
+    "failures": [],
+    "suite": "relations"
+  },
+  {
+    "cases": 21,
+    "elapsed_ms": …,
+    "failures": [],
+    "suite": "oracle"
+  },
+  {
+    "cases": 47,
+    "elapsed_ms": …,
+    "failures": [],
+    "suite": "axioms"
+  }
+]
+""", "", id="verify-json"),
+    pytest.param("table --kind g0 --r 4 --n-max 4", 0, """\
+r,a,value\r
+4,"0,0,2",1/1\r
+4,"0,0,3,3",0/1\r
+4,"0,1,1",1/1\r
+4,"0,1,2,3",0/1\r
+4,"0,2,2,2",0/1\r
+4,"1,1,1,3",0/1\r
+4,"1,1,2,2",1/4\r
+""", "", id="table-csv"),
+    pytest.param("table --kind dr1 --r 4 --n-max 2 --k-sum-max 2 --format json", 0, """\
+[
+  {
+    "a": "1,3",
+    "k": "1,-1",
+    "key": "dr1:r=4:k=1,-1:a=1,3",
+    "r": 4,
+    "status": "vanishing-axiom-zero",
+    "value": "0/1"
+  },
+  {
+    "a": "2,2",
+    "k": "1,-1",
+    "key": "dr1:r=4:k=1,-1:a=2,2",
+    "r": 4,
+    "status": "ok",
+    "value": "0/1"
+  }
+]
+""", "", id="table-json"),
+    pytest.param("g0 --r 5", 64, "", "error: the following arguments are required: --a\n",
+                 id="usage-missing-argument"),
+    pytest.param("table --k 3", 64, "",
+                 "error: ambiguous option: --k could match --kind, --k-sum-max\n",
+                 id="usage-ambiguous-option"),
+    pytest.param("verify --r-max 1", 64, "",
+                 "error: no cases at --r-max 1 --n-max 5 --k-sum-max 8 in loop, relations, oracle, axioms\n",
+                 id="usage-no-cases"),
+    pytest.param("g0 --r 5 --a 1,1,3,3 --cache", 64, "",
+                 "error: --cache without PATH needs $RSPIN_CACHE to be set\n", id="usage-bare-cache"),
+    pytest.param("dr1 --r 4 --k 2,-1 --a 2,2", 65, "", "error: orders must balance to 0, got sum 1\n",
+                 id="grading-error"),
+    pytest.param("dr1 --r 4 --k 100000,-100000 --a 2,2", 1, "",
+                 "error: dr1:r=4:k=100000,-100000:a=2,2 may reach 200000 brackets, above 100000, "
+                 "the most the relational route reduces\n", id="reach-refusal"),
+]
+
+
+@pytest.mark.parametrize("line, code, out, err", _GOLDEN)
+def test_cli_output_is_pinned_byte_for_byte(capsys, monkeypatch, line, code, out, err):
+    monkeypatch.delenv("RSPIN_CACHE", raising=False)
+    got_code, got_out, got_err = invoke(capsys, *line.split())
+    got_out = re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": …', got_out)
+    got_out = re.sub(r", \d+ ms$", ", … ms", got_out, flags=re.M)
+    assert (got_code, got_out, got_err) == (code, out, err)
 
 
 def _cli(*argv):
@@ -195,7 +377,7 @@ def test_g0_cache_hit_leaves_dr1_and_verify_unrun(tmp_path):
     codes, ran, printed = _modules_run(argv)
     assert codes == [0] and printed == ["4/49"]
     assert os.stat(path).st_mtime_ns == stamp  # a hit: nothing to save
-    assert ran == {"cli", "core", "store", "genus0", "elimination"}
+    assert ran == {"cli", "core", "store", "genus0"}
 
 
 def test_getattr_on_a_placeholder_returns_the_real_function():

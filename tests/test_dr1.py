@@ -707,6 +707,23 @@ def test_multi_point_rows_past_the_reach_limit_are_refused():
         assert rspin.dr1._reach_estimate(DR1Bracket(r, list(zip(k, a))).entries) <= RELATIONAL_REACH_MAX
 
 
+def test_a_reduction_past_the_limit_is_stopped_as_it_runs(monkeypatch, capsys):
+    # the estimate (11,586) passes a limit of 12,000, but the full reduction
+    # stores 16,806 brackets: it stops at the limit, with the top key named
+    monkeypatch.setattr(rspin.dr1, "RELATIONAL_REACH_MAX", 12_000)
+    br = DR1Bracket(30, list(zip((10, 9, 8, -9, -9, -9), (27, 26, 26, 22, 23, 26))))
+    assert rspin.dr1._reach_estimate(br.entries) == 11_586
+    message = f"{br.key} reached more than 12000 brackets, the most the relational route reduces"
+    cache = CacheStore()
+    with pytest.raises(ReductionStalledError, match=f"^{message}$"):
+        solve_relational(br, cache)
+    assert len(cache) == 12_000
+    code = run(["dr1", "--r", "30", "--k", "10,9,8,-9,-9,-9", "--a", "27,26,26,22,23,26",
+                "--method", "relations"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (1, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("r, k, a", [
     (20, (20, 20, -20, -20), (15, 16, 17, 12)),  # both signs hold the smallest magnitude
     (20, (20, -20, 20, -20), (15, 16, 17, 12)),
