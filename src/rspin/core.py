@@ -204,6 +204,14 @@ class EvalResult(_Frozen):
         object.__setattr__(self, "trace", trace)
 
 
+# The answer of every evaluator for a bracket whose status is not "ok";
+# EvalResult is frozen, so one instance per status is shared by every call.
+_ZERO_RESULTS = {
+    STATUS_DIMENSION_ZERO: EvalResult(Fraction(0), STATUS_DIMENSION_ZERO, ("selection",)),
+    STATUS_VANISHING_ZERO: EvalResult(Fraction(0), STATUS_VANISHING_ZERO, ("vanishing-axiom",)),
+}
+
+
 def genus_of(r: int, insertions: Sequence[Tuple[int, int]]) -> Optional[int]:
     """Genus pinned down by a list of ``(psi_power, twist)`` insertions.
 

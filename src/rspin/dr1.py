@@ -69,14 +69,13 @@ from math import comb, factorial
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .core import (
-    STATUS_DIMENSION_ZERO,
     STATUS_OK,
-    STATUS_VANISHING_ZERO,
     DR1Bracket,
     EvalResult,
     GradingError,
     ReductionStalledError,
     StructureError,
+    _ZERO_RESULTS,
     _Frozen,
     _check_r,
     _check_twists,
@@ -146,14 +145,6 @@ def b_value_trr(r: int, a: Sequence[int], cache: Optional[CacheStore] = None) ->
     return genus0.bracket_window_sum(r, r - 2, a, cache) / 24 if a else Fraction(0)
 
 
-# The answer of both evaluators for a bracket whose status is not "ok";
-# EvalResult is frozen, so one instance per status is shared by every call.
-_ZERO_RESULTS = {
-    STATUS_DIMENSION_ZERO: EvalResult(Fraction(0), STATUS_DIMENSION_ZERO, ("selection",)),
-    STATUS_VANISHING_ZERO: EvalResult(Fraction(0), STATUS_VANISHING_ZERO, ("vanishing-axiom",)),
-}
-
-
 def closed_form(bracket: DR1Bracket) -> EvalResult:
     """Evaluate a bracket as ``(sum(k_i^2)/2 - 1) * B(r, a)``, one ``Fraction``."""
     if bracket.status != STATUS_OK:
@@ -189,14 +180,12 @@ class RelationInstance(_Frozen):
         object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "context", context)
 
-    def residual_closed(self, b: Optional[Fraction] = None) -> Fraction:
+    def residual_closed(self) -> Fraction:
         """Left side minus right side with every bracket evaluated closed-form.
 
-        Zero for every valid instance; ``b`` is the B of the context.
+        Zero for every valid instance; B comes from the product formula.
         """
-        if b is None:
-            b = b_value(*self.context)
-        return _residual_closed(self.b_coefficient, self.terms, b)
+        return _residual_closed(self.b_coefficient, self.terms, b_value(*self.context))
 
 
 def _residual_closed(b_coefficient, terms, b: Fraction) -> Fraction:
@@ -568,21 +557,6 @@ def _case_all_large(bracket: DR1Bracket, red: _Reduction):
     return (yield from _solve_from_row(relation, bracket, red))
 
 
-def _partitions(total: int, max_part: int, max_len: int):
-    """Yield the partitions of ``total`` as descending tuples.
-
-    Parts are at most ``max_part`` and there are at most ``max_len`` of them.
-    """
-    if total == 0:
-        yield ()
-        return
-    if max_len == 0:
-        return
-    for first in range(min(total, max_part), 0, -1):
-        for rest in _partitions(total - first, first, max_len - 1):
-            yield (first,) + rest
-
-
 def _sub_multisets(counts: Tuple[Tuple[int, int], ...], size: int):
     """Yield ``(ascending sub-multiset, remaining counts)`` for each distinct choice.
 
@@ -636,11 +610,16 @@ def _canonical_brackets(r: int, multisets: Sequence[Tuple[int, ...]], s_max: int
     for a_ms in multisets:
         counts = tuple((a, len(list(group))) for a, group in groupby(a_ms))
         by_n.setdefault(len(a_ms), []).append((counts, dr1_status(r, a_ms)))
+
+    def partitions(total, top, most):
+        """The partitions of ``total`` into at most ``most`` parts of at most ``top``, descending."""
+        return [p[::-1] for size in range(1, most + 1) for p in ascending_multisets(1, top, size, total)]
+
     k_rows = []
     for n in by_n:
         for s in range(1, s_max // 2 + 1):
-            for pos in _partitions(s, s, n - 1):
-                for neg in _partitions(s, pos[0], n - len(pos)):
+            for pos in partitions(s, s, n - 1):
+                for neg in partitions(s, pos[0], n - len(pos)):
                     if neg <= pos:
                         k_row = pos + (0,) * (n - len(pos) - len(neg)) + tuple(-q for q in reversed(neg))
                         k_rows.append((",".join(map(str, k_row)) + ":", k_row, neg == pos))

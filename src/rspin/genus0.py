@@ -20,8 +20,8 @@ The associativity systems are kept in integers: an n-point bracket enters as
 ``S(a) = r^(n-3) * <a>``, an integer on every value computed so far (one
 that is not stays an exact ``Fraction``). The two components of a
 degeneration carry ``n + 3`` points between them, so every term of an
-(n+1)-point instance scales by the same ``r^(n-3)``, which
-:meth:`WdvvSystem.solve` divides out once.
+(n+1)-point instance scales by the same ``r^(n-3)``, which the solver
+divides out once.
 
 :func:`loop_sum` evaluates the closed formula
 ``((n-1)!/r^(n-1)) * prod(r-1-x_i)`` for the window sum
@@ -40,7 +40,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, groupby
 from math import comb, factorial, gcd, lcm
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .core import (
     STATUS_DIMENSION_ZERO,
@@ -50,7 +50,7 @@ from .core import (
     Genus0Bracket,
     GradingError,
     UnderdeterminedError,
-    _Frozen,
+    _ZERO_RESULTS,
     _check_r,
     _check_twists,
     ascending_multisets,
@@ -142,7 +142,7 @@ def loop_sum(r: int, m: int, x: Sequence[int], extended: bool = False) -> Fracti
     return value
 
 
-class WdvvSystem(_Frozen):
+class WdvvSystem(NamedTuple):
     """Exact linear system for all unsolved n-point brackets at one (r, n).
 
     A bracket ``(r; a)`` is keyed by its ascending twist tuple ``a``.
@@ -152,40 +152,25 @@ class WdvvSystem(_Frozen):
     ``S[key] = r^(n-3) * <key>``, with constants fully evaluated from smaller
     brackets. Each row is primitive: its entries are integers with no common
     factor and a positive leading coefficient (a row holding a non-integral
-    scaled value is cleared of denominators first). :meth:`solve` unscales.
-    Systems compare and hash by identity.
+    scaled value is cleared of denominators first). The pair unpacks as the
+    arguments of :func:`rspin.elimination.solve_exact`.
     """
 
-    __slots__ = _fields = ("r", "n", "unknowns", "equations")
-    __eq__, __hash__ = object.__eq__, object.__hash__
-
-    def __init__(
-        self,
-        r: int,
-        n: int,
-        unknowns: Tuple[Key, ...],
-        equations: Tuple[Tuple[Dict[Key, int], int], ...],
-    ):
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "unknowns", unknowns)
-        object.__setattr__(self, "equations", equations)
-
-    def solve(self) -> Tuple[Dict[Key, Fraction], List[Key]]:
-        """Eliminate, divide out ``r^(n-3)``; return (bracket values, free keys)."""
-        from .elimination import solve_exact  # run only when a request solves
-
-        values, free = solve_exact(self.unknowns, self.equations)
-        scale = self.r ** (self.n - 3)
-        return {key: value / scale for key, value in values.items()}, free
+    unknowns: Tuple[Key, ...]
+    equations: Tuple[Tuple[Dict[Key, int], int], ...]
 
 
 def _solve_into(r: int, a: Key, cache: CacheStore) -> Fraction:
     """Solve the system at (r, len(a)), store every value it pins, return a's.
 
     ``a`` must be ascending, graded and have every twist in ``[1, r - 2]``.
+    The system is in scaled units, so each value is divided by ``r^(n-3)``.
     """
-    values, free = wdvv_equations(r, len(a), cache).solve()
+    from .elimination import solve_exact  # run only when a request solves
+
+    scaled, free = solve_exact(*wdvv_equations(r, len(a), cache))
+    scale = r ** (len(a) - 3)
+    values = {key: value / scale for key, value in scaled.items()}
     for key, value in values.items():
         cache.put(genus0_key(r, key), value)
     if a not in values:
@@ -401,7 +386,7 @@ def wdvv_equations(r: int, n: int, cache: Optional[CacheStore] = None) -> WdvvSy
                 if tag not in seen:
                     seen.add(tag)
                     equations.append((coeffs, rhs))
-    return WdvvSystem(r, n, unknowns, tuple(equations))
+    return WdvvSystem(unknowns, tuple(equations))
 
 
 def solve_bracket(r: int, a: Sequence[int], cache: Optional[CacheStore] = None) -> EvalResult:
@@ -419,9 +404,9 @@ def solve_bracket(r: int, a: Sequence[int], cache: Optional[CacheStore] = None) 
     bracket = Genus0Bracket(r, a)
     a_sorted, n = bracket.a, len(bracket.a)
     if sum(a_sorted) != (n - 2) * r - 2:
-        return EvalResult(Fraction(0), STATUS_DIMENSION_ZERO, ("selection",))
+        return _ZERO_RESULTS[STATUS_DIMENSION_ZERO]
     if a_sorted[-1] == r - 1:
-        return EvalResult(Fraction(0), STATUS_VANISHING_ZERO, ("vanishing-axiom",))
+        return _ZERO_RESULTS[STATUS_VANISHING_ZERO]
     if n == 3:
         return EvalResult(Fraction(1), STATUS_OK, ("three-point",))
     if n == 4:

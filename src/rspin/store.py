@@ -56,7 +56,6 @@ class CacheStore:
         self._entries: Dict[str, Fraction] = {}
         self._lock = threading.RLock()
         self._key_check = KeyCheck()
-        self.schema_version = SCHEMA_VERSION
         self.dirty = False
         if entries:
             for key, value in entries.items():
@@ -131,7 +130,7 @@ class CacheStore:
         """Write atomically: serialize to a sibling temp file, then rename."""
         with self._lock:
             payload = {
-                "schema": self.schema_version,
+                "schema": SCHEMA_VERSION,
                 "entries": {
                     key: format_rational(value)
                     for key, value in sorted(self._entries.items())
