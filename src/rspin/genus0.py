@@ -21,7 +21,11 @@ The associativity systems are kept in integers: an n-point bracket enters as
 that is not stays an exact ``Fraction``). The two components of a
 degeneration carry ``n + 3`` points between them, so every term of an
 (n+1)-point instance scales by the same ``r^(n-3)``, which the solver
-divides out once.
+divides out once. Generation codes each twist multiset as one integer, a
+count per twist in a fixed-width bit field, so that the component a pair,
+a share of the rest and a node twist make is an integer sum, and its value
+one dict lookup; tuples appear only where a value is read from the store
+or solved for, and in the rows handed to elimination.
 
 :func:`loop_sum` evaluates the closed formula
 ``((n-1)!/r^(n-1)) * prod(r-1-x_i)`` for the window sum
@@ -38,7 +42,7 @@ formula, not the sum.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, groupby
+from itertools import combinations
 from math import comb, factorial, gcd, lcm
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -181,119 +185,115 @@ def _solve_into(r: int, a: Key, cache: CacheStore) -> Fraction:
     return values[a]
 
 
-def _splits(r: int, rest: Key) -> List[Tuple[Key, Key, int, int]]:
-    """Every way to share ascending ``rest`` between two components, both taking some.
+def _scaled(r: int, a: Key, cache: CacheStore) -> Scaled:
+    """Scaled value ``S(a) = r^(len(a)-3) * <a>`` of an ascending, graded component.
 
-    Returns ``(one side, other side, count, room)`` tuples. Equal twists are
-    interchangeable, so each distinct split appears once, with the number of
-    index subsets of ``rest`` that produce it. The two splits that give all
-    of ``rest`` to one side are left out (:meth:`_SystemBuild.pairing_terms`
-    writes those out). ``room`` is the grading target of the component that
-    takes ``one``, less ``sum(one)``: beside the distinguished pair ``first``
-    its node twist is ``room - sum(first)``, and it is graded only if that
-    lies in ``[0, r - 1]``.
+    Its twists lie in ``[0, r - 2]``, so neither the range nor the vanishing
+    axiom needs checking. A store miss solves a's system into ``cache``.
     """
-    out: List[Tuple[Key, Key, int]] = [((), (), 1)]
-    for twist, group in groupby(rest):
-        size = len(tuple(group))
-        out = [
-            (one + (twist,) * k, other + (twist,) * (size - k), count * comb(size, k))
-            for one, other, count in out
-            for k in range(size + 1)
-        ]
-    # out[0] gives ``one`` nothing and out[-1] gives it all of ``rest``.
-    return [
-        (one, other, count, (len(one) + 1) * r - 2 - sum(one))
-        for one, other, count in out[1:-1]
-    ]
+    size = len(a)
+    if size == 3:
+        return 1
+    if size == 4:
+        return min(a[0], r - 1 - a[3])
+    if a[0] == 0:
+        return 0
+    value = cache.get(genus0_key(r, a))
+    if value is None:
+        value = _solve_into(r, a, cache)
+    value *= r ** (size - 3)
+    return value.numerator if value.denominator == 1 else value
 
 
-class _SystemBuild:
-    """State of one :func:`wdvv_equations` call: the bracket values it reads.
+class _Build:
+    """State of one :func:`wdvv_equations` call, keyed by multiset codes.
 
-    ``memo`` maps each component met so far to its scaled value
-    ``S(a) = r^(len(a)-3) * <a>``. Components are ascending, graded, and
-    have twists in ``[0, r - 2]`` (the multiset twists stay below ``r - 1``,
-    and a node twist of ``r - 1`` drops the term), so neither the range nor
-    the vanishing axiom needs checking.
+    A multiset of twists in ``[0, r - 2]`` is coded as the sum of
+    ``unit[t] = 1 << (width * t)`` over its twists, a count per twist in a
+    bit field wide enough for ``n + 1`` points, so adding codes is multiset
+    union. ``rank`` maps each unknown's code to its index in ``unknowns``,
+    ``memo`` each component code met so far to its :func:`_scaled` value.
     """
 
-    def __init__(self, r: int, cache: CacheStore):
-        self.r = r
-        self.cache = cache
-        self.memo: Dict[Key, Scaled] = {}
+    def __init__(self, r: int, n: int, unknowns: Tuple[Key, ...], cache: CacheStore):
+        self.r, self.cache, self.width = r, cache, (n + 1).bit_length()
+        self.unit = unit = [1 << (self.width * t) for t in range(r - 1)]
+        self.rank = {sum([unit[t] for t in a]): i for i, a in enumerate(unknowns)}
+        self.memo: Dict[int, Scaled] = {}
+        self.rooms: Dict[int, List[Tuple[int, int, int]]] = {}
+        self.shares: Dict[Tuple[int, int], List[Tuple[int, int, int]]] = {}
 
-    def value(self, a: Key) -> Scaled:
-        """Scaled closed 3/4-point form, zero-twist rule, or store value."""
-        value = self.memo.get(a)
-        if value is None:
-            size = len(a)
-            if size == 3:
-                value = 1
-            elif size == 4:
-                value = min(a[0], self.r - 1 - a[3])
-            elif a[0] == 0:
-                value = 0
-            else:
-                stored = self.cache.get(genus0_key(self.r, a))
-                if stored is None:
-                    stored = _solve_into(self.r, a, self.cache)
-                value = stored * self.r ** (size - 3)
-                if value.denominator == 1:
-                    value = value.numerator
-            self.memo[a] = value
+    def counts(self, code: int) -> List[int]:
+        mask = (1 << self.width) - 1
+        return [code >> (self.width * t) & mask for t in range(self.r - 1)]
+
+    def value(self, code: int) -> Scaled:
+        """Memo miss: decode the component and read its value."""
+        a = tuple(t for t, count in enumerate(self.counts(code)) for _ in range(count))
+        value = self.memo[code] = _scaled(self.r, a, self.cache)
         return value
 
-    def pairing_terms(
-        self,
-        first: Tuple[int, int],
-        second: Tuple[int, int],
-        rest: Key,
-        splits: List[Tuple[Key, Key, int, int]],
-    ) -> Tuple[Dict[Key, int], Scaled]:
+    def splits(self, rest: int, base: int) -> List[Tuple[int, int, int]]:
+        """Every graded way to share ``rest`` between two components, both taking some.
+
+        Returns ``(left offset, right offset, count)``: the codes to add to
+        the two pair codes, and how many index subsets of ``rest`` give that
+        split. Beside the pair of twist sum ``base``, the share ``one`` takes
+        the node twist ``nu = room - base`` that grades it, the other side
+        ``r - 2 - nu``; a split with ``nu`` outside ``[0, r - 2]`` vanishes
+        and is left out, and so are the two that give all of ``rest`` to one
+        side. The shares of each rest and each result are kept for the call.
+        """
+        r, unit = self.r, self.unit
+        rooms = self.rooms.get(rest)
+        if rooms is None:
+            rooms = [(0, r - 2, 1)]  # (code of one, room, count)
+            for t, size in enumerate(self.counts(rest)):
+                if size:
+                    rooms = [(one + k * unit[t], room + k * (r - t), count * comb(size, k))
+                             for one, room, count in rooms for k in range(size + 1)]
+            # rooms[0] gives ``one`` nothing and rooms[-1] gives it all of ``rest``.
+            rooms = self.rooms[rest] = rooms[1:-1]
+        kept = self.shares[rest, base] = [
+            (one + unit[nu], rest - one + unit[r - 2 - nu], count)
+            for one, room, count in rooms
+            if 0 <= (nu := room - base) <= r - 2
+        ]
+        return kept
+
+    def expand(self, p: int, base: int, q: int, q_base: int, rest: int) -> Tuple[Dict[int, int], Scaled]:
         """Expand one degeneration side into (unknown coefficients, known part).
 
-        The four distinguished twists split as ``first | second``; the
-        remaining insertions ``rest`` (twists in ``[1, r - 2]``) distribute
-        over the two components, and each component picks up the node twist
-        forced by its side. The two component gradings hold or fail
-        together (their twist sums add up to the sum over both), and a
-        failed one, or a node twist of ``r - 1``, makes the product 0.
-
-        A component has ``n`` points exactly when it takes all of ``rest``.
-        The other one is then the 3-point bracket ``<p, q, r - 2 - p - q>``
-        of its pair, equal to 1 when ``p + q <= r - 2``, and the n-point
-        side gets node twist ``p + q`` (never 0), so it is an unknown with
-        coefficient 1. Those two splits are written out first; ``splits``
-        (from :func:`_splits`) lists the others, whose components both have
-        fewer than ``n`` points and are known. Every product of scaled values
-        carries the same factor ``r^(n-3)``, since the two components carry
-        ``n + 3`` points between them.
+        The four distinguished twists split into pairs with codes ``p``,
+        ``q`` and twist sums ``base``, ``q_base``, and the insertions of
+        ``rest`` distribute over the two components. A component has ``n``
+        points exactly when it takes all of ``rest``; the other one is then
+        the 3-point bracket of its pair, 1 when the pair's sum is at most
+        ``r - 2``, and the n-point side, with that sum as node twist, is an
+        unknown with coefficient 1, keyed by its rank. :meth:`splits` lists
+        the other terms, whose components are known.
         """
-        top = self.r - 2
-        coeffs: Dict[Key, int] = {}
-        for pair, other_pair in ((first, second), (second, first)):
-            node = pair[0] + pair[1]
-            if node <= top:
-                unknown = tuple(sorted(other_pair + rest + (node,)))
-                coeffs[unknown] = coeffs.get(unknown, 0) + 1
+        top, unit, rank = self.r - 2, self.unit, self.rank
+        coeffs: Dict[int, int] = {}
+        if base <= top:
+            coeffs[rank[q + rest + unit[base]]] = 1
+        if q_base <= top:
+            key = rank[p + rest + unit[q_base]]
+            coeffs[key] = coeffs.get(key, 0) + 1
+        splits = self.shares.get((rest, base))
+        if splits is None:
+            splits = self.splits(rest, base)
         memo, value = self.memo, self.value
-        base = first[0] + first[1]
         const = 0
-        for one, other, count, room in splits:
-            nu = room - base
-            if nu < 0 or nu > top:
-                continue
-            left = tuple(sorted(first + one + (nu,)))
-            right = tuple(sorted(second + other + (top - nu,)))
+        for left, right, count in splits:
             # Read both factors even when one is 0: a store miss solves and
             # stores the smaller system either way.
-            lv = memo.get(left)
+            lv = memo.get(p + left)
             if lv is None:
-                lv = value(left)
-            rv = memo.get(right)
+                lv = value(p + left)
+            rv = memo.get(q + right)
             if rv is None:
-                rv = value(right)
+                rv = value(q + right)
             if lv and rv:
                 const += lv * rv * count
         return coeffs, const
@@ -327,23 +327,19 @@ def wdvv_equations(r: int, n: int, cache: Optional[CacheStore] = None) -> WdvvSy
     satisfy both component gradings) with four distinguished insertions;
     equating two distinct pairings of the distinguished four yields one
     linear equation. Multisets holding a twist ``r - 1`` or ``0`` are not
-    drawn, as their rows are identically zero. A twist ``r - 1`` sits in
-    one component of every term, which then vanishes. For a twist 0 among
-    the distinguished four, paired with ``d``, each pairing reduces to the
-    one term in which that pair forms the 3-point bracket
-    ``<0, d, r - 2 - d> = 1``: any larger component holding the 0 is 0. The
-    other component is the multiset without the 0 in every pairing, so the
-    three pairings agree. A twist 0 among the rest lies in a component of at
-    least four points in every term, so every term is 0. Either way the
-    rows read ``0 = 0`` whatever the stored values are. Each distinct pairing
-    is expanded once per instance, and each distinct rest of the multiset is
-    split once per call. All instances are enumerated, brought to primitive
-    integer form (see :class:`WdvvSystem`), and deduplicated. Unknowns are
-    the grading-valid n-point brackets with twists in ``[1, r - 2]``, keyed
-    by ascending twist tuples; anything else is already known to the
-    recursion. Values of smaller brackets are memoized for the length of the
-    call; those with five or more points come from ``cache`` (a fresh store
-    when it is None), solving their own system into it on a miss.
+    drawn: a twist ``r - 1`` sits in one component of every term, which then
+    vanishes, and the module docstring shows why a twist 0 gives ``0 = 0``
+    rows whatever the stored values are. Each distinct pairing is expanded
+    once per instance, on integer multiset codes (see :class:`_Build`), and
+    the splits of each rest are worked out once per pair sum and call. All
+    instances are enumerated, brought to primitive integer form (see
+    :class:`WdvvSystem`), and deduplicated; rows are keyed by the ranks of
+    their unknowns until kept. Unknowns are the grading-valid n-point
+    brackets with twists in ``[1, r - 2]``, keyed by ascending twist tuples;
+    anything else is already known to the recursion. Values of smaller
+    brackets are memoized for the length of the call; those with five or
+    more points come from ``cache`` (a fresh store when it is None), solving
+    their own system into it on a miss.
     """
     _check_r(r)
     if n < 5:
@@ -352,25 +348,20 @@ def wdvv_equations(r: int, n: int, cache: Optional[CacheStore] = None) -> WdvvSy
         cache = CacheStore()
     total = (n - 2) * r - 2
     unknowns = tuple(ascending_multisets(1, r - 2, n, total))
-    build = _SystemBuild(r, cache)
-    split_memo: Dict[Key, List[Tuple[Key, Key, int, int]]] = {}
+    build = _Build(r, n, unknowns, cache)
+    unit = build.unit
     equations: List[Tuple[Dict[Key, int], int]] = []
     seen = set()
     for y in ascending_multisets(1, r - 2, n + 1, total):
-        for dist in sorted(set(combinations(y, 4))):
-            rest = list(y)
-            for v in dist:
-                rest.remove(v)
-            rest = tuple(rest)
-            splits = split_memo.get(rest)
-            if splits is None:
-                splits = split_memo[rest] = _splits(r, rest)
-            d0, d1, d2, d3 = dist
-            pairings: Dict[Tuple[Tuple[int, int], Tuple[int, int]], tuple] = {}
-            for p, q in (((d0, d1), (d2, d3)), ((d0, d2), (d1, d3)), ((d0, d3), (d1, d2))):
-                tag = (p, q) if p <= q else (q, p)
-                if tag not in pairings:
-                    pairings[tag] = build.pairing_terms(p, q, rest, splits)
+        whole = sum([unit[t] for t in y])
+        for d0, d1, d2, d3 in sorted(set(combinations(y, 4))):
+            rest = whole - unit[d0] - unit[d1] - unit[d2] - unit[d3]
+            # p + q is the same in all three pairings, so min(p, q) names one.
+            pairings: Dict[int, Tuple[Dict[int, int], Scaled]] = {}
+            for a, b, c, d in ((d0, d1, d2, d3), (d0, d2, d1, d3), (d0, d3, d1, d2)):
+                p, q = unit[a] + unit[b], unit[c] + unit[d]
+                if (tag := min(p, q)) not in pairings:
+                    pairings[tag] = build.expand(p, a + b, q, c + d, rest)
             for (ca, ka), (cb, kb) in combinations(pairings.values(), 2):
                 coeffs = dict(ca)
                 for k, v in cb.items():
@@ -381,11 +372,20 @@ def wdvv_equations(r: int, n: int, cache: Optional[CacheStore] = None) -> WdvvSy
                     if rhs:
                         raise ValueError("inconsistent associativity instance")
                     continue
-                coeffs, rhs = _primitive(coeffs, rhs)
-                tag = (tuple(sorted(coeffs.items())), rhs)
+                if type(rhs) is int:
+                    # The coefficients count pairings, so they are ints too.
+                    divisor = gcd(rhs, *coeffs.values())
+                    if coeffs[min(coeffs)] < 0:
+                        divisor = -divisor
+                    if divisor != 1:
+                        coeffs = {k: v // divisor for k, v in coeffs.items()}
+                        rhs //= divisor
+                else:
+                    coeffs, rhs = _primitive(coeffs, rhs)
+                tag = (frozenset(coeffs.items()), rhs)
                 if tag not in seen:
                     seen.add(tag)
-                    equations.append((coeffs, rhs))
+                    equations.append(({unknowns[k]: v for k, v in coeffs.items()}, rhs))
     return WdvvSystem(unknowns, tuple(equations))
 
 

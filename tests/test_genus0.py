@@ -8,6 +8,7 @@ the generator against silent regressions.
 
 from __future__ import annotations
 
+import hashlib
 from fractions import Fraction
 from itertools import combinations, product
 from pathlib import Path
@@ -26,7 +27,7 @@ from rspin.core import (
 from rspin.elimination import solve_exact
 from rspin.genus0 import (
     _primitive,
-    _SystemBuild,
+    _scaled,
     bracket_window_sum,
     four_point,
     loop_sum,
@@ -256,12 +257,12 @@ def test_build_keeps_non_integral_scaled_values_exact():
     store = CacheStore()
     store.put(genus0_key(5, (2, 2, 3, 3, 3)), Fraction(1, 7))
     store.put(genus0_key(5, (3, 3, 3, 3, 3, 3)), Fraction(2, 25))
-    build = _SystemBuild(5, store)
-    odd = build.value((2, 2, 3, 3, 3))
+    odd = _scaled(5, (2, 2, 3, 3, 3), store)
     assert type(odd) is Fraction and odd == Fraction(25, 7)
-    even = build.value((3, 3, 3, 3, 3, 3))
+    even = _scaled(5, (3, 3, 3, 3, 3, 3), store)
     assert type(even) is int and even == 10
-    assert (build.value((1, 1, 1)), build.value((1, 1, 3, 3)), build.value((2, 2, 2, 2))) == (1, 1, 2)
+    small = [_scaled(5, a, store) for a in ((1, 1, 1), (1, 1, 3, 3), (2, 2, 2, 2))]
+    assert small == [1, 1, 2]
 
 
 def test_non_integral_rows_keep_their_primitive_form():
@@ -375,6 +376,37 @@ def test_skipping_zero_twist_instances_changes_nothing():
                 assert all(e == expansions[0] for e in expansions), (r, n)
                 zero_pairings += len(expansions) > 1
     assert zero_pairings > 1000
+
+
+def test_generator_output_is_pinned():
+    # Unknowns, rows, row order, key order inside each row and what the
+    # build stores, for every (r, n) with 4 <= r <= 10 and n in 5..7.
+    digest = hashlib.sha256()
+    for r in range(4, 11):
+        for n in (5, 6, 7):
+            store = CacheStore()
+            system = wdvv_equations(r, n, store)
+            rows = [(list(coeffs.items()), rhs) for coeffs, rhs in system.equations]
+            digest.update(repr((r, n, system.unknowns, rows, list(store.items()))).encode())
+    assert digest.hexdigest() == "d7a1df517fb53efcfccf72f37423b8c41ebf58fc8978c7835c72c543915ec2a1"
+
+
+@pytest.mark.parametrize("r,n,smaller", [(7, 6, 8), (8, 6, 14)])
+def test_a_wrong_smaller_value_makes_the_system_inconsistent(r, n, smaller):
+    # Every (n-1)-point value enters some row's constant, so moving any one
+    # of them by 1/r leaves the n-point system without a solution.
+    store = CacheStore()
+    values, _free = solve_exact(*wdvv_equations(r, n - 1, store))
+    for a, value in values.items():
+        store.put(genus0_key(r, a), value / r ** (n - 4))
+    entries = list(store.items())
+    assert len(entries) == smaller
+    for key, _ in entries:
+        perturbed = CacheStore()
+        for other, v in entries:
+            perturbed.put(other, v + Fraction(1, r) if other == key else v)
+        with pytest.raises(ValueError, match="inconsistent"):
+            solve_exact(*wdvv_equations(r, n, perturbed))
 
 
 def test_wdvv_system_r2_is_empty():
