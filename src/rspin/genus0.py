@@ -25,7 +25,11 @@ divides out once. Generation codes each twist multiset as one integer, a
 count per twist in a fixed-width bit field, so that the component a pair,
 a share of the rest and a node twist make is an integer sum, and its value
 one dict lookup; tuples appear only where a value is read from the store
-or solved for, and in the rows handed to elimination.
+or solved for, and in the rows handed to elimination. Most generated rows
+repeat an earlier one: a pairing's unknowns come back as a tuple of their
+ranks, and a row whose two rank tuples and constant equal an earlier row's
+is skipped before it is built, normalised or compared, since equal raw rows
+normalise equally.
 
 :func:`loop_sum` evaluates the closed formula
 ``((n-1)!/r^(n-1)) * prod(r-1-x_i)`` for the window sum
@@ -261,8 +265,8 @@ class _Build:
         ]
         return kept
 
-    def expand(self, p: int, base: int, q: int, q_base: int, rest: int) -> Tuple[Dict[int, int], Scaled]:
-        """Expand one degeneration side into (unknown coefficients, known part).
+    def expand(self, p: int, base: int, q: int, q_base: int, rest: int) -> Tuple[Tuple[int, ...], Scaled]:
+        """Expand one degeneration side into (unknown ranks, known part).
 
         The four distinguished twists split into pairs with codes ``p``,
         ``q`` and twist sums ``base``, ``q_base``, and the insertions of
@@ -270,16 +274,17 @@ class _Build:
         points exactly when it takes all of ``rest``; the other one is then
         the 3-point bracket of its pair, 1 when the pair's sum is at most
         ``r - 2``, and the n-point side, with that sum as node twist, is an
-        unknown with coefficient 1, keyed by its rank. :meth:`splits` lists
-        the other terms, whose components are known.
+        unknown with coefficient 1. The unknowns come back as the tuple of
+        their ranks, ``()``, ``(k1,)``, ``(k2,)`` or ``(k1, k2)``, each with
+        coefficient 1 (``k1 == k2`` is one unknown with coefficient 2).
+        :meth:`splits` lists the other terms, whose components are known.
         """
         top, unit, rank = self.r - 2, self.unit, self.rank
-        coeffs: Dict[int, int] = {}
+        ranks: Tuple[int, ...] = ()
         if base <= top:
-            coeffs[rank[q + rest + unit[base]]] = 1
+            ranks = (rank[q + rest + unit[base]],)
         if q_base <= top:
-            key = rank[p + rest + unit[q_base]]
-            coeffs[key] = coeffs.get(key, 0) + 1
+            ranks += (rank[p + rest + unit[q_base]],)
         splits = self.shares.get((rest, base))
         if splits is None:
             splits = self.splits(rest, base)
@@ -296,7 +301,7 @@ class _Build:
                 rv = value(q + right)
             if lv and rv:
                 const += lv * rv * count
-        return coeffs, const
+        return ranks, const
 
 
 def _primitive(coeffs: Dict[Key, Scaled], rhs: Scaled) -> Tuple[Dict[Key, int], int]:
@@ -332,14 +337,18 @@ def wdvv_equations(r: int, n: int, cache: Optional[CacheStore] = None) -> WdvvSy
     rows whatever the stored values are. Each distinct pairing is expanded
     once per instance, on integer multiset codes (see :class:`_Build`), and
     the splits of each rest are worked out once per pair sum and call. All
-    instances are enumerated, brought to primitive integer form (see
-    :class:`WdvvSystem`), and deduplicated; rows are keyed by the ranks of
-    their unknowns until kept. Unknowns are the grading-valid n-point
-    brackets with twists in ``[1, r - 2]``, keyed by ascending twist tuples;
-    anything else is already known to the recursion. Values of smaller
-    brackets are memoized for the length of the call; those with five or
-    more points come from ``cache`` (a fresh store when it is None), solving
-    their own system into it on a miss.
+    instances are enumerated, and their rows deduplicated twice. A raw row
+    (the two pairings' unknown-rank tuples and the constant) met before is
+    skipped at once; any other row is built, must read ``0 = 0`` if no
+    unknown is left in it, is brought to primitive integer form (see
+    :class:`WdvvSystem`), and is kept only if that form is new, so
+    proportional rows are kept once. Rows are keyed by the ranks of their
+    unknowns until kept. Unknowns are the grading-valid n-point brackets
+    with twists in ``[1, r - 2]``, keyed by ascending twist tuples; anything
+    else is already known to the recursion. Values of smaller brackets are
+    memoized for the length of the call; those with five or more points
+    come from ``cache`` (a fresh store when it is None), solving their own
+    system into it on a miss.
     """
     _check_r(r)
     if n < 5:
@@ -351,23 +360,38 @@ def wdvv_equations(r: int, n: int, cache: Optional[CacheStore] = None) -> WdvvSy
     build = _Build(r, n, unknowns, cache)
     unit = build.unit
     equations: List[Tuple[Dict[Key, int], int]] = []
-    seen = set()
+    met, seen = set(), set()
     for y in ascending_multisets(1, r - 2, n + 1, total):
         whole = sum([unit[t] for t in y])
-        for d0, d1, d2, d3 in sorted(set(combinations(y, 4))):
+        # combinations() walks index quadruples in lex order, and the first
+        # time a twist quadruple appears is its leftmost embedding in y. Two
+        # quadruples first differing at place j share that embedding before
+        # j, and at j, y being ascending, every index holding the smaller
+        # twist comes before every index holding the larger one: leftmost
+        # embeddings are ordered as the quadruples are, so dict.fromkeys
+        # yields the distinct quadruples in ascending order.
+        for d0, d1, d2, d3 in dict.fromkeys(combinations(y, 4)):
             rest = whole - unit[d0] - unit[d1] - unit[d2] - unit[d3]
             # p + q is the same in all three pairings, so min(p, q) names one.
-            pairings: Dict[int, Tuple[Dict[int, int], Scaled]] = {}
+            pairings: Dict[int, Tuple[Tuple[int, ...], Scaled]] = {}
             for a, b, c, d in ((d0, d1, d2, d3), (d0, d2, d1, d3), (d0, d3, d1, d2)):
                 p, q = unit[a] + unit[b], unit[c] + unit[d]
-                if (tag := min(p, q)) not in pairings:
+                if (tag := p if p < q else q) not in pairings:
                     pairings[tag] = build.expand(p, a + b, q, c + d, rest)
             for (ca, ka), (cb, kb) in combinations(pairings.values(), 2):
-                coeffs = dict(ca)
-                for k, v in cb.items():
-                    coeffs[k] = coeffs.get(k, 0) - v
-                coeffs = {k: v for k, v in coeffs.items() if v}
                 rhs = kb - ka
+                # Equal raw rows normalise equally, so a repeat is skipped
+                # unbuilt; with the rhs in the tag, rows that differ only in
+                # their constant still reach the consistency check.
+                if (raw := (ca, cb, rhs)) in met:
+                    continue
+                met.add(raw)
+                coeffs: Dict[int, int] = {}
+                for k in ca:
+                    coeffs[k] = coeffs.get(k, 0) + 1
+                for k in cb:
+                    coeffs[k] = coeffs.get(k, 0) - 1
+                coeffs = {k: v for k, v in coeffs.items() if v}
                 if not coeffs:
                     if rhs:
                         raise ValueError("inconsistent associativity instance")
