@@ -317,8 +317,13 @@ def genus0_key(r: int, a: Sequence[int]) -> str:
 
 
 def _sorted_dr1_entries(entries: Sequence[Tuple[int, int]]) -> Tuple[Tuple[int, int], ...]:
-    """Order pairs: positive k descending, zeros, negative |k| ascending; twist ties ascending."""
-    return tuple(sorted(entries, key=lambda e: (-e[0], e[1])))
+    """Order pairs: positive k descending, zeros, negative |k| ascending; twist ties ascending.
+
+    That is the order of the keys ``(-k, a)``, so the negated pairs are
+    sorted as plain tuples and negated back, with no key function. Equal
+    keys mean equal pairs, so the sort's stability cannot show.
+    """
+    return tuple([(-k, a) for k, a in sorted([(-k, a) for k, a in entries])])
 
 
 def _orient(pairs: Sequence[Tuple[int, int]]) -> Tuple[Tuple[int, int], ...]:
@@ -326,9 +331,12 @@ def _orient(pairs: Sequence[Tuple[int, int]]) -> Tuple[Tuple[int, int], ...]:
 
     The orientation whose positive magnitude profile is lexicographically
     larger wins; when both profiles agree, the smaller sorted row does.
+    The sign flip, sorted as in :func:`_sorted_dr1_entries`, is the pairs
+    in plain tuple order with each order negated: the flip's key ``(k, a)``
+    is the pair itself.
     """
     cand = _sorted_dr1_entries(pairs)
-    flip = _sorted_dr1_entries([(-k, a) for k, a in pairs])
+    flip = tuple([(-k, a) for k, a in sorted(pairs)])
     cand_profile = tuple(k for k, _ in cand if k > 0)
     flip_profile = tuple(k for k, _ in flip if k > 0)
     if flip_profile != cand_profile:
@@ -336,9 +344,10 @@ def _orient(pairs: Sequence[Tuple[int, int]]) -> Tuple[Tuple[int, int], ...]:
     return min(cand, flip)
 
 
-def _dr1_key(r: int, k_row: Sequence[int], a_row: Sequence[int]) -> str:
-    """Key string of the genus-1 bracket whose canonical rows are ``k_row``, ``a_row``."""
-    return f"dr1:r={r}:k={','.join(map(str, k_row))}:a={','.join(map(str, a_row))}"
+def _dr1_key(r: int, entries: Sequence[Tuple[int, int]]) -> str:
+    """Key string of the genus-1 bracket whose canonical entry row is ``entries``."""
+    return (f"dr1:r={r}:k={','.join([str(k) for k, _ in entries])}"
+            f":a={','.join([str(a) for _, a in entries])}")
 
 
 class DR1Bracket(_Ordered):
@@ -425,7 +434,7 @@ class DR1Bracket(_Ordered):
 
     @property
     def key(self) -> str:
-        return _dr1_key(self.r, self.k_row, self.a_row)
+        return _dr1_key(self.r, self.entries)
 
 
 # _from_canonical sets a bracket's slots through their descriptors: past

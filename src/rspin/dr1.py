@@ -80,7 +80,6 @@ from .core import (
     _check_r,
     _check_twists,
     _dr1_status,
-    _sorted_dr1_entries,
     ascending_multisets,
     dr1_selection,
     dr1_status,
@@ -305,8 +304,13 @@ def relation3_check(bracket: DR1Bracket) -> bool:
 
 
 def _flipped_sorted(bracket: DR1Bracket) -> Tuple[Tuple[int, int], ...]:
-    """The sign-flipped entry row, re-sorted but not re-oriented."""
-    return _sorted_dr1_entries([(-kk, aa) for kk, aa in bracket.entries])
+    """The sign-flipped entry row, re-sorted but not re-oriented.
+
+    Sorted as in :func:`rspin.core._sorted_dr1_entries`, whose key for a
+    flipped pair ``(-k, a)`` is ``(k, a)``: the entries in plain tuple order,
+    each order negated.
+    """
+    return tuple([(-kk, aa) for kk, aa in sorted(bracket.entries)])
 
 
 def anchored_instances(bracket: DR1Bracket, memo: Optional[dict] = None):
@@ -575,21 +579,26 @@ def _sub_multisets(counts: Tuple[Tuple[int, int], ...], size: int):
             yield (value,) * take + sub, left + rest
 
 
-def _handouts(counts: Tuple[Tuple[int, int], ...], sizes: Tuple[int, ...], memo: dict):
+def _handouts(counts: Tuple[Tuple[int, int], ...], sizes: Tuple[int, ...], tails: dict, splits: dict):
     """Yield each way to hand the twist ``counts`` out to runs of ``sizes``.
 
     A hand-out holds one ascending sub-multiset per run, so distinct
-    hand-outs give distinct twist rows. ``memo`` keeps the hand-outs to the
-    later runs, which many size patterns share.
+    hand-outs give distinct twist rows. ``tails`` keeps the hand-outs to the
+    later runs, which many size patterns share, and ``splits`` the
+    :func:`_sub_multisets` of each ``(counts, size)``, which many first runs
+    share.
     """
     if not sizes:
         yield ()
         return
-    for sub, rest in _sub_multisets(counts, sizes[0]):
-        tails = memo.get((rest, sizes[1:]))
-        if tails is None:
-            tails = memo[rest, sizes[1:]] = list(_handouts(rest, sizes[1:], memo))
-        for tail in tails:
+    subs = splits.get((counts, sizes[0]))
+    if subs is None:
+        subs = splits[counts, sizes[0]] = list(_sub_multisets(counts, sizes[0]))
+    for sub, rest in subs:
+        later = tails.get((rest, sizes[1:]))
+        if later is None:
+            later = tails[rest, sizes[1:]] = list(_handouts(rest, sizes[1:], tails, splits))
+        for tail in later:
             yield (sub,) + tail
 
 
@@ -628,7 +637,8 @@ def _canonical_brackets(r: int, multisets: Sequence[Tuple[int, ...]], s_max: int
     rank = {a: i for i, a in enumerate(by_rank)}
     slots = {k: [(k, a) for a in by_rank] for k in range(-(s_max // 2), s_max // 2 + 1)}
     handed: Dict[Tuple[Tuple[int, ...], bool], list] = {}
-    memo: dict = {}
+    tails: dict = {}
+    splits: dict = {}
     for _, k_row, tied in k_rows:
         sizes = tuple(len(list(group)) for _, group in groupby(k_row))
         rows = handed.get((sizes, tied))
@@ -639,7 +649,7 @@ def _canonical_brackets(r: int, multisets: Sequence[Tuple[int, ...]], s_max: int
             rows = handed[sizes, tied] = sorted(
                 (tuple([rank[a] for run in runs for a in run]), status)
                 for counts, status in by_n[len(k_row)]
-                for runs in _handouts(counts, sizes, memo)
+                for runs in _handouts(counts, sizes, tails, splits)
                 if not tied or runs <= runs[::-1]
             )
         pairs = [slots[k] for k in k_row]

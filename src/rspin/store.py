@@ -78,8 +78,11 @@ class CacheStore:
     def put(self, key: str, value) -> None:
         """Store an exact value, an ``int`` (not ``bool``) or a ``Fraction``.
 
-        Anything else, a float or a string for instance, raises ``CacheError``
-        naming the key and the type: ``Fraction(0.2)`` is not 1/5.
+        An exact ``Fraction`` is kept as given, the same object: fractions
+        are immutable. An ``int`` or an instance of a ``Fraction`` subclass
+        is stored as a plain ``Fraction``. Anything else, a float or a string
+        for instance, raises ``CacheError`` naming the key and the type:
+        ``Fraction(0.2)`` is not 1/5.
         """
         self._check_key(key)
         if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
@@ -88,7 +91,7 @@ class CacheStore:
                 f"got {type(value).__name__}"
             )
         with self._lock:
-            self._entries[key] = Fraction(value)
+            self._entries[key] = value if type(value) is Fraction else Fraction(value)
             self.dirty = True
 
     @classmethod

@@ -29,6 +29,7 @@ from rspin.core import (
     StructureError,
     ascending_multisets,
     dr1_selection,
+    format_rational,
     parse_key,
 )
 from rspin.dr1 import (
@@ -423,13 +424,71 @@ def test_enumerate_brackets_builds_no_key(monkeypatch):
         raise AssertionError("key string built")
 
     monkeypatch.setattr(rspin.core, "_dr1_key", refuse)
-    assert len(enumerate_brackets(12, 6, 12)) == 25621
+    brackets = enumerate_brackets(12, 6, 12)
+    assert len(brackets) == 25621
+    # the guard is live: reading a key does reach the patched builder
+    with pytest.raises(AssertionError, match="key string built"):
+        brackets[0].key
 
 
-def test_enumerate_brackets_pinned_window():
-    keys = [br.key for br in enumerate_brackets(12, 6, 12)]
-    assert len(keys) == 25621
-    assert hashlib.sha256("\n".join(keys).encode()).hexdigest()[:16] == "90be3d12db422087"
+def _digest(lines):
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+
+
+# (r, n_max, k_sum_max) -> (brackets, non-vanishing, key digest, key=value digest),
+# the genus-1 windows of the benchmark with its pins
+PINNED_WINDOWS = {
+    (8, 6, 12): (2944, 126, "a3d1900f083bd5d2", "a6628fd1660ba2f1"),
+    (10, 6, 12): (9704, 494, "95a9f5913cc6d9e6", "c4b828c672bb730d"),
+    (12, 6, 12): (25621, 1711, "90be3d12db422087", "a19622f55594a972"),
+}
+
+
+@pytest.mark.parametrize("window", PINNED_WINDOWS, ids=str)
+def test_enumerate_brackets_pinned_window(window):
+    brackets = enumerate_brackets(*window)
+    keys = [br.key for br in brackets]
+    cache = CacheStore()
+    results = [solve_relational(br, cache) for br in brackets]
+    seen = (
+        len(keys),
+        sum(res.status == "ok" for res in results),
+        _digest(keys),
+        _digest(f"{key}={format_rational(res.value)}" for key, res in zip(keys, results)),
+    )
+    assert seen == PINNED_WINDOWS[window]
+
+
+def _reference_sorted(entries):
+    """The entry sort as a key-function sort, as it was first written."""
+    return tuple(sorted(entries, key=lambda e: (-e[0], e[1])))
+
+
+def _reference_orient(pairs):
+    cand = _reference_sorted(pairs)
+    flip = _reference_sorted([(-k, a) for k, a in pairs])
+    cand_profile = tuple(k for k, _ in cand if k > 0)
+    flip_profile = tuple(k for k, _ in flip if k > 0)
+    if flip_profile != cand_profile:
+        return flip if flip_profile > cand_profile else cand
+    return min(cand, flip)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(st.tuples(st.integers(-6, 6), st.integers(0, 19)), min_size=2, max_size=7))
+def test_plain_tuple_sorts_match_the_key_function_sort(pairs):
+    assert rspin.core._sorted_dr1_entries(pairs) == _reference_sorted(pairs)
+    assert rspin.core._orient(pairs) == _reference_orient(pairs)
+    # balance the row through its last order to make a bracket of it
+    balanced = pairs[:-1] + [(-sum(k for k, _ in pairs[:-1]), pairs[-1][1])]
+    if not any(k for k, _ in balanced):
+        return
+    br = DR1Bracket(20, balanced)
+    assert br.entries == _reference_orient(balanced)
+    flipped = _reference_sorted([(-k, a) for k, a in br.entries])
+    assert rspin.dr1._flipped_sorted(br) == flipped
+    k_row, a_row = tuple(k for k, _ in br.entries), tuple(a for _, a in br.entries)
+    assert br.key == f"dr1:r=20:k={','.join(map(str, k_row))}:a={','.join(map(str, a_row))}"
 
 
 def test_enumerate_brackets_checks_r():

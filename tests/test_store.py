@@ -58,6 +58,31 @@ def test_put_rejects_inexact_values():
         CacheStore({key: 0.5})
 
 
+class _SubFraction(Fraction):
+    pass
+
+
+def test_put_keeps_an_exact_fraction_and_converts_the_rest(tmp_path):
+    store = CacheStore()
+    exact = Fraction(1, 5)
+    store.put("g0:r=5:a=1,1,3,3", exact)
+    assert store.get("g0:r=5:a=1,1,3,3") is exact
+    store.put("dr1:r=4:k=2,-2:a=2,2", 3)
+    assert type(store.get("dr1:r=4:k=2,-2:a=2,2")) is Fraction
+    assert store.get("dr1:r=4:k=2,-2:a=2,2") == 3
+    store.put("dr1:r=8:k=4,-4:a=2,6", _SubFraction(-25, 64))
+    assert type(store.get("dr1:r=8:k=4,-4:a=2,6")) is Fraction
+    assert store.get("dr1:r=8:k=4,-4:a=2,6") == Fraction(-25, 64)
+    # refusals of bool, float and str: test_put_rejects_inexact_values
+    path = tmp_path / "cache.json"
+    store.save(str(path))
+    # the same bytes whether put keeps a Fraction or copies it
+    assert path.read_bytes() == (
+        b'{\n"entries": {\n"dr1:r=4:k=2,-2:a=2,2": "3/1",\n'
+        b'"dr1:r=8:k=4,-4:a=2,6": "-25/64",\n"g0:r=5:a=1,1,3,3": "1/5"\n},\n"schema": 1\n}\n'
+    )
+
+
 def test_save_load_round_trip(tmp_path):
     path = tmp_path / "cache.json"
     store = CacheStore()
