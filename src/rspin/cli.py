@@ -4,7 +4,8 @@ Exit codes: 0 success, 1 suite or computation failure (including a cache
 file that cannot be read, written or trusted), 2 disagreement between
 evaluation methods, 64 usage error (including ``verify`` bounds that leave
 a suite with no cases and ``table`` bounds that leave no rows), 65 invalid
-grading or structure.
+grading or structure. A reader that closes the output early (``rspin table
+... | head``) ends the command with exit 1 and no message.
 """
 
 from __future__ import annotations
@@ -341,9 +342,16 @@ def _join_negative_rows(argv: Sequence[str]) -> List[str]:
 def run(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = _build_parser().parse_args(_join_negative_rows(sys.argv[1:] if argv is None else argv))
-        return args.func(args)
+        code = args.func(args)
+        # A reader that closed early fails this flush, not the one at shutdown.
+        sys.stdout.flush()
+        return code
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
+    except BrokenPipeError:
+        # Nothing more reaches the reader; the shutdown flush goes to devnull.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_FAILURE
     except _UsageError as exc:
         code, error = EXIT_USAGE, exc
     except (GradingError, StructureError) as exc:

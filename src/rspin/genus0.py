@@ -28,8 +28,10 @@ one dict lookup; tuples appear only where a value is read from the store
 or solved for, and in the rows handed to elimination. Most generated rows
 repeat an earlier one: a pairing's unknowns come back as a tuple of their
 ranks, and a row whose two rank tuples and constant equal an earlier row's
-is skipped before it is built, normalised or compared, since equal raw rows
-normalise equally.
+is skipped before it is built. The rows go to elimination as built, integer
+rows that are not normalised: :mod:`rspin.elimination` scales each pivot
+row itself, and a scaled row, or a second row proportional to a kept one,
+leaves the reduced echelon form it returns unchanged.
 
 :func:`loop_sum` evaluates the closed formula
 ``((n-1)!/r^(n-1)) * prod(r-1-x_i)`` for the window sum
@@ -47,7 +49,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import comb, factorial, gcd, lcm
+from math import comb, factorial
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .core import (
@@ -158,10 +160,11 @@ class WdvvSystem(NamedTuple):
     elimination pivot order. Each equation is ``(coeffs, constant)`` meaning
     ``sum coeffs[key] * S[key] = constant`` in scaled units
     ``S[key] = r^(n-3) * <key>``, with constants fully evaluated from smaller
-    brackets. Each row is primitive: its entries are integers with no common
-    factor and a positive leading coefficient (a row holding a non-integral
-    scaled value is cleared of denominators first). The pair unpacks as the
-    arguments of :func:`rspin.elimination.solve_exact`.
+    brackets. Each row is an integer row as generated, not normalised: a
+    row whose constant is a ``Fraction`` (a stored value that does not scale
+    to an integer) is multiplied through by that constant's denominator.
+    The pair unpacks as the arguments of
+    :func:`rspin.elimination.solve_exact`.
     """
 
     unknowns: Tuple[Key, ...]
@@ -304,26 +307,6 @@ class _Build:
         return ranks, const
 
 
-def _primitive(coeffs: Dict[Key, Scaled], rhs: Scaled) -> Tuple[Dict[Key, int], int]:
-    """Scale a row with a nonzero coefficient to its primitive integer form.
-
-    The result has integer entries with greatest common divisor 1 and a
-    positive coefficient at the smallest key, so two rows are proportional
-    exactly when their primitive forms are equal.
-    """
-    if not all(type(v) is int for v in (rhs, *coeffs.values())):
-        den = lcm(rhs.denominator, *(v.denominator for v in coeffs.values()))
-        coeffs = {k: int(v * den) for k, v in coeffs.items()}
-        rhs = int(rhs * den)
-    divisor = gcd(rhs, *coeffs.values())
-    if coeffs[min(coeffs)] < 0:
-        divisor = -divisor
-    if divisor != 1:
-        coeffs = {k: v // divisor for k, v in coeffs.items()}
-        rhs //= divisor
-    return coeffs, rhs
-
-
 def wdvv_equations(r: int, n: int, cache: Optional[CacheStore] = None) -> WdvvSystem:
     """Build the exact associativity system for all n-point unknowns at r.
 
@@ -337,13 +320,12 @@ def wdvv_equations(r: int, n: int, cache: Optional[CacheStore] = None) -> WdvvSy
     rows whatever the stored values are. Each distinct pairing is expanded
     once per instance, on integer multiset codes (see :class:`_Build`), and
     the splits of each rest are worked out once per pair sum and call. All
-    instances are enumerated, and their rows deduplicated twice. A raw row
-    (the two pairings' unknown-rank tuples and the constant) met before is
-    skipped at once; any other row is built, must read ``0 = 0`` if no
-    unknown is left in it, is brought to primitive integer form (see
-    :class:`WdvvSystem`), and is kept only if that form is new, so
-    proportional rows are kept once. Rows are keyed by the ranks of their
-    unknowns until kept. Unknowns are the grading-valid n-point brackets
+    instances are enumerated, and their rows deduplicated once, verbatim: a
+    raw row (the two pairings' unknown-rank tuples and the constant) met
+    before is skipped at once; any other row is built, must read ``0 = 0``
+    if no unknown is left in it, and is kept as an integer row, not
+    normalised (see :class:`WdvvSystem`). Rows are keyed by the ranks of
+    their unknowns until kept. Unknowns are the grading-valid n-point brackets
     with twists in ``[1, r - 2]``, keyed by ascending twist tuples; anything
     else is already known to the recursion. Values of smaller brackets are
     memoized for the length of the call; those with five or more points
@@ -360,7 +342,7 @@ def wdvv_equations(r: int, n: int, cache: Optional[CacheStore] = None) -> WdvvSy
     build = _Build(r, n, unknowns, cache)
     unit = build.unit
     equations: List[Tuple[Dict[Key, int], int]] = []
-    met, seen = set(), set()
+    met = set()
     for y in ascending_multisets(1, r - 2, n + 1, total):
         whole = sum([unit[t] for t in y])
         # combinations() walks index quadruples in lex order, and the first
@@ -380,9 +362,9 @@ def wdvv_equations(r: int, n: int, cache: Optional[CacheStore] = None) -> WdvvSy
                     pairings[tag] = build.expand(p, a + b, q, c + d, rest)
             for (ca, ka), (cb, kb) in combinations(pairings.values(), 2):
                 rhs = kb - ka
-                # Equal raw rows normalise equally, so a repeat is skipped
-                # unbuilt; with the rhs in the tag, rows that differ only in
-                # their constant still reach the consistency check.
+                # A repeat is skipped unbuilt; with the rhs in the tag, rows
+                # that differ only in their constant still reach the
+                # consistency check.
                 if (raw := (ca, cb, rhs)) in met:
                     continue
                 met.add(raw)
@@ -396,20 +378,12 @@ def wdvv_equations(r: int, n: int, cache: Optional[CacheStore] = None) -> WdvvSy
                     if rhs:
                         raise ValueError("inconsistent associativity instance")
                     continue
-                if type(rhs) is int:
-                    # The coefficients count pairings, so they are ints too.
-                    divisor = gcd(rhs, *coeffs.values())
-                    if coeffs[min(coeffs)] < 0:
-                        divisor = -divisor
-                    if divisor != 1:
-                        coeffs = {k: v // divisor for k, v in coeffs.items()}
-                        rhs //= divisor
-                else:
-                    coeffs, rhs = _primitive(coeffs, rhs)
-                tag = (frozenset(coeffs.items()), rhs)
-                if tag not in seen:
-                    seen.add(tag)
-                    equations.append(({unknowns[k]: v for k, v in coeffs.items()}, rhs))
+                if type(rhs) is not int:
+                    # The coefficients count pairings, so they are ints and
+                    # one factor clears the row.
+                    den, rhs = rhs.denominator, rhs.numerator
+                    coeffs = {k: v * den for k, v in coeffs.items()}
+                equations.append(({unknowns[k]: v for k, v in coeffs.items()}, rhs))
     return WdvvSystem(unknowns, tuple(equations))
 
 

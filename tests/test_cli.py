@@ -266,14 +266,29 @@ def test_cli_output_is_pinned_byte_for_byte(capsys, monkeypatch, line, code, out
     assert (got_code, got_out, got_err) == (code, out, err)
 
 
-def _cli(*argv):
+def _cli(*argv, stdout=subprocess.PIPE):
     """Run the CLI in a fresh interpreter, as a shell user would."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(__import__("rspin").__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     env.pop("RSPIN_CACHE", None)
     return subprocess.run(
-        [sys.executable, "-m", "rspin.cli", *argv], env=env, capture_output=True, text=True
+        [sys.executable, "-m", "rspin.cli", *argv], env=env, stdout=stdout, stderr=subprocess.PIPE, text=True
     )
+
+
+@pytest.mark.parametrize("argv", [
+    "b --r 9 --a 7,7,6,7",
+    "table --kind dr1 --r 12 --n-max 6 --k-sum-max 12",
+])
+def test_a_reader_that_closes_at_once_ends_the_command_quietly(argv):
+    # as ``rspin ... | head -0`` would: exit 1, no traceback, nothing on stderr
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = _cli(*argv.split(), stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (1, "")
 
 
 def test_deep_dr1_rows_end_without_a_traceback():

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 from fractions import Fraction
 from itertools import combinations, product
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
@@ -26,7 +27,6 @@ from rspin.core import (
 )
 from rspin.elimination import solve_exact
 from rspin.genus0 import (
-    _primitive,
     _scaled,
     bracket_window_sum,
     four_point,
@@ -265,20 +265,61 @@ def test_build_keeps_non_integral_scaled_values_exact():
     assert small == [1, 1, 2]
 
 
-def test_non_integral_rows_keep_their_primitive_form():
-    coeffs, rhs = _primitive({(1,): Fraction(-2, 3), (2,): 4}, Fraction(1, 6))
-    assert (coeffs, rhs) == ({(1,): 4, (2,): -24}, -1)
-    assert all(type(v) is int for v in (rhs, *coeffs.values()))
-    assert _primitive({(1,): -2, (2,): 12}, -4) == ({(1,): 1, (2,): -6}, 2)
+@pytest.mark.parametrize("r,scale,rows", [(7, Fraction(1, 7), 11), (8, Fraction(2, 3), 36), (9, Fraction(1, 5), 94)])
+def test_rows_with_non_integral_constants_are_cleared_whole(r, scale, rows):
+    # The 6-point constants are linear in the 5-point values, so scaling all
+    # of those by one factor keeps the system consistent and scales its
+    # solution by the same factor. A Fraction constant must clear the whole
+    # row, not the constant alone.
+    store = CacheStore()
+    values, _free = solve_exact(*wdvv_equations(r, 5, store))
+    for a, value in values.items():
+        store.put(genus0_key(r, a), value / r ** 2)
+    want, free = solve_exact(*wdvv_equations(r, 6, store))
+    assert free == [] and want
+    scaled = CacheStore()
+    for key, value in store.items():
+        scaled.put(key, value * scale)
+    assert any(type(_scaled(r, a, scaled)) is Fraction for a in values)
+    system = wdvv_equations(r, 6, scaled)
+    assert len(system.equations) == rows
+    assert all(type(v) is int for coeffs, rhs in system.equations for v in (rhs, *coeffs.values()))
+    got, free = solve_exact(*system)
+    assert free == []
+    assert got == {a: value * scale for a, value in want.items()}
 
 
-@pytest.mark.parametrize("r,n,unknowns,equations", [(12, 5, 74, 1085), (12, 7, 61, 525)])
+@pytest.mark.parametrize("r,n,unknowns,equations", [
+    (12, 5, 74, 1085), (12, 7, 61, 525), (14, 5, 139, 2799), (14, 6, 170, 3048), (13, 7, 98, 1075),
+])
 def test_wdvv_system_sizes(r, n, unknowns, equations):
     system = wdvv_equations(r, n)
     assert (len(system.unknowns), len(system.equations)) == (unknowns, equations)
     assert system.unknowns == tuple(sorted(system.unknowns))
     keys, rows = system
     assert keys is system.unknowns and rows is system.equations
+
+
+def _primitive(coeffs, rhs):
+    """Scale a row with a nonzero coefficient to its primitive integer form.
+
+    The result has integer entries with greatest common divisor 1 and a
+    positive coefficient at the smallest key, so two rows are proportional
+    exactly when their primitive forms are equal. The generator hands its
+    rows to elimination unnormalised; the reference loop and the digests
+    compare rows in this form.
+    """
+    if not all(type(v) is int for v in (rhs, *coeffs.values())):
+        den = lcm(rhs.denominator, *(v.denominator for v in coeffs.values()))
+        coeffs = {k: int(v * den) for k, v in coeffs.items()}
+        rhs = int(rhs * den)
+    divisor = gcd(rhs, *coeffs.values())
+    if coeffs[min(coeffs)] < 0:
+        divisor = -divisor
+    if divisor != 1:
+        coeffs = {k: v // divisor for k, v in coeffs.items()}
+        rhs //= divisor
+    return coeffs, rhs
 
 
 def _reference_system(r, n, cache, zero_instances):
@@ -289,7 +330,7 @@ def _reference_system(r, n, cache, zero_instances):
     A smaller bracket missing from ``cache`` has its own system built the
     same way, solved and stored. For each multiset holding a 0 it appends
     the list of its distinct pairing expansions to ``zero_instances``.
-    Returns (unknowns, equations) as :func:`wdvv_equations` builds them.
+    Returns the unknowns and the rows in primitive form, each kept once.
     """
     total = (n - 2) * r - 2
     memo = {}
@@ -370,7 +411,7 @@ def test_skipping_zero_twist_instances_changes_nothing():
             unknowns, equations = _reference_system(r, n, want_store, zero_instances)
             system = wdvv_equations(r, n, got_store)
             assert system.unknowns == unknowns, (r, n)
-            assert list(system.equations) == equations, (r, n)
+            assert [_primitive(*row) for row in system.equations] == equations, (r, n)
             assert dict(got_store.items()) == dict(want_store.items()), (r, n)
             for expansions in zero_instances:
                 assert all(e == expansions[0] for e in expansions), (r, n)
@@ -380,13 +421,15 @@ def test_skipping_zero_twist_instances_changes_nothing():
 
 def _generator_digest(rs, ns):
     # Unknowns, rows, row order, key order inside each row and what the
-    # build stores, each (r, n) built into a fresh store.
+    # build stores, each (r, n) built into a fresh store. Each row is hashed
+    # in primitive form, so the digest holds the rows up to a nonzero factor.
     digest = hashlib.sha256()
     for r in rs:
         for n in ns:
             store = CacheStore()
             system = wdvv_equations(r, n, store)
-            rows = [(list(coeffs.items()), rhs) for coeffs, rhs in system.equations]
+            rows = [_primitive(*row) for row in system.equations]
+            rows = [(list(coeffs.items()), rhs) for coeffs, rhs in rows]
             digest.update(repr((r, n, system.unknowns, rows, list(store.items()))).encode())
     return digest.hexdigest()
 
@@ -398,7 +441,7 @@ def test_generator_output_is_pinned():
 
 def test_generator_output_is_pinned_where_rows_repeat():
     # At (12, 5) two of every three generated rows repeat an earlier raw
-    # row and are skipped before they are normalised.
+    # row and are skipped before they are built.
     want = "38e8b7cee10095c327462468c895023a3e05d3ad2ff00663e648aacab688f4ca"
     assert _generator_digest((11, 12), (5, 6)) == want
 
