@@ -23,10 +23,10 @@ _HOME = {
     name: module
     for module, names in (
         ("core", (
-            "Rational", "EvalResult", "Genus0Bracket", "DR1Bracket", "GradingError",
+            "EvalResult", "Genus0Bracket", "DR1Bracket", "GradingError",
             "StructureError", "UnderdeterminedError", "ReductionStalledError",
-            "CacheError", "genus_of", "genus0_selection", "dr1_selection",
-            "format_rational", "parse_rational", "parse_key",
+            "InconsistentSystemError", "CacheError", "genus_of", "genus0_selection",
+            "dr1_selection", "format_rational", "parse_rational", "parse_key",
         )),
         ("genus0", (
             "three_point", "four_point", "loop_sum", "wdvv_equations",

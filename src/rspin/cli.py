@@ -1,7 +1,8 @@
 """Command-line front end: evaluate brackets, run suites, export tables.
 
 Exit codes: 0 success, 1 suite or computation failure (including a cache
-file that cannot be read, written or trusted), 2 disagreement between
+file that cannot be read, written or trusted, or whose genus-0 values make
+a WDVV system inconsistent), 2 disagreement between
 evaluation methods, 64 usage error (including ``verify`` bounds that leave
 a suite with no cases and ``table`` bounds that leave no rows), 65 invalid
 grading or structure. A reader that closes the output early (``rspin table
@@ -24,6 +25,7 @@ from .core import (
     DR1Bracket,
     Genus0Bracket,
     GradingError,
+    InconsistentSystemError,
     ReductionStalledError,
     StructureError,
     UnderdeterminedError,
@@ -229,8 +231,6 @@ def _cmd_dr1(args) -> int:
             results.append(("closed", dr1.closed_form(bracket)))
         else:
             store = _open_store(path)
-            if store is None:
-                store = CacheStore()
             results.append(("relations", dr1.solve_relational(bracket, store)))
             _close_store(store, path)
     agree = len({(res.value, res.status) for _, res in results}) == 1
@@ -276,10 +276,7 @@ def _cmd_table(args) -> int:
     if args.kind == "g0":
         store = CacheStore()
         for n in range(3, args.n_max + 1):
-            total = (n - 2) * args.r - 2
-            if total < 0:
-                continue
-            for a in ascending_multisets(0, args.r - 1, n, total):
+            for a in ascending_multisets(0, args.r - 1, n, (n - 2) * args.r - 2):
                 br = Genus0Bracket(args.r, a)
                 res = genus0.solve_bracket(args.r, a, store)
                 rows.append(
@@ -356,7 +353,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         code, error = EXIT_USAGE, exc
     except (GradingError, StructureError) as exc:
         code, error = EXIT_DATA, exc
-    except (UnderdeterminedError, ReductionStalledError, CacheError) as exc:
+    except (UnderdeterminedError, ReductionStalledError, InconsistentSystemError, CacheError) as exc:
         code, error = EXIT_FAILURE, exc
     print(f"error: {error}", file=sys.stderr)
     return code

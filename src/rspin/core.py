@@ -15,8 +15,7 @@ whether a bracket can be nonzero at all:
   fixes both an entry order and a sign orientation.
 
 Values are plain ``fractions.Fraction`` throughout; no floating point is
-used anywhere in the package. ``Rational`` is an alias so signatures read
-like the interface they implement.
+used anywhere in the package.
 """
 
 from __future__ import annotations
@@ -27,11 +26,11 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Tuple
 
 __all__ = [
-    "Rational",
     "GradingError",
     "StructureError",
     "UnderdeterminedError",
     "ReductionStalledError",
+    "InconsistentSystemError",
     "CacheError",
     "STATUS_OK",
     "STATUS_DIMENSION_ZERO",
@@ -51,9 +50,6 @@ __all__ = [
     "KeyCheck",
 ]
 
-Rational = Fraction
-
-
 class GradingError(ValueError):
     """A twist is out of range or a dimension precondition cannot hold."""
 
@@ -68,6 +64,10 @@ class UnderdeterminedError(RuntimeError):
 
 class ReductionStalledError(RuntimeError):
     """The relation-driven solver could not reduce the requested bracket."""
+
+
+class InconsistentSystemError(ValueError):
+    """A linear system's rows contradict each other; in genus 0, a smaller value it read is wrong."""
 
 
 class CacheError(ValueError):

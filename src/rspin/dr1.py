@@ -32,16 +32,18 @@ a smaller m. A case-2 step (every nonzero entry ``+-1``) keeps N and m,
 but its children are case-1 rows, whose children have N - 1. So every
 reduction ends at the ``(+1, -1)`` base case. A key revisited during its
 own reduction, or a row no move applies to, would break that argument and
-raises :class:`rspin.core.ReductionStalledError` naming the key. The moves
-are generators driven from an explicit stack, so a deep reduction (one
-step per unit of ``k`` on a two-point row) costs no Python recursion.
-Rows that may reach more brackets than :data:`RELATIONAL_REACH_MAX` are
-refused before reducing, and a reduction that would store more is stopped
-as it runs. Relation rows stay in integers from builder to
-solver: ``_relation_row`` gives ``(b_coefficient, {bracket: coefficient})``
-in ints, which the case-2 and case-3 steps and the verification suite read
+raises :class:`rspin.core.ReductionStalledError` naming the key. Each move
+is a generator, and one loop drives them from an explicit stack, so a deep
+reduction (one step per unit of ``k`` on a two-point row) costs no Python
+recursion. Rows that may reach more brackets than
+:data:`RELATIONAL_REACH_MAX` are refused before reducing, and a reduction
+that would store more is stopped as it runs. Relation rows stay in
+integers from builder to solver: ``_relation_row`` gives
+``(b_coefficient, {bracket: coefficient})`` in ints, which the case-2 and
+case-3 moves solve for the bracket and the verification suite reads
 directly; only the public builders box them into ``Fraction`` values
-inside a :class:`RelationInstance`.
+inside a :class:`RelationInstance`. The case-1 move is relation 2 solved
+by hand.
 
 Whether a bracket can be nonzero depends on its twist multiset only, which
 every move keeps, so each :class:`rspin.core.DR1Bracket` is born with its
@@ -66,7 +68,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import groupby
 from math import comb, factorial
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .core import (
     STATUS_OK,
@@ -393,36 +395,7 @@ def _reach_estimate(entries: Sequence[Tuple[int, int]]) -> int:
     return total
 
 
-class _Reduction:
-    """State of one top-level reduction in :func:`solve_relational`.
-
-    It holds the store, the keys under reduction (the cycle guard), B, the
-    row memo of :func:`_relation_row`, and the count of brackets it has
-    stored. Every bracket a reduction reaches, relation term or rewriting
-    child, keeps the top-level twist multiset, so one B, from the product
-    formula, serves them all.
-    """
-
-    __slots__ = ("cache", "visiting", "b", "memo", "top", "stored")
-
-    def __init__(self, top: DR1Bracket, cache: CacheStore):
-        self.cache = cache
-        self.visiting: Set[str] = set()
-        self.b = _b_product(top.r, top.a_row)
-        self.memo: dict = {}
-        self.top = top
-        self.stored = 0
-
-    def put(self, key: str, value: Fraction) -> None:
-        """Store a reached bracket; refuse the reduction past :data:`RELATIONAL_REACH_MAX` of them."""
-        self.stored += 1
-        if self.stored > RELATIONAL_REACH_MAX:
-            raise ReductionStalledError(f"{self.top.key} reached more than {RELATIONAL_REACH_MAX} brackets, "
-                                        "the most the relational route reduces")
-        self.cache.put(key, value)
-
-
-def _solve_from_row(row, target: DR1Bracket, red: _Reduction):
+def _solve_from_row(row, target: DR1Bracket, b: Fraction):
     """Solve one integer relation row of :func:`_relation_row` for the coefficient of ``target``.
 
     A rewriting step: it yields each other term's bracket and is sent back
@@ -432,25 +405,25 @@ def _solve_from_row(row, target: DR1Bracket, red: _Reduction):
     target_coeff = terms.pop(target, 0)
     if not target_coeff:
         raise ReductionStalledError(f"reduction-stalled: {target.key} is not a term of its relation")
-    rhs = red.b * b_coeff
+    rhs = b * b_coeff
     for bracket, coeff in terms.items():
         rhs -= (yield bracket) * coeff
     return rhs / target_coeff
 
 
-def _relational_value(bracket: DR1Bracket, key: str, red: _Reduction) -> Tuple[Fraction, str]:
+def _relational_value(top: DR1Bracket, key: str, cache: CacheStore) -> Tuple[Fraction, str]:
     """Value and first rule of a bracket that is neither stored nor relation-3.
 
-    Each rewriting step is a generator that yields the child brackets it
-    needs, one at a time, and is sent each child's value. This loop keeps
-    the steps on an explicit stack, so a reduction of any depth (one step
-    per unit of ``k`` magnitude on a two-point row) runs in constant Python
-    stack. Children are looked up, reduced and stored in the order a
-    recursive walk would take, so the store ends up the same.
+    The reduction's state is local: one B for every bracket reached (all
+    keep the top's twist multiset), the row memo, the keys under reduction
+    and the count of brackets stored. Each rewriting step is a generator
+    that yields the children it needs and is sent their values; the steps
+    sit on an explicit stack, so any depth runs in constant Python stack.
+    Children are looked up, reduced and stored in the order a recursive
+    walk would take, so the store ends up the same.
     """
-    cache, visiting, put = red.cache, red.visiting, red.put
-    rule, step = _reduce_once(bracket, red)
-    visiting.add(key)
+    b, memo, visiting, stored = _b_product(top.r, top.a_row), {}, {key}, 0
+    rule, step = _reduce_once(top, b, memo)
     stack = [(key, step)]
     value = None
     while True:
@@ -461,43 +434,75 @@ def _relational_value(bracket: DR1Bracket, key: str, red: _Reduction) -> Tuple[F
             value = done.value
             stack.pop()
             visiting.discard(key)
-            put(key, value)
-            if not stack:
-                return value, rule
-            continue
-        key = child.key
-        value = cache.get(key)
-        if value is None:
-            if relation3_check(child):
-                value = Fraction(0)
-                put(key, value)
-            elif key in visiting:
-                raise ReductionStalledError(f"reduction-stalled: {key} revisited during its own reduction")
-            else:
+        else:
+            key = child.key
+            value = cache.get(key)
+            if value is not None:
+                continue
+            if not relation3_check(child):
+                if key in visiting:
+                    raise ReductionStalledError(f"reduction-stalled: {key} revisited during its own reduction")
                 visiting.add(key)
-                stack.append((key, _reduce_once(child, red)[1]))
+                stack.append((key, _reduce_once(child, b, memo)[1]))
+                continue
+            value = Fraction(0)
+        # a finished step, or a relation-3 child: store it
+        stored += 1
+        if stored > RELATIONAL_REACH_MAX:
+            raise ReductionStalledError(f"{top.key} reached more than {RELATIONAL_REACH_MAX} brackets, "
+                                        "the most the relational route reduces")
+        cache.put(key, value)
+        if not stack:
+            return value, rule
 
 
-def _reduce_once(bracket: DR1Bracket, red: _Reduction):
-    """The rule that reduces ``bracket`` and its rewriting step, not yet started."""
-    mags = [abs(kk) for kk, _ in bracket.entries if kk != 0]
+def _reduce_once(bracket: DR1Bracket, b: Fraction, memo: dict):
+    """The rule that reduces ``bracket`` and its rewriting step, not yet started.
+
+    Case 1 (a unit beside a larger magnitude) is :func:`_case_unit_present`.
+    Cases 2 and 3 solve a relation-1 row for the bracket. Case 2 (all
+    nonzero entries ``+-1``, two or more of each sign, as relation 3 took
+    ``(+1, -1)``) anchors it at the bracket's leading ``+1``; its children
+    are case-1 rows. Case 3 (all magnitudes at least 2) orients the smallest
+    magnitude to the negative side and anchors it at the row with the
+    leading entry one lower and the shallowest negative one shallower; the
+    other terms have a smaller smallest magnitude, which drives termination.
+    """
+    pairs = bracket.entries
+    mags = [abs(kk) for kk, _ in pairs if kk != 0]
+    if min(mags) == 1 < max(mags):
+        return "case-1", _case_unit_present(bracket, b)
     if max(mags) == 1:
-        # All nonzero entries are +-1 and the +1/-1 counts match; the pure
-        # (+1, -1) pattern was already peeled off as relation 3, so at least
-        # two of each remain.
-        return "case-2", _case_all_units(bracket, red)
-    if min(mags) == 1:
-        return "case-1", _case_unit_present(bracket, red)
-    return "case-3", _case_all_large(bracket, red)
+        # sorted entries lead with their largest order, here a +1
+        rule, row, own = "case-2", pairs, bracket
+    else:
+        if min(kk for kk, _ in pairs if kk > 0) < min(-kk for kk, _ in pairs if kk < 0):
+            pairs = _flipped_sorted(bracket)
+        # sorted pairs lead with the anchor and hold the shallowest negative
+        # first among the negatives
+        shallow = next(i for i, (kk, _) in enumerate(pairs) if kk < 0)
+        row = list(pairs)
+        row[0] = (row[0][0] - 1, row[0][1])
+        row[shallow] = (row[shallow][0] + 1, row[shallow][1])
+        if row[0][0] < 1:
+            raise ReductionStalledError(f"reduction-stalled: {bracket.key} has no case-3 move")
+        rule, row, own = "case-3", tuple(row), None
+    return rule, _solve_from_row(_relation_row("relation1", bracket.r, row, bracket.status, own, memo), bracket, b)
 
 
-def _case_unit_present(bracket: DR1Bracket, red: _Reduction):
+def _case_unit_present(bracket: DR1Bracket, b: Fraction):
     """Some entry has magnitude 1 and some other entry magnitude >= 2.
 
     Orient so a ``-1`` entry and a positive entry ``p >= 2`` coexist, then
     trade the ``-1`` for a zero while lowering ``p``:
 
         <.., p, .., -1, ..> = p * B + <.., p-1, .., 0, ..>
+
+    This is relation 2 anchored at the child, designated entry ``p - 1``
+    and its zero slot, solved for the bracket. It is written out because
+    its one child and fixed coefficient need no relation row: built
+    through :func:`_relation_row`, case-1 steps made relational solving of
+    the ``dr1-window`` benchmark windows about a quarter slower.
     """
 
     def qualifies(entries: Sequence[Tuple[int, int]]) -> bool:
@@ -517,48 +522,7 @@ def _case_unit_present(bracket: DR1Bracket, red: _Reduction):
     pairs[0] = (p - 1, pairs[0][1])
     pairs[neg_idx] = (0, pairs[neg_idx][1])
     child = DR1Bracket._canonical(bracket.r, pairs, bracket.status)
-    return p * red.b + (yield child)
-
-
-def _case_all_units(bracket: DR1Bracket, red: _Reduction):
-    """Every nonzero entry is +-1 with at least two of each sign.
-
-    The relation anchored at one of the ``+1`` entries involves the bracket
-    itself and copies where that entry becomes ``2`` and one ``-1`` becomes
-    ``-2``; those children fall into the mixed-magnitude case.
-    """
-    pairs = bracket.entries
-    anchor = next(i for i, (kk, _) in enumerate(pairs) if kk == 1)
-    row = (pairs[anchor],) + pairs[:anchor] + pairs[anchor + 1:]
-    relation = _relation_row("relation1", bracket.r, row, bracket.status, bracket, red.memo)
-    return (yield from _solve_from_row(relation, bracket, red))
-
-
-def _case_all_large(bracket: DR1Bracket, red: _Reduction):
-    """Every nonzero entry has magnitude >= 2.
-
-    Orient so the globally smallest magnitude sits on the negative side,
-    anchor the relation at the largest positive entry, and solve for the
-    term where the minimal negative entry deepens by one. Reversed, that
-    expresses the bracket through rows whose smallest magnitude is strictly
-    smaller, which is what drives termination.
-    """
-    pairs = bracket.entries
-    min_pos = min(kk for kk, _ in pairs if kk > 0)
-    min_neg = min(-kk for kk, _ in pairs if kk < 0)
-    if min_pos < min_neg:
-        pairs = _flipped_sorted(bracket)
-    # Target child: anchor bumped up, shallowest negative deepened; sorted
-    # pairs lead with the anchor and hold the shallowest negative first among
-    # the negatives. Undoing that edit recovers the bracket from the row.
-    shallow = next(i for i, (kk, _) in enumerate(pairs) if kk < 0)
-    row = list(pairs)
-    row[0] = (row[0][0] - 1, row[0][1])
-    row[shallow] = (row[shallow][0] + 1, row[shallow][1])
-    if row[0][0] < 1:
-        raise ReductionStalledError(f"reduction-stalled: {bracket.key} has no case-3 move")
-    relation = _relation_row("relation1", bracket.r, tuple(row), bracket.status, None, red.memo)
-    return (yield from _solve_from_row(relation, bracket, red))
+    return p * b + (yield child)
 
 
 def _sub_multisets(counts: Tuple[Tuple[int, int], ...], size: int):
@@ -682,8 +646,9 @@ def solve_relational(bracket: DR1Bracket, cache: Optional[CacheStore] = None) ->
     vanishing pattern and B from the product formula (once per call, as
     every bracket reached shares the twist multiset), and composite
     brackets reduce by the three rewriting moves, which terminate (see the
-    module docstring). A rewriting move that revisits a key or finds no
-    anchor raises :class:`rspin.core.ReductionStalledError` naming the key;
+    module docstring), in one loop that holds the reduction's state. A
+    reduction that revisits a key, or a bracket no move applies to, raises
+    :class:`rspin.core.ReductionStalledError` naming the key;
     so does a bracket that is neither stored nor a relation-3 zero and
     that may reach more than :data:`RELATIONAL_REACH_MAX` brackets, before
     any reduction, and a reduction as it would store one bracket more than
@@ -705,5 +670,5 @@ def solve_relational(bracket: DR1Bracket, cache: Optional[CacheStore] = None) ->
     if reach > RELATIONAL_REACH_MAX:
         raise ReductionStalledError(f"{key} may reach {reach} brackets, above {RELATIONAL_REACH_MAX}, "
                                     "the most the relational route reduces")
-    value, rule = _relational_value(bracket, key, _Reduction(bracket, cache))
+    value, rule = _relational_value(bracket, key, cache)
     return EvalResult(value, STATUS_OK, (rule,))

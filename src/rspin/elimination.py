@@ -32,6 +32,8 @@ from fractions import Fraction
 from math import gcd
 from typing import Dict, Hashable, List, Mapping, Sequence, Tuple
 
+from .core import InconsistentSystemError
+
 __all__ = ["solve_exact"]
 
 
@@ -62,9 +64,10 @@ def solve_exact(
     Raises
     ------
     ValueError
-        If a row names an unknown outside ``unknowns``, or if the rows are
-        mutually inconsistent (some combination reduces to ``0 = c`` with
-        ``c != 0``).
+        If a row names an unknown outside ``unknowns``.
+    rspin.core.InconsistentSystemError
+        If the rows are mutually inconsistent (some combination reduces to
+        ``0 = c`` with ``c != 0``).
     TypeError
         If a nonzero coefficient is not an ``int`` (``math.gcd`` refuses it).
     """
@@ -86,7 +89,7 @@ def solve_exact(
         lead = min(row, default=width)
         if lead == width:
             if row:
-                raise ValueError("inconsistent linear system")
+                raise InconsistentSystemError("inconsistent linear system")
             continue
         _make_primitive(row)
         for prow in pivots.values():

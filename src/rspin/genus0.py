@@ -59,6 +59,7 @@ from .core import (
     EvalResult,
     Genus0Bracket,
     GradingError,
+    InconsistentSystemError,
     UnderdeterminedError,
     _ZERO_RESULTS,
     _check_r,
@@ -176,11 +177,18 @@ def _solve_into(r: int, a: Key, cache: CacheStore) -> Fraction:
 
     ``a`` must be ascending, graded and have every twist in ``[1, r - 2]``.
     The system is in scaled units, so each value is divided by ``r^(n-3)``.
+    Inconsistent rows raise :class:`rspin.core.InconsistentSystemError`
+    naming the system.
     """
     from .elimination import solve_exact  # run only when a request solves
 
-    scaled, free = solve_exact(*wdvv_equations(r, len(a), cache))
-    scale = r ** (len(a) - 3)
+    n = len(a)
+    system = wdvv_equations(r, n, cache)  # outside the try: a smaller system names itself
+    try:
+        scaled, free = solve_exact(*system)
+    except InconsistentSystemError:
+        raise InconsistentSystemError(f"inconsistent genus-0 WDVV system at r={r}, n={n}") from None
+    scale = r ** (n - 3)
     values = {key: value / scale for key, value in scaled.items()}
     for key, value in values.items():
         cache.put(genus0_key(r, key), value)
@@ -323,7 +331,8 @@ def wdvv_equations(r: int, n: int, cache: Optional[CacheStore] = None) -> WdvvSy
     instances are enumerated, and their rows deduplicated once, verbatim: a
     raw row (the two pairings' unknown-rank tuples and the constant) met
     before is skipped at once; any other row is built, must read ``0 = 0``
-    if no unknown is left in it, and is kept as an integer row, not
+    if no unknown is left in it (else :class:`rspin.core.InconsistentSystemError`
+    names the system), and is kept as an integer row, not
     normalised (see :class:`WdvvSystem`). Rows are keyed by the ranks of
     their unknowns until kept. Unknowns are the grading-valid n-point brackets
     with twists in ``[1, r - 2]``, keyed by ascending twist tuples; anything
@@ -376,7 +385,8 @@ def wdvv_equations(r: int, n: int, cache: Optional[CacheStore] = None) -> WdvvSy
                 coeffs = {k: v for k, v in coeffs.items() if v}
                 if not coeffs:
                     if rhs:
-                        raise ValueError("inconsistent associativity instance")
+                        raise InconsistentSystemError(
+                            f"inconsistent associativity instance in the genus-0 WDVV system at r={r}, n={n}")
                     continue
                 if type(rhs) is not int:
                     # The coefficients count pairings, so they are ints and

@@ -223,10 +223,7 @@ def check_axioms(r_max: int, n_max: int) -> SuiteReport:
     failures: List[Tuple[str, str, str]] = []
     for r in range(2, r_max + 1):
         for n in range(3, n_max + 1):
-            total = (n - 2) * r - 2
-            if total < 0:
-                continue
-            for a in ascending_multisets(0, r - 1, n, total):
+            for a in ascending_multisets(0, r - 1, n, (n - 2) * r - 2):
                 br = Genus0Bracket(r, a)
                 cases += 1
                 g = genus_of(r, [(0, ai) for ai in a])
@@ -254,10 +251,7 @@ def check_axioms(r_max: int, n_max: int) -> SuiteReport:
                             )
         b_cache = CacheStore()
         for n in range(1, n_max + 1):
-            total = (n - 1) * r
-            if total > n * (r - 1):
-                continue
-            for a in ascending_multisets(0, r - 1, n, total):
+            for a in ascending_multisets(0, r - 1, n, (n - 1) * r):
                 cases += 1
                 direct = b_value(r, a)
                 via_trr = b_value_trr(r, a, b_cache)

@@ -661,6 +661,19 @@ def test_cache_file_errors_exit_1(capsys, tmp_path, problem):
     assert [p.name for p in tmp_path.iterdir()] == ([] if problem == "missing-dir" else [path.name])
 
 
+def test_a_wrong_genus0_value_in_the_cache_file_exits_1_naming_the_system(capsys, tmp_path):
+    # <1,3,6,6,6> at r = 8 is 0; read as 1/7 it leaves the six-point system
+    # without a solution
+    path = tmp_path / "wrong.json"
+    text = '{"schema": 1, "entries": {"g0:r=8:a=1,3,6,6,6": "1/7"}}\n'
+    path.write_text(text)
+    code, out, err = invoke(capsys, "g0", "--r", "8", "--a", "3,3,6,6,6,6", "--cache", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == "error: inconsistent associativity instance in the genus-0 WDVV system at r=8, n=6\n"
+    assert path.read_text() == text
+
+
 @pytest.mark.parametrize("problem", ["directory", "missing-dir", "read-only-dir"])
 @pytest.mark.parametrize(
     "argv",

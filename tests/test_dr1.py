@@ -657,9 +657,9 @@ def test_b_value_trr_runs_once_per_reduced_bracket(monkeypatch):
         calls.append((r, tuple(sorted(a))))
         return real_b(r, a)
 
-    def counted_reduce(bracket, red):
+    def counted_reduce(bracket, b, memo):
         reductions.append(bracket)
-        return real_reduce(bracket, red)
+        return real_reduce(bracket, b, memo)
 
     monkeypatch.setattr(rspin.dr1, "_b_product", counted_b)
     monkeypatch.setattr(rspin.dr1, "_reduce_once", counted_reduce)
@@ -699,24 +699,29 @@ def test_deep_reduction_runs_without_python_recursion():
     assert len(cache) == 2000
 
 
-def _stuck_case_all_large(monkeypatch):
+def _stuck_case_3(monkeypatch):
     """Make every case-3 step ask for its own bracket, a reduction that cannot end."""
+    real = rspin.dr1._reduce_once
 
-    def stuck(bracket, red):
+    def own(bracket):
         return (yield bracket)
 
-    monkeypatch.setattr(rspin.dr1, "_case_all_large", stuck)
+    def stuck(bracket, b, memo):
+        rule, step = real(bracket, b, memo)
+        return (rule, own(bracket)) if rule == "case-3" else (rule, step)
+
+    monkeypatch.setattr(rspin.dr1, "_reduce_once", stuck)
 
 
 def test_a_stalled_reduction_raises_naming_the_key(monkeypatch):
-    _stuck_case_all_large(monkeypatch)
+    _stuck_case_3(monkeypatch)
     br = DR1Bracket(8, [(4, 2), (-4, 6)])
     with pytest.raises(ReductionStalledError, match=f"^reduction-stalled: {br.key} revisited"):
         solve_relational(br, CacheStore())
 
 
 def test_a_stalled_reduction_ends_the_cli_with_one_line(monkeypatch, capsys):
-    _stuck_case_all_large(monkeypatch)
+    _stuck_case_3(monkeypatch)
     code = run(["dr1", "--r", "8", "--k", "4,-4", "--a", "2,6", "--method", "relations"])
     captured = capsys.readouterr()
     assert code == 1

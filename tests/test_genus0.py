@@ -21,12 +21,14 @@ from rspin.core import (
     EvalResult,
     GradingError,
     Genus0Bracket,
+    InconsistentSystemError,
     ascending_multisets,
     genus0_key,
     parse_key,
 )
 from rspin.elimination import solve_exact
 from rspin.genus0 import (
+    WdvvSystem,
     _scaled,
     bracket_window_sum,
     four_point,
@@ -462,6 +464,18 @@ def test_a_wrong_smaller_value_makes_the_system_inconsistent(r, n, smaller):
             perturbed.put(other, v + Fraction(1, r) if other == key else v)
         with pytest.raises(ValueError, match="inconsistent"):
             solve_exact(*wdvv_equations(r, n, perturbed))
+
+
+def test_rows_that_only_elimination_finds_inconsistent_name_the_system(monkeypatch):
+    # two rows pin one unknown to two values: elimination's own raise,
+    # which solve_bracket names with the system it solved
+    key = (1, 3, 5, 5, 5)
+    contradiction = WdvvSystem((key,), (({key: 1}, 1), ({key: 1}, 2)))
+    monkeypatch.setattr("rspin.genus0.wdvv_equations", lambda r, n, cache: contradiction)
+    with pytest.raises(InconsistentSystemError, match="^inconsistent genus-0 WDVV system at r=7, n=5$"):
+        solve_bracket(7, key, CacheStore())
+    with pytest.raises(InconsistentSystemError, match="^inconsistent linear system$"):
+        solve_exact(*contradiction)
 
 
 def test_wdvv_system_r2_is_empty():
