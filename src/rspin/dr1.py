@@ -83,8 +83,6 @@ from .core import (
     _check_twists,
     _dr1_status,
     ascending_multisets,
-    dr1_selection,
-    dr1_status,
 )
 from .store import CacheStore
 
@@ -120,7 +118,7 @@ def _b_row(r: int, a: Sequence[int], name: str) -> Tuple[int, ...]:
     a = _check_twists(r, a)
     if not a:
         raise GradingError(f"{name} needs at least one twist")
-    return a if dr1_selection(r, a) else ()
+    return a if sum(a) == (len(a) - 1) * r else ()
 
 
 def _b_product(r: int, a: Sequence[int]) -> Fraction:
@@ -566,8 +564,8 @@ def _handouts(counts: Tuple[Tuple[int, int], ...], sizes: Tuple[int, ...], tails
             yield (sub,) + tail
 
 
-def _canonical_brackets(r: int, multisets: Sequence[Tuple[int, ...]], s_max: int):
-    """Yield each canonical bracket over the ascending twist ``multisets`` once, in key order.
+def _canonical_brackets(r: int, n_max: int, s_max: int):
+    """Yield each canonical bracket with at most ``n_max`` insertions once, in key order.
 
     Rows have balanced orders, not all zero, with ``sum(|k|) <= s_max``, and
     are canonical as in :class:`rspin.core.DR1Bracket`: positive orders by
@@ -580,9 +578,10 @@ def _canonical_brackets(r: int, multisets: Sequence[Tuple[int, ...]], s_max: int
     is made, and sorted by twist rank, once per size pattern.
     """
     by_n: Dict[int, list] = {}
-    for a_ms in multisets:
-        counts = tuple((a, len(list(group))) for a, group in groupby(a_ms))
-        by_n.setdefault(len(a_ms), []).append((counts, dr1_status(r, a_ms)))
+    for n in range(2, n_max + 1):
+        for a_ms in ascending_multisets(0, r - 1, n, (n - 1) * r):
+            counts = tuple((a, len(list(group))) for a, group in groupby(a_ms))
+            by_n.setdefault(n, []).append((counts, _dr1_status(r, a_ms)))
 
     def partitions(total, top, most):
         """The partitions of ``total`` into at most ``most`` parts of at most ``top``, descending."""
@@ -628,13 +627,12 @@ def enumerate_brackets(r: int, n_max: int, k_sum_max: int) -> List[DR1Bracket]:
     with every twist in [0, r-1]. Each canonical bracket appears once, and
     the list is in key order though no key is built: order rows ``K`` sort
     by ``K + ":"`` and twist rows by the rank of each twist's string, which
-    is key order (see the module docstring). Each twist multiset is checked,
-    and its status derived, once for all the rows over it.
+    is key order (see the module docstring). Each twist multiset's status is
+    derived once for all the rows over it; its twists are in [0, r-1] by
+    construction, so they need no check.
     """
     _check_r(r)
-    multisets = [a_ms for n in range(2, n_max + 1)
-                 for a_ms in ascending_multisets(0, r - 1, n, (n - 1) * r)]
-    return list(_canonical_brackets(r, multisets, k_sum_max))
+    return list(_canonical_brackets(r, n_max, k_sum_max))
 
 
 def solve_relational(bracket: DR1Bracket, cache: Optional[CacheStore] = None) -> EvalResult:

@@ -136,7 +136,7 @@ class CacheStore:
                 "schema": SCHEMA_VERSION,
                 "entries": {
                     key: format_rational(value)
-                    for key, value in sorted(self._entries.items())
+                    for key, value in self._entries.items()
                 },
             }
             directory = os.path.dirname(os.path.abspath(path))

@@ -3,15 +3,17 @@
 Each suite enumerates a finite window of parameters, evaluates an identity
 on both sides with exact arithmetic, and reports mismatches. Nothing is
 sampled and nothing is approximate; a suite passes exactly when its failure
-list is empty.
+list is empty. Each suite's body only walks its cases, yielding one outcome
+per case; one runner counts the cases, keeps the failures, times the walk
+and builds the ``SuiteReport``.
 
-At the default window bounds (r <= 6, n <= 5, sum(|k|) <= 8) the four suites
-take about 0.03 s together on one core of a shared 2-vCPU machine under
-Python 3.11; every bound is a parameter.
+The default window bounds are r <= 6, n <= 5 and sum(|k|) <= 8; every bound
+is a parameter.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import time
 from fractions import Fraction
@@ -104,10 +106,29 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _elapsed_ms(t0: float) -> int:
-    return int((time.perf_counter() - t0) * 1000)
+def _suite(name: str):
+    """Make a case walk into the suite ``name``, the one place a ``SuiteReport`` is built.
+
+    The decorated body is a generator that yields one outcome per case:
+    ``None`` for a pass, or the failure's (case key, expected, got) triple.
+    The decorated function keeps the body's name, signature and docstring;
+    it walks every case, counts them, keeps the failures and times the walk.
+    """
+
+    def decorate(walk):
+        @functools.wraps(walk)
+        def run(*args, **kwargs) -> SuiteReport:
+            t0 = time.perf_counter()
+            outcomes = list(walk(*args, **kwargs))
+            elapsed_ms = int((time.perf_counter() - t0) * 1000)
+            return SuiteReport(name, len(outcomes), filter(None, outcomes), elapsed_ms)
+
+        return run
+
+    return decorate
 
 
+@_suite("loop")
 def check_prop_loop(r_max: int, n_max: int, extended: bool = False) -> SuiteReport:
     """Window-sum identity: loop_sum against a brute-force bracket sum.
 
@@ -119,9 +140,6 @@ def check_prop_loop(r_max: int, n_max: int, extended: bool = False) -> SuiteRepo
     actual sum by exactly (r-1)/r, and this suite reports those windows as
     failures rather than skipping them.
     """
-    t0 = time.perf_counter()
-    cases = 0
-    failures: List[Tuple[str, str, str]] = []
     cache = CacheStore()
     for r in range(2, r_max + 1):
         m_hi = r if extended else r - 2
@@ -132,17 +150,16 @@ def check_prop_loop(r_max: int, n_max: int, extended: bool = False) -> SuiteRepo
                     continue
                 total_x = x_len * r - m - 2
                 for x in ascending_multisets(0, r - 2, x_len, total_x):
-                    cases += 1
                     formula = loop_sum(r, m, x, extended=extended)
                     summed = bracket_window_sum(r, m, x, cache)
-                    if formula != summed:
-                        key = "loop:r={}:m={}:x={}".format(
-                            r, m, ",".join(str(v) for v in x)
-                        )
-                        failures.append((key, _fmt(summed), _fmt(formula)))
-    return SuiteReport("loop", cases, failures, _elapsed_ms(t0))
+                    yield None if formula == summed else (
+                        "loop:r={}:m={}:x={}".format(r, m, ",".join(str(v) for v in x)),
+                        _fmt(summed),
+                        _fmt(formula),
+                    )
 
 
+@_suite("relations")
 def check_relations(r_max: int, k_sum_max: int, n_max: int) -> SuiteReport:
     """Residuals of every relation instance vanish under the closed form.
 
@@ -153,55 +170,49 @@ def check_relations(r_max: int, k_sum_max: int, n_max: int) -> SuiteReport:
     instances anchored in a bracket share its ``(r, sorted a)`` context, so
     B is computed once per bracket; one row memo per r serves the window.
     """
-    t0 = time.perf_counter()
-    cases = 0
-    failures: List[Tuple[str, str, str]] = []
     for r in range(2, r_max + 1):
         memo: dict = {}
         for br in enumerate_brackets(r, n_max, k_sum_max):
             if relation3_check(br):
-                cases += 1
                 got = closed_form(br).value
-                if got != 0:
-                    failures.append(("relation3:" + br.key, "0/1", _fmt(got)))
+                yield None if got == 0 else ("relation3:" + br.key, "0/1", _fmt(got))
             b = b_value(r, br.a_row)
             for o_idx, slot, zero, kind, (b_coeff, terms) in _anchored_rows(br, memo):
-                cases += 1
                 resid = _residual_closed(b_coeff, terms, b)
                 if resid != 0:
                     key = f"{kind}:{br.key}:orient={o_idx}:slot={slot}"
                     if zero is not None:
                         key += f":zero={zero}"
-                    failures.append((key, "0/1", _fmt(resid)))
-    return SuiteReport("relations", cases, failures, _elapsed_ms(t0))
+                    yield key, "0/1", _fmt(resid)
+                else:
+                    yield None
 
 
+@_suite("oracle")
 def check_oracle_equivalence(r_max: int, k_sum_max: int, n_max: int) -> SuiteReport:
     """Relational solving agrees with the closed form on the whole window.
 
     Uses a fresh relational cache so repeated runs are independent. A
     stalled reduction counts as a failure with got = "reduction-stalled".
     """
-    t0 = time.perf_counter()
-    cases = 0
-    failures: List[Tuple[str, str, str]] = []
     cache = CacheStore()
     for r in range(2, r_max + 1):
         for br in enumerate_brackets(r, n_max, k_sum_max):
-            cases += 1
             want = closed_form(br)
             try:
                 got = solve_relational(br, cache)
             except ReductionStalledError:
-                failures.append((br.key, _fmt(want.value), "reduction-stalled"))
+                yield br.key, _fmt(want.value), "reduction-stalled"
                 continue
             if got.value != want.value:
-                failures.append((br.key, _fmt(want.value), _fmt(got.value)))
+                yield br.key, _fmt(want.value), _fmt(got.value)
             elif got.status != want.status:
-                failures.append((br.key, want.status, got.status))
-    return SuiteReport("oracle", cases, failures, _elapsed_ms(t0))
+                yield br.key, want.status, got.status
+            else:
+                yield None
 
 
+@_suite("axioms")
 def check_axioms(r_max: int, n_max: int) -> SuiteReport:
     """Vanishing rules and bookkeeping consistency across evaluators.
 
@@ -218,62 +229,44 @@ def check_axioms(r_max: int, n_max: int) -> SuiteReport:
       one genus-0 store per r), and both closed_form and solve_relational
       vanish on genus-1 rows carrying a twist r - 1.
     """
-    t0 = time.perf_counter()
-    cases = 0
-    failures: List[Tuple[str, str, str]] = []
     for r in range(2, r_max + 1):
         for n in range(3, n_max + 1):
             for a in ascending_multisets(0, r - 1, n, (n - 2) * r - 2):
                 br = Genus0Bracket(r, a)
-                cases += 1
                 g = genus_of(r, [(0, ai) for ai in a])
-                if g != 0:
-                    failures.append(("genus:" + br.key, "0", str(g)))
+                yield None if g == 0 else ("genus:" + br.key, "0", str(g))
                 if r - 1 in a:
-                    cases += 1
                     got = solve_bracket(r, a)
-                    if got.value != 0 or got.status != "vanishing-axiom-zero":
-                        failures.append(
-                            ("vanish:" + br.key, "0/1", _fmt(got.value))
-                        )
+                    ok = got.value == 0 and got.status == "vanishing-axiom-zero"
+                    yield None if ok else ("vanish:" + br.key, "0/1", _fmt(got.value))
                 elif 0 in a and n >= 4:
-                    cases += 1
                     got = solve_bracket(r, a)
-                    if got.value != 0:
-                        failures.append(
-                            ("zero-entry:" + br.key, "0/1", _fmt(got.value))
-                        )
+                    yield None if got.value == 0 else ("zero-entry:" + br.key, "0/1", _fmt(got.value))
                     if n == 4:
-                        cases += 1
-                        if got.value != 0:
-                            failures.append(
-                                ("zero-entry-formula:" + br.key, "0/1", _fmt(got.value))
-                            )
+                        yield None if got.value == 0 else (
+                            "zero-entry-formula:" + br.key, "0/1", _fmt(got.value)
+                        )
         b_cache = CacheStore()
         for n in range(1, n_max + 1):
             for a in ascending_multisets(0, r - 1, n, (n - 1) * r):
-                cases += 1
                 direct = b_value(r, a)
                 via_trr = b_value_trr(r, a, b_cache)
-                if direct != via_trr:
-                    key = "b:r={}:a={}".format(r, ",".join(str(v) for v in a))
-                    failures.append((key, _fmt(direct), _fmt(via_trr)))
-                cases += 1
+                yield None if direct == via_trr else (
+                    "b:r={}:a={}".format(r, ",".join(str(v) for v in a)), _fmt(direct), _fmt(via_trr)
+                )
                 rows = [(1, a[0])] + [(0, ai) for ai in a[1:]]
                 g = genus_of(r, rows)
-                if g != 1:
-                    key = "genus-b:r={}:a={}".format(r, ",".join(str(v) for v in a))
-                    failures.append((key, "1", str(g)))
+                yield None if g == 1 else (
+                    "genus-b:r={}:a={}".format(r, ",".join(str(v) for v in a)), "1", str(g)
+                )
                 if r - 1 in a and n >= 2:
                     br1 = DR1Bracket(r, [(2, a[0]), (-2, a[1])] + [(0, ai) for ai in a[2:]])
-                    cases += 1
                     got_c = closed_form(br1)
                     got_r = solve_relational(br1, CacheStore())
-                    if got_c.value != 0 or got_r.value != 0:
-                        failures.append(
-                            ("vanish-dr1:" + br1.key, "0/1", _fmt(got_c.value) + "|" + _fmt(got_r.value))
-                        )
-    return SuiteReport("axioms", cases, failures, _elapsed_ms(t0))
+                    ok = got_c.value == 0 and got_r.value == 0
+                    yield None if ok else (
+                        "vanish-dr1:" + br1.key, "0/1", _fmt(got_c.value) + "|" + _fmt(got_r.value)
+                    )
 
 
 def run_suite(
@@ -284,20 +277,12 @@ def run_suite(
     extended: bool = False,
 ) -> List[SuiteReport]:
     """Run one named suite, or all of them, with shared window bounds."""
-    if name == "all":
-        names = list(SUITES)
-    elif name in SUITES:
-        names = [name]
-    else:
+    checks = {
+        "loop": lambda: check_prop_loop(r_max, n_max, extended=extended),
+        "relations": lambda: check_relations(r_max, k_sum_max, n_max),
+        "oracle": lambda: check_oracle_equivalence(r_max, k_sum_max, n_max),
+        "axioms": lambda: check_axioms(r_max, n_max),
+    }
+    if name != "all" and name not in checks:
         raise ValueError(f"unknown suite {name!r}")
-    reports = []
-    for suite in names:
-        if suite == "loop":
-            reports.append(check_prop_loop(r_max, n_max, extended=extended))
-        elif suite == "relations":
-            reports.append(check_relations(r_max, k_sum_max, n_max))
-        elif suite == "oracle":
-            reports.append(check_oracle_equivalence(r_max, k_sum_max, n_max))
-        elif suite == "axioms":
-            reports.append(check_axioms(r_max, n_max))
-    return reports
+    return [checks[suite]() for suite in SUITES if name in ("all", suite)]

@@ -150,9 +150,18 @@ def test_failures_sorted_by_key():
 
 
 def test_run_suite_dispatch():
-    reports = run_suite("all", r_max=4, n_max=4, k_sum_max=4)
-    assert [rep.suite for rep in reports] == ["loop", "relations", "oracle", "axioms"]
-    assert all(rep.passed for rep in reports)
+    # the default bounds are the window CI and the benchmark pin
+    for bounds, cases in (
+        ({"r_max": 4, "n_max": 4, "k_sum_max": 4}, (7, 52, 21, 47)),
+        ({}, (23, 1348, 369, 193)),
+    ):
+        reports = run_suite("all", **bounds)
+        assert [(rep.suite, rep.cases, rep.failures) for rep in reports] == [
+            ("loop", cases[0], []),
+            ("relations", cases[1], []),
+            ("oracle", cases[2], []),
+            ("axioms", cases[3], []),
+        ]
     single = run_suite("axioms", r_max=3, n_max=4)
     assert len(single) == 1 and single[0].suite == "axioms"
     with pytest.raises(ValueError):
