@@ -1,9 +1,10 @@
 """Exact calculator for r-spin correlators in genus 0 and 1.
 
 Every value is an exact :class:`fractions.Fraction`. Genus-0 brackets come
-from closed 3/4-point formulas plus associativity (WDVV) solving; brackets
-with five or more points have WDVV as their only route, and are checked
-through window sums against a closed product formula. Genus-1
+from closed 3/4-point formulas plus associativity (WDVV) solving, and
+independently from the Landau-Ginzburg model (:mod:`rspin.lg`), which also
+sums a whole window in one pass; WDVV window sums are checked against a
+closed product formula. Genus-1
 double-ramification brackets come from a closed form and from a system of
 linear relations; the relational route takes B from the same product as
 the closed form, so comparing the two checks the factor
@@ -45,7 +46,7 @@ _HOME = {
     )
     for name in names
 }
-_SUBMODULES = ("core", "elimination", "genus0", "dr1", "store", "verify")
+_SUBMODULES = ("core", "elimination", "genus0", "lg", "dr1", "store", "verify")
 
 __all__ = [*_HOME, "__version__"]
 

@@ -56,7 +56,7 @@ def _lazy(name: str):
 
 
 _lazy("elimination")  # run by genus0 alone; registered so that a tracer finds it
-genus0, dr1, verify = map(_lazy, ("genus0", "dr1", "verify"))
+genus0, lg, dr1, verify = map(_lazy, ("genus0", "lg", "dr1", "verify"))
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -108,6 +108,7 @@ def _build_parser() -> _Parser:
     arg = command("g0", _cmd_g0, "evaluate a genus-0 bracket", cache="memoized values")
     arg("--r", type=int, required=True)
     arg("--a", type=_int_list, required=True, metavar="a1,..,an")
+    arg("--method", choices=("wdvv", "lg", "both"), default="wdvv")
 
     arg = command("loopsum", _cmd_loopsum, "evaluate the window-sum formula")
     arg("--r", type=int, required=True)
@@ -197,14 +198,33 @@ def _results(pairs) -> list:
     ]
 
 
+def _report(args, key: str, results, show_agree: bool) -> int:
+    """Emit each ``(method, EvalResult)``; exit 2 unless all agree on value and status.
+
+    ``show_agree`` puts the agreement in the JSON payload as ``"agree"``.
+    """
+    payload = {"key": key, "results": _results(results)}
+    agree = len({(res.value, res.status) for _, res in results}) == 1
+    if show_agree:
+        payload["agree"] = agree
+    _emit(args, payload, *(res.value for _, res in results))
+    if not agree:
+        print("method disagreement on " + key, file=sys.stderr)
+        return EXIT_DISAGREEMENT
+    return EXIT_OK
+
+
 def _cmd_g0(args) -> int:
     bracket = Genus0Bracket(args.r, args.a)
     path = _cache_path(args.cache)
-    store = _open_store(path)
-    result = genus0.solve_bracket(args.r, tuple(args.a), store)
-    _close_store(store, path)
-    _emit(args, {"key": bracket.key, "results": _results([("wdvv", result)])}, result.value)
-    return EXIT_OK
+    results = []
+    if args.method in ("wdvv", "both"):
+        store = _open_store(path)
+        results.append(("wdvv", genus0.solve_bracket(args.r, tuple(args.a), store)))
+        _close_store(store, path)
+    if args.method in ("lg", "both"):
+        results.append(("lg", lg.bracket(args.r, tuple(args.a))))
+    return _report(args, bracket.key, results, show_agree=len(results) > 1)
 
 
 def _cmd_loopsum(args) -> int:
@@ -233,13 +253,7 @@ def _cmd_dr1(args) -> int:
             store = _open_store(path)
             results.append(("relations", dr1.solve_relational(bracket, store)))
             _close_store(store, path)
-    agree = len({(res.value, res.status) for _, res in results}) == 1
-    payload = {"key": bracket.key, "results": _results(results), "agree": agree}
-    _emit(args, payload, *(res.value for _, res in results))
-    if not agree:
-        print("method disagreement on " + bracket.key, file=sys.stderr)
-        return EXIT_DISAGREEMENT
-    return EXIT_OK
+    return _report(args, bracket.key, results, show_agree=True)
 
 
 def _cmd_b(args) -> int:

@@ -105,6 +105,14 @@ def _check_twists(r: int, a: Iterable[int]) -> Tuple[int, ...]:
     return tuple(out)
 
 
+def _check_window(r: int, m: int, x: Iterable[int]) -> Tuple[int, ...]:
+    """Validate a window sum's ``r``, bound ``m`` and fixed twists ``x``; return ``x`` as a tuple."""
+    _check_r(r)
+    if not isinstance(m, int) or isinstance(m, bool) or m < 0:
+        raise GradingError(f"window sum bound m={m!r} must be a non-negative integer")
+    return _check_twists(r, x)
+
+
 class _Record:
     """Base of the value classes: a value is the tuple of its ``_fields``.
 

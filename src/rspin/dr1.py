@@ -141,7 +141,7 @@ def b_value_trr(r: int, a: Sequence[int], cache: Optional[CacheStore] = None) ->
     from . import genus0  # imported here, so that genus-1 requests never run genus0
 
     a = _b_row(r, a, "b_value_trr")
-    return genus0.bracket_window_sum(r, r - 2, a, cache) / 24 if a else Fraction(0)
+    return genus0.bracket_window_sum(r, r - 2, a, cache, method="wdvv") / 24 if a else Fraction(0)
 
 
 def closed_form(bracket: DR1Bracket) -> EvalResult:

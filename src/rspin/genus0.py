@@ -5,7 +5,10 @@ and a 4-point bracket equals ``(1/r) * min`` over the twists and their
 reflections ``r - 1 - a_i``. Brackets with five or more insertions are not
 given by a formula here; instead, associativity of the genus-0 theory yields
 linear equations tying an n-point bracket to products of smaller ones, and
-:func:`solve_bracket` assembles and solves that system exactly.
+:func:`solve_bracket` assembles and solves that system exactly. A second,
+independent route, :mod:`rspin.lg`, reads every bracket off the
+Landau-Ginzburg model; :func:`bracket_window_sum` takes it by default, and
+the checks that exist to test the associativity route ask for ``"wdvv"``.
 
 Two vanishing rules shortcut the solver and also prune the generated
 equations: a twist equal to ``r - 1`` kills any bracket, and a twist equal
@@ -63,7 +66,7 @@ from .core import (
     UnderdeterminedError,
     _ZERO_RESULTS,
     _check_r,
-    _check_twists,
+    _check_window,
     ascending_multisets,
     genus0_key,
 )
@@ -127,10 +130,7 @@ def loop_sum(r: int, m: int, x: Sequence[int], extended: bool = False) -> Fracti
         On any precondition violation, including ``m`` out of the allowed
         range and a mismatched twist sum.
     """
-    _check_r(r)
-    if not isinstance(m, int) or isinstance(m, bool) or m < 0:
-        raise GradingError(f"window sum bound m={m!r} must be a non-negative integer")
-    xs = _check_twists(r, x)
+    xs = _check_window(r, m, x)
     n = len(xs)
     if n < 1:
         raise GradingError("loop_sum needs at least one fixed twist")
@@ -430,20 +430,31 @@ def solve_bracket(r: int, a: Sequence[int], cache: Optional[CacheStore] = None) 
 
 
 def bracket_window_sum(
-    r: int, m: int, x: Sequence[int], cache: Optional[CacheStore] = None
+    r: int, m: int, x: Sequence[int], cache: Optional[CacheStore] = None, method: str = "lg"
 ) -> Fraction:
     """Brute-force window sum ``sum_{a+b=m} <a, b, x...>`` over in-range pairs.
 
     This is the quantity :func:`loop_sum` models. Twist pairs run over all
-    ``a + b = m`` with ``0 <= a, b <= r - 1``; each bracket is evaluated by
-    :func:`solve_bracket`, so the two sides of the comparison come from
-    independent routes. With ``cache`` None one fresh store serves the
-    whole window.
+    ``a + b = m`` with ``0 <= a, b <= r - 1``. Neither route reads the
+    closed formula of :func:`loop_sum`, so comparing the two checks it.
+
+    method:
+        ``"lg"`` (the default) sums the whole window in one Landau-Ginzburg
+        pass, :func:`rspin.lg.window_sum`; it neither reads nor writes
+        ``cache``. ``"wdvv"`` evaluates each bracket by :func:`solve_bracket`,
+        with one store for the whole window (a fresh one when ``cache`` is
+        None); the checks that exist to test the associativity route ask for
+        it by name. Any other value raises ``ValueError``.
+
+    Both routes make the same argument checks and raise the same errors.
     """
-    _check_r(r)
-    if not isinstance(m, int) or isinstance(m, bool) or m < 0:
-        raise GradingError(f"window sum bound m={m!r} must be a non-negative integer")
-    xs = _check_twists(r, x)
+    if method == "lg":
+        from .lg import window_sum  # run only when a request takes this route
+
+        return window_sum(r, m, x)
+    if method != "wdvv":
+        raise ValueError(f"unknown genus-0 window method {method!r}")
+    xs = _check_window(r, m, x)
     if cache is None:
         cache = CacheStore()
     total = Fraction(0)

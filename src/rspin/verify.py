@@ -40,6 +40,7 @@ from .dr1 import (
     solve_relational,
 )
 from .genus0 import bracket_window_sum, loop_sum, solve_bracket
+from .lg import bracket as lg_bracket
 from .store import CacheStore
 
 __all__ = [
@@ -134,7 +135,8 @@ def check_prop_loop(r_max: int, n_max: int, extended: bool = False) -> SuiteRepo
 
     For every r <= r_max and point count up to n_max, all valid (m, x)
     windows are enumerated and the closed formula is compared with the sum
-    of solve_bracket values over the window. ``extended`` widens m from
+    of solve_bracket values over the window (the WDVV route, asked for by
+    name: this suite tests it). ``extended`` widens m from
     r - 2 up to r on windows with at least two spectator twists; at the
     boundary m = r with exactly two spectators the formula exceeds the
     actual sum by exactly (r-1)/r, and this suite reports those windows as
@@ -151,7 +153,7 @@ def check_prop_loop(r_max: int, n_max: int, extended: bool = False) -> SuiteRepo
                 total_x = x_len * r - m - 2
                 for x in ascending_multisets(0, r - 2, x_len, total_x):
                     formula = loop_sum(r, m, x, extended=extended)
-                    summed = bracket_window_sum(r, m, x, cache)
+                    summed = bracket_window_sum(r, m, x, cache, method="wdvv")
                     yield None if formula == summed else (
                         "loop:r={}:m={}:x={}".format(r, m, ",".join(str(v) for v in x)),
                         _fmt(summed),
@@ -219,10 +221,10 @@ def check_axioms(r_max: int, n_max: int) -> SuiteReport:
     Checks, per r up to r_max and point counts up to n_max:
     - genus-0 brackets carrying a twist r - 1 evaluate to zero;
     - genus-0 brackets with >= 4 points and a zero twist evaluate to zero.
-      At exactly 4 points a second case, ``zero-entry-formula:``, repeats
-      that check: the min formula is the value ``solve_bracket`` returns, so
-      the case is no independent check. It keeps its place and its count
-      until a second genus-0 route (the Landau-Ginzburg one) can answer it;
+      At exactly 4 points a second case, ``zero-entry-formula:``, compares
+      the value ``solve_bracket`` takes from the min formula with the
+      Landau-Ginzburg route's (:func:`rspin.lg.bracket`), which never reads
+      that formula;
     - genus_of reports 0 on genus-0 twist rows and 1 on one-point-plus-
       spectators genus-1 rows;
     - b_value (product formula) equals b_value_trr (genus-0 window sum,
@@ -243,8 +245,9 @@ def check_axioms(r_max: int, n_max: int) -> SuiteReport:
                     got = solve_bracket(r, a)
                     yield None if got.value == 0 else ("zero-entry:" + br.key, "0/1", _fmt(got.value))
                     if n == 4:
-                        yield None if got.value == 0 else (
-                            "zero-entry-formula:" + br.key, "0/1", _fmt(got.value)
+                        want = lg_bracket(r, a).value
+                        yield None if got.value == want else (
+                            "zero-entry-formula:" + br.key, _fmt(want), _fmt(got.value)
                         )
         b_cache = CacheStore()
         for n in range(1, n_max + 1):

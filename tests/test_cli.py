@@ -103,6 +103,27 @@ _GOLDEN = [
   ]
 }
 """, "", id="g0-json"),
+    pytest.param("g0 --r 7 --a 3,3,4,4,5 --method lg", 0, "4/49\n", "", id="g0-lg-text"),
+    pytest.param("g0 --r 12 --a 5,7,8,8,9,9 --method both --format json", 0, """\
+{
+  "agree": true,
+  "key": "g0:r=12:a=5,7,8,8,9,9",
+  "results": [
+    {
+      "method": "wdvv",
+      "status": "ok",
+      "value": "1/36"
+    },
+    {
+      "method": "lg",
+      "status": "ok",
+      "value": "1/36"
+    }
+  ]
+}
+""", "", id="g0-both-json"),
+    pytest.param("g0 --r 8 --a 4,5,5,6,6,6,6 --method both", 0, "3/512\n3/512\n", "", id="g0-both-seven-points"),
+    pytest.param("g0 --r 5 --a 4,1,0,3 --method both", 0, "0\n0\n", "", id="g0-both-vanishing"),
     pytest.param("loopsum --r 7 --m 5 --x 3,4", 0, "6/7\n", "", id="loopsum-text"),
     pytest.param("loopsum --r 5 --m 4 --x 2,2 --extended --format json", 0, """\
 {
@@ -332,11 +353,11 @@ def test_cli_import_loads_every_module_and_no_introspection_stdlib():
     cli = loaded("rspin.cli")
     heavy = {"dataclasses", "inspect", "csv"} - base
     assert not heavy & cli, sorted(heavy & cli)
-    submodules = {"core", "dr1", "elimination", "genus0", "store", "verify", "cli"}
+    submodules = {"core", "dr1", "elimination", "genus0", "lg", "store", "verify", "cli"}
     assert {"rspin." + name for name in submodules} <= cli
 
 
-_SUBMODULES = ("cli", "core", "dr1", "elimination", "genus0", "store", "verify")
+_SUBMODULES = ("cli", "core", "dr1", "elimination", "genus0", "lg", "store", "verify")
 
 
 def _modules_run(*argvs, before="", after=""):
@@ -393,6 +414,12 @@ def test_g0_cache_hit_leaves_dr1_and_verify_unrun(tmp_path):
     assert codes == [0] and printed == ["4/49"]
     assert os.stat(path).st_mtime_ns == stamp  # a hit: nothing to save
     assert ran == {"cli", "core", "store", "genus0"}
+
+
+def test_g0_by_lg_alone_runs_no_wdvv_code():
+    codes, ran, printed = _modules_run(("g0", "--r", "7", "--a", "3,3,4,4,5", "--method", "lg"))
+    assert codes == [0] and printed == ["4/49"]
+    assert ran == {"cli", "core", "store", "lg"}
 
 
 def test_getattr_on_a_placeholder_returns_the_real_function():
@@ -674,6 +701,31 @@ def test_a_wrong_genus0_value_in_the_cache_file_exits_1_naming_the_system(capsys
     assert path.read_text() == text
 
 
+def test_a_wrong_genus0_value_in_the_cache_file_disagrees_with_lg(capsys, tmp_path):
+    # <1,3,6,6,6> at r = 8 is 0; WDVV serves the stored 1/7 as is, LG reads no store
+    path = tmp_path / "wrong.json"
+    text = '{"schema": 1, "entries": {"g0:r=8:a=1,3,6,6,6": "1/7"}}\n'
+    path.write_text(text)
+    code, out, err = invoke(capsys, "g0", "--r", "8", "--a", "1,3,6,6,6", "--cache", str(path))
+    assert (code, out) == (0, "1/7\n")
+    code, out, err = invoke(
+        capsys, "g0", "--r", "8", "--a", "1,3,6,6,6", "--method", "both", "--cache", str(path), "--format", "json"
+    )
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["agree"] is False
+    assert [(res["method"], res["value"]) for res in payload["results"]] == [("wdvv", "1/7"), ("lg", "0/1")]
+    assert err == "method disagreement on g0:r=8:a=1,3,6,6,6\n"
+    assert path.read_text() == text
+
+
+def test_g0_lg_method_leaves_the_cache_file_alone(capsys, tmp_path):
+    path = tmp_path / "cache.json"
+    code, out, _ = invoke(capsys, "g0", "--r", "7", "--a", "3,3,4,4,5", "--method", "lg", "--cache", str(path))
+    assert (code, out) == (0, "4/49\n")
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("problem", ["directory", "missing-dir", "read-only-dir"])
 @pytest.mark.parametrize(
     "argv",
@@ -730,7 +782,8 @@ def _argvs(draw):
     if draw(st.booleans()):
         k[-1] = -sum(k[:-1])
     flags = {
-        "g0": {"--r": r, "--a": twists, "--format": _FORMAT},
+        "g0": {"--r": r, "--a": twists, "--method": st.sampled_from(("wdvv", "lg", "both")),
+               "--format": _FORMAT},
         "loopsum": {"--r": r, "--m": st.integers(-1, 10), "--x": twists,
                     "--extended": None, "--format": _FORMAT},
         "dr1": {"--r": r, "--k": k, "--a": st.lists(st.integers(-1, max(r, 1)), min_size=len(k),

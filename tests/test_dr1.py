@@ -99,10 +99,11 @@ def test_axiom_suite_shares_one_genus0_store_per_r(monkeypatch):
     real = rspin.genus0.bracket_window_sum
     stores = {}
 
-    def recording(r, m, x, cache=None):
+    def recording(r, m, x, cache=None, method="lg"):
         assert cache is not None
+        assert method == "wdvv"
         stores.setdefault(r, set()).add(id(cache))
-        return real(r, m, x, cache)
+        return real(r, m, x, cache, method)
 
     monkeypatch.setattr(rspin.genus0, "bracket_window_sum", recording)
     assert check_axioms(6, 5).passed

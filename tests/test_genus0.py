@@ -152,7 +152,9 @@ def test_window_sum_matches_formula_in_classic_range():
                 total_x = x_len * r - m - 2
                 from rspin.core import ascending_multisets
                 for x in ascending_multisets(0, r - 2, x_len, total_x):
-                    assert loop_sum(r, m, x) == bracket_window_sum(r, m, x, cache)
+                    want = loop_sum(r, m, x)
+                    assert bracket_window_sum(r, m, x, cache, method="wdvv") == want
+                    assert bracket_window_sum(r, m, x, method="lg") == want
 
 
 DIVERGENT_WINDOWS = [
@@ -178,7 +180,8 @@ def test_extended_boundary_diverges_from_bracket_sum(r, m, x, true_sum, formula)
     values and the vanishing rules, so the discrepancy is intrinsic to the
     formula's claimed range, not to the solver.
     """
-    assert bracket_window_sum(r, m, x) == true_sum
+    assert bracket_window_sum(r, m, x, method="wdvv") == true_sum
+    assert bracket_window_sum(r, m, x, method="lg") == true_sum
     assert loop_sum(r, m, x, extended=True) == formula
     assert formula - true_sum == Fraction(r - 1, r)
 
@@ -195,7 +198,9 @@ def test_extended_interior_still_matches():
                     continue
                 total_x = x_len * r - m - 2
                 for x in ascending_multisets(0, r - 2, x_len, total_x):
-                    assert loop_sum(r, m, x, extended=True) == bracket_window_sum(r, m, x, cache)
+                    want = loop_sum(r, m, x, extended=True)
+                    assert bracket_window_sum(r, m, x, cache, method="wdvv") == want
+                    assert bracket_window_sum(r, m, x, method="lg") == want
                     checked += 1
     assert checked > 10
 

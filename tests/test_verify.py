@@ -7,6 +7,7 @@ import json
 import pytest
 
 import rspin.dr1
+import rspin.verify
 from rspin.core import DR1Bracket, EvalResult
 from rspin.dr1 import anchored_instances, enumerate_brackets
 from rspin.verify import (
@@ -124,6 +125,22 @@ def test_axioms_suite_passes():
     report = check_axioms(5, 4)
     assert report.passed
     assert report.cases > 30
+
+
+def test_axioms_suite_checks_four_point_zero_entries_against_lg(monkeypatch):
+    # a wrong 4-point value with a zero twist: the zero-entry case sees that it
+    # is not 0, and the zero-entry-formula case that it is not LG's value
+    real = rspin.verify.solve_bracket
+
+    def wrong(r, a, cache=None):
+        result = real(r, a, cache)
+        if len(a) == 4 and 0 in a and r - 1 not in a:
+            return EvalResult(result.value + 1, result.status, result.trace)
+        return result
+
+    monkeypatch.setattr(rspin.verify, "solve_bracket", wrong)
+    kinds = {key.split(":")[0] for key, _, _ in check_axioms(5, 4).failures}
+    assert kinds == {"zero-entry", "zero-entry-formula"}
 
 
 def test_reports_are_deterministic():
