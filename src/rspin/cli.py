@@ -32,6 +32,7 @@ from .core import (
     _check_r,
     ascending_multisets,
     format_rational,
+    genus0_key,
 )
 from .store import CACHE_ENV_VAR, CacheStore, default_cache_path
 
@@ -291,13 +292,12 @@ def _cmd_table(args) -> int:
         store = CacheStore()
         for n in range(3, args.n_max + 1):
             for a in ascending_multisets(0, args.r - 1, n, (n - 2) * args.r - 2):
-                br = Genus0Bracket(args.r, a)
                 res = genus0.solve_bracket(args.r, a, store)
                 rows.append(
                     {
-                        "key": br.key,
+                        "key": genus0_key(args.r, a),
                         "r": args.r,
-                        "a": ",".join(str(v) for v in br.a),
+                        "a": ",".join(str(v) for v in a),
                         "value": format_rational(res.value),
                         "status": res.status,
                     }

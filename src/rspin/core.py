@@ -14,6 +14,10 @@ whether a bracket can be nonzero at all:
   the pairs and under negating every ``k_i`` at once, so the canonical form
   fixes both an entry order and a sign orientation.
 
+Both classes check their own rows and are born with their grading
+``status``, from one rule per genus (``_genus0_status``, ``_dr1_status``):
+the evaluators read it, and the selection predicates answer by those rules.
+
 Values are plain ``fractions.Fraction`` throughout; no floating point is
 used anywhere in the package.
 """
@@ -42,7 +46,6 @@ __all__ = [
     "genus_of",
     "genus0_selection",
     "dr1_selection",
-    "dr1_status",
     "format_rational",
     "parse_rational",
     "parse_key",
@@ -253,34 +256,30 @@ def genus_of(r: int, insertions: Sequence[Tuple[int, int]]) -> Optional[int]:
 
 def genus0_selection(r: int, a: Sequence[int]) -> bool:
     """True iff the twists satisfy the genus-0 grading ``sum a = (n-2)r - 2``."""
-    _check_r(r)
-    a = _check_twists(r, a)
-    return sum(a) == (len(a) - 2) * r - 2
+    return _genus0_status(r, _check_twists(_check_r(r), a)) != STATUS_DIMENSION_ZERO
 
 
 def dr1_selection(r: int, a: Sequence[int]) -> bool:
     """True iff the twists satisfy the genus-1 grading ``sum a = (n-1)r``."""
-    _check_r(r)
-    a = _check_twists(r, a)
-    return sum(a) == (len(a) - 1) * r
+    return _dr1_status(r, _check_twists(_check_r(r), a)) != STATUS_DIMENSION_ZERO
 
 
-def dr1_status(r: int, a: Sequence[int]) -> str:
-    """The status every genus-1 evaluator reports for the twist row ``a``.
-
-    ``"dimension-mismatch-zero"`` when :func:`dr1_selection` fails, else
-    ``"vanishing-axiom-zero"`` when a twist equals ``r - 1``, else ``"ok"``.
-    ``r`` and the twists are checked once, as :func:`dr1_selection` checks
-    them.
-
-    >>> dr1_status(4, (2, 2)), dr1_status(4, (3, 1)), dr1_status(4, (2, 1))
-    ('ok', 'vanishing-axiom-zero', 'dimension-mismatch-zero')
-    """
-    return _dr1_status(r, _check_twists(_check_r(r), a))
+def _genus0_status(r: int, a: Sequence[int]) -> str:
+    """:func:`_dr1_status` under the genus-0 grading ``sum a = (n-2)r - 2``."""
+    if sum(a) != (len(a) - 2) * r - 2:
+        return STATUS_DIMENSION_ZERO
+    return STATUS_VANISHING_ZERO if r - 1 in a else STATUS_OK
 
 
 def _dr1_status(r: int, a: Sequence[int]) -> str:
-    """:func:`dr1_status` of a twist row already checked against [0, r-1]."""
+    """The status every genus-1 evaluator reports for a twist row checked against [0, r-1].
+
+    ``"dimension-mismatch-zero"`` unless ``sum a = (n-1)r``, else
+    ``"vanishing-axiom-zero"`` when a twist equals ``r - 1``, else ``"ok"``.
+
+    >>> _dr1_status(4, (2, 2)), _dr1_status(4, (3, 1)), _dr1_status(4, (2, 1))
+    ('ok', 'vanishing-axiom-zero', 'dimension-mismatch-zero')
+    """
     if sum(a) != (len(a) - 1) * r:
         return STATUS_DIMENSION_ZERO
     return STATUS_VANISHING_ZERO if r - 1 in a else STATUS_OK
@@ -289,10 +288,14 @@ def _dr1_status(r: int, a: Sequence[int]) -> str:
 class Genus0Bracket(_Ordered):
     """Canonical key of a genus-0 correlator: ``r`` and ascending twists.
 
-    Equality, hashing, ordering and ``repr`` use ``(r, a)``.
+    ``status`` is the grading status of the twists (:func:`_genus0_status`),
+    fixed at birth, so the evaluators answer a zero bracket with one
+    attribute read. Equality, hashing, ordering, ``repr`` and pickling use
+    ``(r, a)`` only; the constructor derives ``status`` again on unpickling.
     """
 
-    __slots__ = _fields = ("r", "a")
+    __slots__ = ("r", "a", "status")
+    _fields = ("r", "a")
 
     def __init__(self, r: int, a: Sequence[int]):
         _check_r(r)
@@ -301,6 +304,7 @@ class Genus0Bracket(_Ordered):
             raise StructureError(f"a genus-0 bracket needs >= 3 insertions, got {len(twists)}")
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "a", tuple(sorted(twists)))
+        object.__setattr__(self, "status", _genus0_status(r, twists))
 
     @property
     def n(self) -> int:
@@ -308,7 +312,7 @@ class Genus0Bracket(_Ordered):
 
     @property
     def selection_ok(self) -> bool:
-        return genus0_selection(self.r, self.a)
+        return self.status != STATUS_DIMENSION_ZERO
 
     @property
     def key(self) -> str:
@@ -369,7 +373,7 @@ class DR1Bracket(_Ordered):
     side. Two inputs describing the same bracket therefore always compare
     and hash equal.
 
-    ``status`` is the grading status of the twist row (:func:`dr1_status`),
+    ``status`` is the grading status of the twist row (:func:`_dr1_status`),
     fixed at birth, so the evaluators answer a zero bracket with one
     attribute read. The twists never change once checked, so the status is
     derived where they already are: this constructor takes it from the pairs

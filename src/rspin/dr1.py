@@ -42,7 +42,10 @@ integers from builder to solver: ``_relation_row`` gives
 ``(b_coefficient, {bracket: coefficient})`` in ints, which the case-2 and
 case-3 moves solve for the bracket and the verification suite reads
 directly; only the public builders box them into ``Fraction`` values
-inside a :class:`RelationInstance`. The case-1 move is relation 2 solved
+inside a :class:`RelationInstance`. A public builder checks its row by
+building the row's :class:`rspin.core.DR1Bracket` and adds only what a
+relation needs: rows of equal length, a designated entry ``k[0] >= 1``
+and, for relation 2, a zero slot. The case-1 move is relation 2 solved
 by hand.
 
 Whether a bracket can be nonzero depends on its twist multiset only, which
@@ -198,22 +201,17 @@ def _residual_closed(b_coefficient, terms, b: Fraction) -> Fraction:
 
 
 def _public_instance(kind: str, r: int, k: Sequence[int], a: Sequence[int]) -> RelationInstance:
-    """The relation ``kind`` on a checked public row whose designated entry is positive."""
-    _check_r(r)
-    k = tuple(int(v) for v in k)
-    a = tuple(a)
+    """The relation ``kind`` on a public row: a :class:`DR1Bracket` with a positive designated entry."""
+    k, a = tuple(k), tuple(a)
     if len(k) != len(a):
         raise StructureError("k and a rows differ in length")
-    _check_twists(r, a)
-    if sum(k) != 0:
-        raise StructureError("k row must sum to zero")
-    if all(v == 0 for v in k):
-        raise StructureError("k row must contain a nonzero entry")
+    pairs = tuple(zip(k, a))
+    bracket = DR1Bracket(r, pairs)
     if k[0] < 1:
         raise StructureError("designated entry not positive")
     if kind == "relation2" and all(k):
         raise StructureError("relation needs a zero entry (n_0 = 0)")
-    row = _relation_row(kind, r, tuple(zip(k, a)), _dr1_status(r, a), None, {})
+    row = _relation_row(kind, r, pairs, bracket.status, bracket, {})
     return _boxed(kind, (r, tuple(sorted(a))), row)
 
 

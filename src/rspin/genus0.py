@@ -56,9 +56,7 @@ from math import comb, factorial
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .core import (
-    STATUS_DIMENSION_ZERO,
     STATUS_OK,
-    STATUS_VANISHING_ZERO,
     EvalResult,
     Genus0Bracket,
     GradingError,
@@ -400,9 +398,10 @@ def wdvv_equations(r: int, n: int, cache: Optional[CacheStore] = None) -> WdvvSy
 def solve_bracket(r: int, a: Sequence[int], cache: Optional[CacheStore] = None) -> EvalResult:
     """Evaluate a genus-0 bracket of any size, exactly.
 
-    Dispatch order: grading check ``sum a = (n - 2) r - 2``, vanishing
-    axiom, the closed forms (1 at three points, ``min(a_i, r - 1 - a_i)/r``
-    at four; :func:`three_point` and :func:`four_point` return these), the
+    Dispatch order: the bracket's grading status (zero when ``sum a =
+    (n - 2) r - 2`` fails or a twist is ``r - 1``), the closed forms (1 at
+    three points, ``min(a_i, r - 1 - a_i)/r`` at four; :func:`three_point`
+    and :func:`four_point` return these), the
     zero-twist rule for five or more insertions, then the associativity
     system at (r, n) with memoization through ``cache``. With ``cache``
     None, a fresh store is made once a request gets that far. Raises
@@ -410,11 +409,9 @@ def solve_bracket(r: int, a: Sequence[int], cache: Optional[CacheStore] = None) 
     the value is never guessed.
     """
     bracket = Genus0Bracket(r, a)
+    if bracket.status != STATUS_OK:
+        return _ZERO_RESULTS[bracket.status]
     a_sorted, n = bracket.a, len(bracket.a)
-    if sum(a_sorted) != (n - 2) * r - 2:
-        return _ZERO_RESULTS[STATUS_DIMENSION_ZERO]
-    if a_sorted[-1] == r - 1:
-        return _ZERO_RESULTS[STATUS_VANISHING_ZERO]
     if n == 3:
         return EvalResult(Fraction(1), STATUS_OK, ("three-point",))
     if n == 4:

@@ -47,9 +47,7 @@ from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
 from .core import (
-    STATUS_DIMENSION_ZERO,
     STATUS_OK,
-    STATUS_VANISHING_ZERO,
     EvalResult,
     Genus0Bracket,
     StructureError,
@@ -198,18 +196,16 @@ def bracket(r: int, a: Sequence[int]) -> EvalResult:
     """Evaluate the genus-0 bracket ``<a_1..a_n>`` by the Landau-Ginzburg route.
 
     Raises as :class:`rspin.core.Genus0Bracket` does on a bad ``r`` or twist
-    or fewer than three insertions. A failed grading and a twist ``r - 1``
-    give the zero results that :func:`rspin.genus0.solve_bracket` gives;
-    any other bracket is ``ok`` with the trace ``("lg",)``.
+    or fewer than three insertions. A bracket whose status is not ``ok``
+    (a failed grading or a twist ``r - 1``) gives the shared zero result
+    that :func:`rspin.genus0.solve_bracket` gives; any other bracket is
+    ``ok`` with the trace ``("lg",)``.
     """
-    a_sorted = Genus0Bracket(r, a).a
-    n = len(a_sorted)
-    if sum(a_sorted) != (n - 2) * r - 2:
-        return _ZERO_RESULTS[STATUS_DIMENSION_ZERO]
-    if a_sorted[-1] == r - 1:
-        return _ZERO_RESULTS[STATUS_VANISHING_ZERO]
+    br = Genus0Bracket(r, a)
+    if br.status != STATUS_OK:
+        return _ZERO_RESULTS[br.status]
     # Nilpotents on the smallest twists keep the series shortest.
-    *rest, a3, a2, a1 = a_sorted
+    *rest, a3, a2, a1 = br.a
     return EvalResult(_evaluate(r, ((a1, a2, 1),), a3, rest), STATUS_OK, ("lg",))
 
 

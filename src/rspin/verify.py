@@ -16,10 +16,10 @@ from __future__ import annotations
 import functools
 import json
 import time
-from fractions import Fraction
 from typing import Iterable, List, Tuple
 
 from .core import (
+    STATUS_VANISHING_ZERO,
     SUITES,
     DR1Bracket,
     Genus0Bracket,
@@ -101,12 +101,6 @@ class SuiteReport(_Record):
         return f"{self.suite}: {self.cases} cases, {state}, {self.elapsed_ms} ms"
 
 
-def _fmt(value) -> str:
-    if isinstance(value, Fraction):
-        return format_rational(value)
-    return str(value)
-
-
 def _suite(name: str):
     """Make a case walk into the suite ``name``, the one place a ``SuiteReport`` is built.
 
@@ -156,8 +150,8 @@ def check_prop_loop(r_max: int, n_max: int, extended: bool = False) -> SuiteRepo
                     summed = bracket_window_sum(r, m, x, cache, method="wdvv")
                     yield None if formula == summed else (
                         "loop:r={}:m={}:x={}".format(r, m, ",".join(str(v) for v in x)),
-                        _fmt(summed),
-                        _fmt(formula),
+                        format_rational(summed),
+                        format_rational(formula),
                     )
 
 
@@ -177,7 +171,7 @@ def check_relations(r_max: int, k_sum_max: int, n_max: int) -> SuiteReport:
         for br in enumerate_brackets(r, n_max, k_sum_max):
             if relation3_check(br):
                 got = closed_form(br).value
-                yield None if got == 0 else ("relation3:" + br.key, "0/1", _fmt(got))
+                yield None if got == 0 else ("relation3:" + br.key, "0/1", format_rational(got))
             b = b_value(r, br.a_row)
             for o_idx, slot, zero, kind, (b_coeff, terms) in _anchored_rows(br, memo):
                 resid = _residual_closed(b_coeff, terms, b)
@@ -185,7 +179,7 @@ def check_relations(r_max: int, k_sum_max: int, n_max: int) -> SuiteReport:
                     key = f"{kind}:{br.key}:orient={o_idx}:slot={slot}"
                     if zero is not None:
                         key += f":zero={zero}"
-                    yield key, "0/1", _fmt(resid)
+                    yield key, "0/1", format_rational(resid)
                 else:
                     yield None
 
@@ -204,10 +198,10 @@ def check_oracle_equivalence(r_max: int, k_sum_max: int, n_max: int) -> SuiteRep
             try:
                 got = solve_relational(br, cache)
             except ReductionStalledError:
-                yield br.key, _fmt(want.value), "reduction-stalled"
+                yield br.key, format_rational(want.value), "reduction-stalled"
                 continue
             if got.value != want.value:
-                yield br.key, _fmt(want.value), _fmt(got.value)
+                yield br.key, format_rational(want.value), format_rational(got.value)
             elif got.status != want.status:
                 yield br.key, want.status, got.status
             else:
@@ -219,12 +213,14 @@ def check_axioms(r_max: int, n_max: int) -> SuiteReport:
     """Vanishing rules and bookkeeping consistency across evaluators.
 
     Checks, per r up to r_max and point counts up to n_max:
-    - genus-0 brackets carrying a twist r - 1 evaluate to zero;
-    - genus-0 brackets with >= 4 points and a zero twist evaluate to zero.
-      At exactly 4 points a second case, ``zero-entry-formula:``, compares
-      the value ``solve_bracket`` takes from the min formula with the
-      Landau-Ginzburg route's (:func:`rspin.lg.bracket`), which never reads
-      that formula;
+    - genus-0 brackets whose status is ``vanishing-axiom-zero`` (a twist
+      r - 1) evaluate to zero with that status;
+    - genus-0 brackets with >= 4 points and a zero twist: the value
+      ``solve_bracket`` reads from a formula (the min formula at 4 points,
+      the zero-entry shortcut past 4) equals that of the Landau-Ginzburg
+      route (:func:`rspin.lg.bracket`), which reads neither. At 4 points
+      this case is ``zero-entry-formula:`` and a ``zero-entry:`` case
+      checks the value is zero; past 4 points it is ``zero-entry:``;
     - genus_of reports 0 on genus-0 twist rows and 1 on one-point-plus-
       spectators genus-1 rows;
     - b_value (product formula) equals b_value_trr (genus-0 window sum,
@@ -237,25 +233,29 @@ def check_axioms(r_max: int, n_max: int) -> SuiteReport:
                 br = Genus0Bracket(r, a)
                 g = genus_of(r, [(0, ai) for ai in a])
                 yield None if g == 0 else ("genus:" + br.key, "0", str(g))
-                if r - 1 in a:
+                if br.status == STATUS_VANISHING_ZERO:
                     got = solve_bracket(r, a)
-                    ok = got.value == 0 and got.status == "vanishing-axiom-zero"
-                    yield None if ok else ("vanish:" + br.key, "0/1", _fmt(got.value))
+                    ok = got.value == 0 and got.status == STATUS_VANISHING_ZERO
+                    yield None if ok else ("vanish:" + br.key, "0/1", format_rational(got.value))
                 elif 0 in a and n >= 4:
-                    got = solve_bracket(r, a)
-                    yield None if got.value == 0 else ("zero-entry:" + br.key, "0/1", _fmt(got.value))
+                    got = solve_bracket(r, a).value
                     if n == 4:
-                        want = lg_bracket(r, a).value
-                        yield None if got.value == want else (
-                            "zero-entry-formula:" + br.key, _fmt(want), _fmt(got.value)
-                        )
+                        yield None if got == 0 else ("zero-entry:" + br.key, "0/1", format_rational(got))
+                    # the LG route computes what the shortcut past four points asserts
+                    want = lg_bracket(r, a).value
+                    case = "zero-entry-formula:" if n == 4 else "zero-entry:"
+                    yield None if got == want else (
+                        case + br.key, format_rational(want), format_rational(got)
+                    )
         b_cache = CacheStore()
         for n in range(1, n_max + 1):
             for a in ascending_multisets(0, r - 1, n, (n - 1) * r):
                 direct = b_value(r, a)
                 via_trr = b_value_trr(r, a, b_cache)
                 yield None if direct == via_trr else (
-                    "b:r={}:a={}".format(r, ",".join(str(v) for v in a)), _fmt(direct), _fmt(via_trr)
+                    "b:r={}:a={}".format(r, ",".join(str(v) for v in a)),
+                    format_rational(direct),
+                    format_rational(via_trr),
                 )
                 rows = [(1, a[0])] + [(0, ai) for ai in a[1:]]
                 g = genus_of(r, rows)
@@ -268,7 +268,9 @@ def check_axioms(r_max: int, n_max: int) -> SuiteReport:
                     got_r = solve_relational(br1, CacheStore())
                     ok = got_c.value == 0 and got_r.value == 0
                     yield None if ok else (
-                        "vanish-dr1:" + br1.key, "0/1", _fmt(got_c.value) + "|" + _fmt(got_r.value)
+                        "vanish-dr1:" + br1.key,
+                        "0/1",
+                        format_rational(got_c.value) + "|" + format_rational(got_r.value),
                     )
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -32,6 +34,8 @@ def test_genus_of_examples():
     # three plain insertions summing per the genus-0 rule
     assert genus_of(5, [(0, 0), (0, 1), (0, 2)]) == 0
     assert genus_of(3, [(0, 1), (0, 1), (0, 2)]) is None
+    # the total 3 is a multiple of r + 1 = 3, but 2g = 3/3 + 2 - n = 1 is odd
+    assert genus_of(2, [(0, 0), (0, 1)]) is None
 
 
 def test_genus_of_rejects_bad_twists():
@@ -53,6 +57,27 @@ def test_genus0_bracket_sorts_and_keys():
     assert br.a == (1, 1, 3, 3)
     assert br.key == "g0:r=5:a=1,1,3,3"
     assert parse_key(br.key) == br
+
+
+@pytest.mark.parametrize(
+    "a,status,selection",
+    [
+        ((3, 1, 1, 3), "ok", True),
+        ((1, 3, 3), "dimension-mismatch-zero", False),
+        ((4, 0, 4, 0), "vanishing-axiom-zero", True),
+    ],
+    ids=["ok", "dimension-zero", "vanishing"],
+)
+def test_genus0_bracket_is_born_with_its_status(a, status, selection):
+    br = Genus0Bracket(5, a)
+    assert (br.status, br.selection_ok) == (status, selection)
+    assert selection == genus0_selection(5, a)
+    for again in (copy.copy(br), copy.deepcopy(br), pickle.loads(pickle.dumps(br))):
+        assert again == br
+        assert (again.status, again.selection_ok) == (status, selection)
+    # status is not a field: repr and hash use (r, a) alone
+    assert repr(br) == f"Genus0Bracket(r=5, a={tuple(sorted(a))!r})"
+    assert hash(br) == hash((5, tuple(sorted(a))))
 
 
 def test_genus0_bracket_needs_three():

@@ -5,15 +5,19 @@ from __future__ import annotations
 import pytest
 
 from rspin.core import CacheError, DR1Bracket, EvalResult, GradingError, StructureError, genus_of
-from rspin.dr1 import relation1_instance
+from rspin.dr1 import relation1_instance, relation2_instance
 from rspin.genus0 import bracket_window_sum, loop_sum
 from rspin.store import CacheStore
 
 
-def _load_entry(tmp_path, raw):
+def _load_entry(tmp_path, raw, key="g0:r=5:a=1,1,3,3"):
     path = tmp_path / "c.json"
-    path.write_text('{"schema": 1, "entries": {"g0:r=5:a=1,1,3,3": %s}}' % raw)
+    path.write_text('{"schema": 1, "entries": {"%s": %s}}' % (key, raw))
     return CacheStore.load(str(path))
+
+
+# more digits in its r= field than int() converts
+HUGE_R_KEY = "g0:r=" + "1" * 5000 + ":a=1,1,1"
 
 
 @pytest.mark.parametrize(
@@ -23,16 +27,24 @@ def _load_entry(tmp_path, raw):
         (lambda tmp: loop_sum(4, 2, ()), GradingError, r"^loop_sum needs at least one fixed twist$"),
         (lambda tmp: bracket_window_sum(4, -1, (1,)), GradingError, r"^window sum bound m=-1 must be"),
         (lambda tmp: relation1_instance(4, (1, -1), (2, 2, 2)), StructureError, r"^k and a rows differ in length$"),
-        (lambda tmp: relation1_instance(4, (0, 0), (3, 1)), StructureError, r"^k row must contain a nonzero entry$"),
+        (lambda tmp: relation1_instance(4, (0, 0), (3, 1)), StructureError, r"^at least one order must be nonzero$"),
+        (lambda tmp: relation1_instance(4, (2.9, -2.9), (2, 2)), StructureError, r"^order 2\.9 is not an integer$"),
+        (lambda tmp: relation2_instance(6, ("1", "0", "-1"), (4, 4, 4)), StructureError,
+         r"^order '1' is not an integer$"),
         (lambda tmp: DR1Bracket(4, [(1.0, 2), (-1, 2)]), StructureError, r"^order 1\.0 is not an integer$"),
         (lambda tmp: genus_of(4, [(-1, 2), (0, 2), (0, 2)]), GradingError, r"^psi power -1 must be a non-negative"),
         (lambda tmp: EvalResult(0, "zero"), ValueError, r"^unknown status 'zero'$"),
         (lambda tmp: _load_entry(tmp, "0"), CacheError, r"entry 'g0:r=5:a=1,1,3,3' is not a string$"),
+        (lambda tmp: CacheStore().put(HUGE_R_KEY, 1), CacheError, r"^unusable cache key 'g0:r=1+:a=1,1,1': malformed key"),
+        (lambda tmp: _load_entry(tmp, '"1/1"', HUGE_R_KEY), CacheError,
+         r": entry 'g0:r=1+:a=1,1,1': unusable cache key 'g0:r=1+:a=1,1,1': malformed key"),
     ],
     ids=[
         "loop_sum-bool-m", "loop_sum-empty-x", "bracket_window_sum-negative-m",
-        "relation1-length-mismatch", "relation1-all-zero-k", "dr1-float-order",
-        "genus_of-negative-psi", "eval-result-unknown-status", "cache-load-non-string-value",
+        "relation1-length-mismatch", "relation1-all-zero-k", "relation1-float-order",
+        "relation2-string-order", "dr1-float-order", "genus_of-negative-psi",
+        "eval-result-unknown-status", "cache-load-non-string-value", "cache-put-huge-key-field",
+        "cache-load-huge-key-field",
     ],
 )
 def test_a_bad_input_is_refused_with_its_documented_error(tmp_path, call, error, message):

@@ -8,7 +8,8 @@ import pytest
 
 import rspin.dr1
 import rspin.verify
-from rspin.core import DR1Bracket, EvalResult
+from rspin.core import DR1Bracket, EvalResult, ReductionStalledError, format_rational
+from rspin.dr1 import closed_form
 from rspin.dr1 import anchored_instances, enumerate_brackets
 from rspin.verify import (
     SuiteReport,
@@ -141,6 +142,52 @@ def test_axioms_suite_checks_four_point_zero_entries_against_lg(monkeypatch):
     monkeypatch.setattr(rspin.verify, "solve_bracket", wrong)
     kinds = {key.split(":")[0] for key, _, _ in check_axioms(5, 4).failures}
     assert kinds == {"zero-entry", "zero-entry-formula"}
+
+
+def test_axioms_suite_checks_five_point_zero_entries_against_lg(monkeypatch):
+    # past four points solve_bracket answers a zero twist with a shortcut 0,
+    # which the LG route computes: at the default bounds one bracket has it
+    real_solve, real_lg = rspin.verify.solve_bracket, rspin.verify.lg_bracket
+
+    def off_by_one(real):
+        def wrong(r, a, *args):
+            result = real(r, a, *args)
+            if len(a) >= 5 and 0 in a and result.status == "ok":
+                return EvalResult(result.value + 1, result.status, result.trace)
+            return result
+
+        return wrong
+
+    case = "zero-entry:g0:r=6:a=0,4,4,4,4"
+    monkeypatch.setattr(rspin.verify, "solve_bracket", off_by_one(real_solve))
+    report = check_axioms(6, 5)
+    assert report.cases == 193 and report.failures == [(case, "0/1", "1/1")]
+    monkeypatch.setattr(rspin.verify, "solve_bracket", real_solve)
+    monkeypatch.setattr(rspin.verify, "lg_bracket", off_by_one(real_lg))
+    report = check_axioms(6, 5)
+    assert report.cases == 193 and report.failures == [(case, "1/1", "0/1")]
+
+
+def test_oracle_suite_reports_a_stalled_reduction_and_a_wrong_status(monkeypatch):
+    stalled = DR1Bracket(4, [(2, 2), (-2, 2)])
+    vanishing = DR1Bracket(4, [(1, 3), (-1, 1)])
+    assert closed_form(vanishing).status == "vanishing-axiom-zero"
+    real = rspin.verify.solve_relational
+
+    def patched(bracket, cache):
+        if bracket == stalled:
+            raise ReductionStalledError(bracket.key)
+        if bracket == vanishing:
+            return EvalResult(0, "ok", ("patched",))
+        return real(bracket, cache)
+
+    monkeypatch.setattr(rspin.verify, "solve_relational", patched)
+    report = check_oracle_equivalence(4, 4, 3)
+    assert report.cases == 17
+    assert report.failures == [
+        (vanishing.key, "vanishing-axiom-zero", "ok"),
+        (stalled.key, format_rational(closed_form(stalled).value), "reduction-stalled"),
+    ]
 
 
 def test_reports_are_deterministic():
