@@ -1,15 +1,15 @@
 """Exact calculator for r-spin correlators in genus 0 and 1.
 
 Every value is an exact :class:`fractions.Fraction`. Genus-0 brackets come
-from closed 3/4-point formulas plus associativity (WDVV) solving, and
-independently from the Landau-Ginzburg model (:mod:`rspin.lg`), which also
-sums a whole window in one pass; WDVV window sums are checked against a
-closed product formula. Genus-1
-double-ramification brackets come from a closed form and from a system of
-linear relations; the relational route takes B from the same product as
-the closed form, so comparing the two checks the factor
-``sum(k_i^2)/2 - 1``, while B itself is checked against a genus-0 window
-sum. The :mod:`rspin.verify` suites run these checks over finite windows.
+from closed 3/4-point formulas plus associativity (WDVV) solving, both in
+:func:`rspin.genus0.solve_bracket`, and independently from the
+Landau-Ginzburg model (:mod:`rspin.lg`), which also sums a whole window in
+one pass. One product formula (in :mod:`rspin.core`) gives the window sums'
+closed form, B and the genus-1 closed form; genus-1 brackets also come from
+linear relations that take B from that product, so comparing the two
+routes checks the factor ``sum(k_i^2)/2 - 1``, while B itself is checked
+against a genus-0 window sum. The :mod:`rspin.verify` suites run these
+checks over finite windows.
 
 ``import rspin`` runs none of the submodules. Each name in ``__all__``, and
 each submodule (``rspin.dr1``), is imported on first access (PEP 562).
@@ -29,10 +29,7 @@ _HOME = {
             "InconsistentSystemError", "CacheError", "genus_of", "genus0_selection",
             "dr1_selection", "format_rational", "parse_rational", "parse_key",
         )),
-        ("genus0", (
-            "three_point", "four_point", "loop_sum", "wdvv_equations",
-            "solve_bracket", "bracket_window_sum",
-        )),
+        ("genus0", ("loop_sum", "wdvv_equations", "solve_bracket", "bracket_window_sum")),
         ("dr1", (
             "b_value", "b_value_trr", "closed_form", "RelationInstance",
             "relation1_instance", "relation2_instance", "relation3_check",

@@ -17,6 +17,8 @@ whether a bracket can be nonzero at all:
 Both classes check their own rows and are born with their grading
 ``status``, from one rule per genus (``_genus0_status``, ``_dr1_status``):
 the evaluators read it, and the selection predicates answer by those rules.
+The product formula behind the genus-0 window sum, B and the genus-1
+closed form (``_product``) and the genus-1 sign flip (``_flip``) live here.
 
 Values are plain ``fractions.Fraction`` throughout; no floating point is
 used anywhere in the package.
@@ -27,6 +29,7 @@ from __future__ import annotations
 import operator
 import re
 from fractions import Fraction
+from math import factorial
 from typing import Iterable, Optional, Sequence, Tuple
 
 __all__ = [
@@ -285,6 +288,20 @@ def _dr1_status(r: int, a: Sequence[int]) -> str:
     return STATUS_VANISHING_ZERO if r - 1 in a else STATUS_OK
 
 
+def _product(r: int, a: Sequence[int], num: int, den: int) -> Fraction:
+    """``num * (n-1)! * prod(r - 1 - a_i) / (den * r^(n-1))`` over the n twists ``a``.
+
+    The one product formula of the package. ``rspin.genus0.loop_sum`` takes
+    it with ``num = den = 1``, B (``rspin.dr1``) with ``den = 24``, and the
+    genus-1 closed form with ``num = sum(k_i^2) - 2`` and ``den = 48``. A
+    twist ``r - 1`` makes it 0. No checks: callers pass checked rows.
+    """
+    prod = num * factorial(len(a) - 1)
+    for ai in a:
+        prod *= r - 1 - ai
+    return Fraction(prod, den * r ** (len(a) - 1))
+
+
 class Genus0Bracket(_Ordered):
     """Canonical key of a genus-0 correlator: ``r`` and ascending twists.
 
@@ -338,17 +355,23 @@ def _sorted_dr1_entries(entries: Sequence[Tuple[int, int]]) -> Tuple[Tuple[int, 
     return tuple([(-k, a) for k, a in sorted([(-k, a) for k, a in entries])])
 
 
+def _flip(pairs: Sequence[Tuple[int, int]]) -> Tuple[Tuple[int, int], ...]:
+    """The pairs with every order negated, sorted as in :func:`_sorted_dr1_entries` but not re-oriented.
+
+    The key of a flipped pair ``(-k, a)`` is the pair ``(k, a)`` itself, so
+    this is the pairs in plain tuple order, each order negated.
+    """
+    return tuple([(-k, a) for k, a in sorted(pairs)])
+
+
 def _orient(pairs: Sequence[Tuple[int, int]]) -> Tuple[Tuple[int, int], ...]:
     """Sort the pairs and fix the overall sign of their orders canonically.
 
     The orientation whose positive magnitude profile is lexicographically
     larger wins; when both profiles agree, the smaller sorted row does.
-    The sign flip, sorted as in :func:`_sorted_dr1_entries`, is the pairs
-    in plain tuple order with each order negated: the flip's key ``(k, a)``
-    is the pair itself.
     """
     cand = _sorted_dr1_entries(pairs)
-    flip = tuple([(-k, a) for k, a in sorted(pairs)])
+    flip = _flip(pairs)
     cand_profile = tuple(k for k, _ in cand if k > 0)
     flip_profile = tuple(k for k, _ in flip if k > 0)
     if flip_profile != cand_profile:

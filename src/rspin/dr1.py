@@ -6,7 +6,8 @@ The one-point quantity
     B(r, a) = (1/24) * ((n-1)! / r^(n-1)) * prod(r - 1 - a_i)
 
 shows up as the inhomogeneous term of every relation, and the full bracket
-has the closed form ``(sum(k_i^2)/2 - 1) * B``.
+has the closed form ``(sum(k_i^2)/2 - 1) * B``. Both are
+:func:`rspin.core._product`, the product ``loop_sum`` shares.
 
 Why B is a genus-0 window sum: on Mbar_{1,n}, genus-1 topological
 recursion gives ``psi_i = delta_irr/12 + sum_{S containing i} delta_0^S``.
@@ -70,7 +71,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import groupby
-from math import comb, factorial
+from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .core import (
@@ -85,6 +86,8 @@ from .core import (
     _check_r,
     _check_twists,
     _dr1_status,
+    _flip,
+    _product,
     ascending_multisets,
 )
 from .store import CacheStore
@@ -105,14 +108,14 @@ __all__ = [
 
 
 def b_value(r: int, a: Sequence[int]) -> Fraction:
-    """Product formula for the genus-1 one-point coefficient B(r, a).
+    """The genus-1 one-point coefficient B(r, a): :func:`rspin.core._product` over 24.
 
     Rows violating the genus-1 selection rule ``sum(a) = (n-1)*r`` carry no
     bracket and the coefficient is taken to be 0. A twist equal to ``r - 1``
     kills the product through its ``r - 1 - a_i`` factor.
     """
     a = _b_row(r, a, "b_value")
-    return _b_product(r, a) if a else Fraction(0)
+    return _product(r, a, 1, 24) if a else Fraction(0)
 
 
 def _b_row(r: int, a: Sequence[int], name: str) -> Tuple[int, ...]:
@@ -122,15 +125,6 @@ def _b_row(r: int, a: Sequence[int], name: str) -> Tuple[int, ...]:
     if not a:
         raise GradingError(f"{name} needs at least one twist")
     return a if sum(a) == (len(a) - 1) * r else ()
-
-
-def _b_product(r: int, a: Sequence[int]) -> Fraction:
-    """The product formula of :func:`b_value` on a checked, graded row."""
-    n = len(a)
-    prod = 1
-    for ai in a:
-        prod *= r - 1 - ai
-    return Fraction(factorial(n - 1) * prod, 24 * r ** (n - 1))
 
 
 def b_value_trr(r: int, a: Sequence[int], cache: Optional[CacheStore] = None) -> Fraction:
@@ -148,13 +142,11 @@ def b_value_trr(r: int, a: Sequence[int], cache: Optional[CacheStore] = None) ->
 
 
 def closed_form(bracket: DR1Bracket) -> EvalResult:
-    """Evaluate a bracket as ``(sum(k_i^2)/2 - 1) * B(r, a)``, one ``Fraction``."""
+    """Evaluate a bracket as ``(sum(k_i^2)/2 - 1) * B(r, a)``: :func:`rspin.core._product` over 48."""
     if bracket.status != STATUS_OK:
         return _ZERO_RESULTS[bracket.status]
-    r, n, squares, prod = bracket.r, len(bracket.entries), -2, 1
-    for kk, aa in bracket.entries:
-        squares, prod = squares + kk * kk, prod * (r - 1 - aa)
-    value = Fraction(squares * factorial(n - 1) * prod, 48 * r ** (n - 1))
+    entries = bracket.entries
+    value = _product(bracket.r, [aa for _, aa in entries], sum([kk * kk for kk, _ in entries]) - 2, 48)
     return EvalResult(value, STATUS_OK, ("closed-form",))
 
 
@@ -301,16 +293,6 @@ def relation3_check(bracket: DR1Bracket) -> bool:
             and entries[1][0] < 1 and entries[-2][0] > -1)
 
 
-def _flipped_sorted(bracket: DR1Bracket) -> Tuple[Tuple[int, int], ...]:
-    """The sign-flipped entry row, re-sorted but not re-oriented.
-
-    Sorted as in :func:`rspin.core._sorted_dr1_entries`, whose key for a
-    flipped pair ``(-k, a)`` is ``(k, a)``: the entries in plain tuple order,
-    each order negated.
-    """
-    return tuple([(-kk, aa) for kk, aa in sorted(bracket.entries)])
-
-
 def anchored_instances(bracket: DR1Bracket, memo: Optional[dict] = None):
     """Yield ``(orientation, slot, zero_slot, instance)`` for each relation anchored in a bracket.
 
@@ -331,7 +313,7 @@ def _anchored_rows(bracket: DR1Bracket, memo: dict):
     """:func:`anchored_instances` as ``(orientation, slot, zero_slot, kind, row)``, rows in ints."""
     r, status = bracket.r, bracket.status
     orientations = [bracket.entries]
-    flipped = _flipped_sorted(bracket)
+    flipped = _flip(bracket.entries)
     if flipped != bracket.entries:
         orientations.append(flipped)
     for o_idx, pairs in enumerate(orientations):
@@ -418,7 +400,7 @@ def _relational_value(top: DR1Bracket, key: str, cache: CacheStore) -> Tuple[Fra
     Children are looked up, reduced and stored in the order a recursive
     walk would take, so the store ends up the same.
     """
-    b, memo, visiting, stored = _b_product(top.r, top.a_row), {}, {key}, 0
+    b, memo, visiting, stored = _product(top.r, top.a_row, 1, 24), {}, {key}, 0
     rule, step = _reduce_once(top, b, memo)
     stack = [(key, step)]
     value = None
@@ -473,7 +455,7 @@ def _reduce_once(bracket: DR1Bracket, b: Fraction, memo: dict):
         rule, row, own = "case-2", pairs, bracket
     else:
         if min(kk for kk, _ in pairs if kk > 0) < min(-kk for kk, _ in pairs if kk < 0):
-            pairs = _flipped_sorted(bracket)
+            pairs = _flip(bracket.entries)
         # sorted pairs lead with the anchor and hold the shallowest negative
         # first among the negatives
         shallow = next(i for i, (kk, _) in enumerate(pairs) if kk < 0)
@@ -507,7 +489,7 @@ def _case_unit_present(bracket: DR1Bracket, b: Fraction):
 
     working = bracket.entries
     if not qualifies(working):
-        working = _flipped_sorted(bracket)
+        working = _flip(bracket.entries)
         if not qualifies(working):
             # Mixed-magnitude rows always admit one orientation or the
             # other; reaching here means the classification is off.

@@ -1,11 +1,12 @@
 """Genus-0 correlator evaluation: closed 3/4-point values and WDVV solving.
 
-Small brackets have closed forms: any grading-valid 3-point bracket equals 1,
-and a 4-point bracket equals ``(1/r) * min`` over the twists and their
-reflections ``r - 1 - a_i``. Brackets with five or more insertions are not
-given by a formula here; instead, associativity of the genus-0 theory yields
-linear equations tying an n-point bracket to products of smaller ones, and
-:func:`solve_bracket` assembles and solves that system exactly. A second,
+Small brackets have closed forms, written once, in :func:`_scaled`: any
+grading-valid 3-point bracket equals 1, and a 4-point bracket equals
+``(1/r) * min`` over the twists and their reflections ``r - 1 - a_i``.
+Brackets with five or more insertions are not given by a formula; instead,
+associativity of the genus-0 theory yields linear equations tying an
+n-point bracket to products of smaller ones, and :func:`solve_bracket`
+assembles and solves that system exactly. A second,
 independent route, :mod:`rspin.lg`, reads every bracket off the
 Landau-Ginzburg model; :func:`bracket_window_sum` takes it by default, and
 the checks that exist to test the associativity route ask for ``"wdvv"``.
@@ -36,7 +37,7 @@ rows that are not normalised: :mod:`rspin.elimination` scales each pivot
 row itself, and a scaled row, or a second row proportional to a kept one,
 leaves the reduced echelon form it returns unchanged.
 
-:func:`loop_sum` evaluates the closed formula
+:func:`loop_sum` evaluates the closed formula (``rspin.core._product``)
 ``((n-1)!/r^(n-1)) * prod(r-1-x_i)`` for the window sum
 ``sum_{a+b=m} <a, b, x_1..x_n>``. The formula is exact for ``m <= r - 2``.
 The ``extended`` flag admits ``m <= r`` for ``len(x) >= 2``; it stays exact
@@ -52,7 +53,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import comb, factorial
+from math import comb
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .core import (
@@ -65,14 +66,13 @@ from .core import (
     _ZERO_RESULTS,
     _check_r,
     _check_window,
+    _product,
     ascending_multisets,
     genus0_key,
 )
 from .store import CacheStore
 
 __all__ = [
-    "three_point",
-    "four_point",
     "loop_sum",
     "WdvvSystem",
     "wdvv_equations",
@@ -82,28 +82,6 @@ __all__ = [
 
 Key = Tuple[int, ...]
 Scaled = Union[int, Fraction]
-
-
-def three_point(r: int, a1: int, a2: int, a3: int) -> EvalResult:
-    """Evaluate a 3-point bracket: 1 whenever the grading holds.
-
-    Grading failures return 0 with ``dimension-mismatch-zero``. A twist of
-    ``r - 1`` cannot coexist with a valid 3-point grading (the remaining
-    twists would need a negative sum). The same as :func:`solve_bracket`.
-    """
-    return solve_bracket(r, (a1, a2, a3))
-
-
-def four_point(r: int, a1: int, a2: int, a3: int, a4: int) -> EvalResult:
-    """Evaluate a 4-point bracket by the minimum-twist-distance formula.
-
-    For ``sum a_i = 2r - 2`` the value is ``(1/r) * min`` over the multiset
-    ``{a_1..a_4, r-1-a_1..r-1-a_4}``. A zero twist therefore gives value 0
-    with status ``ok`` (the formula itself vanishes), while a twist of
-    ``r - 1`` is reported as the vanishing axiom. The same as
-    :func:`solve_bracket`.
-    """
-    return solve_bracket(r, (a1, a2, a3, a4))
 
 
 def loop_sum(r: int, m: int, x: Sequence[int], extended: bool = False) -> Fraction:
@@ -145,10 +123,7 @@ def loop_sum(r: int, m: int, x: Sequence[int], extended: bool = False) -> Fracti
         raise GradingError(
             f"twist sum {sum(xs)} does not match n*r - m - 2 = {n * r - m - 2}"
         )
-    value = Fraction(factorial(n - 1), r ** (n - 1))
-    for v in xs:
-        value *= r - 1 - v
-    return value
+    return _product(r, xs, 1, 1)
 
 
 class WdvvSystem(NamedTuple):
@@ -198,24 +173,28 @@ def _solve_into(r: int, a: Key, cache: CacheStore) -> Fraction:
     return values[a]
 
 
-def _scaled(r: int, a: Key, cache: CacheStore) -> Scaled:
-    """Scaled value ``S(a) = r^(len(a)-3) * <a>`` of an ascending, graded component.
+def _scaled(r: int, a: Key, cache: Optional[CacheStore]) -> Tuple[Scaled, str]:
+    """``(S(a), rule)``: the scaled value ``r^(len(a)-3) * <a>`` of an ascending, graded bracket.
 
     Its twists lie in ``[0, r - 2]``, so neither the range nor the vanishing
-    axiom needs checking. A store miss solves a's system into ``cache``.
+    axiom needs checking. Closed forms first (1 at three points, the least
+    twist or reflection at four, 0 for a twist 0 past four), then the store;
+    a miss solves a's system into ``cache``, a fresh store when it is None.
     """
     size = len(a)
     if size == 3:
-        return 1
+        return 1, "three-point"
     if size == 4:
-        return min(a[0], r - 1 - a[3])
+        return min(a[0], r - 1 - a[3]), "four-point"
     if a[0] == 0:
-        return 0
-    value = cache.get(genus0_key(r, a))
+        return 0, "zero-entry"
+    if cache is None:
+        cache = CacheStore()
+    value, rule = cache.get(genus0_key(r, a)), "cache"
     if value is None:
-        value = _solve_into(r, a, cache)
+        value, rule = _solve_into(r, a, cache), "wdvv-elimination"
     value *= r ** (size - 3)
-    return value.numerator if value.denominator == 1 else value
+    return value.numerator if value.denominator == 1 else value, rule
 
 
 class _Build:
@@ -243,7 +222,7 @@ class _Build:
     def value(self, code: int) -> Scaled:
         """Memo miss: decode the component and read its value."""
         a = tuple(t for t, count in enumerate(self.counts(code)) for _ in range(count))
-        value = self.memo[code] = _scaled(self.r, a, self.cache)
+        value = self.memo[code] = _scaled(self.r, a, self.cache)[0]
         return value
 
     def splits(self, rest: int, base: int) -> List[Tuple[int, int, int]]:
@@ -398,32 +377,21 @@ def wdvv_equations(r: int, n: int, cache: Optional[CacheStore] = None) -> WdvvSy
 def solve_bracket(r: int, a: Sequence[int], cache: Optional[CacheStore] = None) -> EvalResult:
     """Evaluate a genus-0 bracket of any size, exactly.
 
-    Dispatch order: the bracket's grading status (zero when ``sum a =
-    (n - 2) r - 2`` fails or a twist is ``r - 1``), the closed forms (1 at
-    three points, ``min(a_i, r - 1 - a_i)/r`` at four; :func:`three_point`
-    and :func:`four_point` return these), the
-    zero-twist rule for five or more insertions, then the associativity
-    system at (r, n) with memoization through ``cache``. With ``cache``
-    None, a fresh store is made once a request gets that far. Raises
-    ``UnderdeterminedError`` if the system does not pin the bracket down;
-    the value is never guessed.
+    A bracket whose grading status is not ``"ok"`` (``sum a = (n - 2) r - 2``
+    fails, or a twist is ``r - 1``) gets the shared zero result. Any other
+    is read by :func:`_scaled` and divided by ``r^(n-3)``: the closed forms
+    (1 at three points, ``min(a_i, r - 1 - a_i)/r`` at four), the zero-twist
+    rule for five or more insertions, then the store and the associativity
+    system at (r, n), memoized through ``cache``. With ``cache`` None, a
+    fresh store is made once a request gets that far. The trace is the one
+    rule that gave the value. Raises ``UnderdeterminedError`` if the system
+    does not pin the bracket down; the value is never guessed.
     """
     bracket = Genus0Bracket(r, a)
     if bracket.status != STATUS_OK:
         return _ZERO_RESULTS[bracket.status]
-    a_sorted, n = bracket.a, len(bracket.a)
-    if n == 3:
-        return EvalResult(Fraction(1), STATUS_OK, ("three-point",))
-    if n == 4:
-        return EvalResult(Fraction(min(a_sorted[0], r - 1 - a_sorted[3]), r), STATUS_OK, ("four-point",))
-    if a_sorted[0] == 0:
-        return EvalResult(Fraction(0), STATUS_OK, ("zero-entry",))
-    if cache is None:
-        cache = CacheStore()
-    cached = cache.get(bracket.key)
-    if cached is not None:
-        return EvalResult(cached, STATUS_OK, ("cache",))
-    return EvalResult(_solve_into(r, a_sorted, cache), STATUS_OK, ("wdvv-elimination",))
+    scaled, rule = _scaled(r, bracket.a, cache)
+    return EvalResult(Fraction(scaled, r ** (len(bracket.a) - 3)), STATUS_OK, (rule,))
 
 
 def bracket_window_sum(

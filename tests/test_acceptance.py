@@ -20,7 +20,7 @@ from rspin.dr1 import (
     relation1_instance,
     relation3_check,
 )
-from rspin.genus0 import four_point, three_point
+from rspin.genus0 import solve_bracket
 from rspin.store import CacheStore
 from rspin.verify import (
     check_axioms,
@@ -44,10 +44,10 @@ def test_criterion_1_initial_values():
     for r in range(2, 11):
         for a in ascending_multisets(0, r - 1, 3, r - 2):
             triples += 1
-            if three_point(r, *a).value != 1:
+            if solve_bracket(r, a).value != 1:
                 ok = False
-    ok = ok and four_point(5, 1, 1, 3, 3).value == Fraction(1, 5)
-    ok = ok and four_point(4, 1, 1, 2, 2).value == Fraction(1, 4)
+    ok = ok and solve_bracket(5, (1, 1, 3, 3)).value == Fraction(1, 5)
+    ok = ok and solve_bracket(4, (1, 1, 2, 2)).value == Fraction(1, 4)
     _finish(1, ok, time.perf_counter() - t0, 1.0,
             f"{triples} selection-valid triples all equal 1; 4-point goldens 1/5 and 1/4")
 

@@ -45,7 +45,7 @@ from rspin.dr1 import (
     solve_relational,
 )
 from rspin.store import CacheStore
-from rspin.verify import check_axioms, check_oracle_equivalence, check_relations
+from rspin.verify import check_axioms, check_oracle_equivalence, check_prop_loop, check_relations
 
 
 def test_b_value_goldens():
@@ -83,11 +83,11 @@ def test_genus0_window_sum_b_is_independent_of_the_product(monkeypatch):
     def refuse(*args):
         raise AssertionError("the genus-0 B route read a product formula")
 
-    # both product formulas, under every module name they are bound to
-    for module in (rspin.dr1, rspin.genus0):
-        for name in ("_b_product", "loop_sum"):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, refuse)
+    # the product formula under every module name it is bound to, and loop_sum
+    for module, name in ((rspin.core, "_product"), (rspin.dr1, "_product"), (rspin.genus0, "_product"),
+                         (rspin.genus0, "loop_sum")):
+        assert hasattr(module, name), (module.__name__, name)
+        monkeypatch.setattr(module, name, refuse)
     for r in range(2, 11):
         assert b_value_trr(r, (0,)) == Fraction(r - 1, 24)
     assert b_value_trr(4, (2, 2)) == Fraction(1, 96)
@@ -111,17 +111,23 @@ def test_axiom_suite_shares_one_genus0_store_per_r(monkeypatch):
     assert all(len(ids) == 1 for ids in stores.values())
 
 
-def test_axiom_suite_catches_a_wrong_product_formula(monkeypatch):
-    real = rspin.dr1._b_product
+@pytest.mark.parametrize("module,suite,prefix", [
+    (rspin.dr1, lambda: check_axioms(6, 5), "b:r="),
+    (rspin.genus0, lambda: check_prop_loop(6, 5), "loop:r="),
+], ids=["dr1-axioms", "genus0-loop"])
+def test_a_wrong_product_formula_fails_its_suite(monkeypatch, module, suite, prefix):
+    # the one product, doubled on three-twist rows where one module binds it:
+    # B in dr1 fails the axioms suite, loop_sum in genus0 the loop suite
+    real = rspin.core._product
 
-    def doubled_at_three(r, a):
-        value = real(r, a)
+    def doubled_at_three(r, a, num, den):
+        value = real(r, a, num, den)
         return 2 * value if len(a) == 3 else value
 
-    assert check_axioms(6, 5).passed
-    monkeypatch.setattr(rspin.dr1, "_b_product", doubled_at_three)
-    keys = [key for key, _, _ in check_axioms(6, 5).failures]
-    assert keys and all(key.startswith("b:r=") and key.count(",") == 2 for key in keys)
+    assert suite().passed
+    monkeypatch.setattr(module, "_product", doubled_at_three)
+    keys = [key for key, _, _ in suite().failures]
+    assert keys and all(key.startswith(prefix) and key.count(",") == 2 for key in keys)
 
 
 def test_closed_form_goldens():
@@ -487,7 +493,7 @@ def test_plain_tuple_sorts_match_the_key_function_sort(pairs):
     br = DR1Bracket(20, balanced)
     assert br.entries == _reference_orient(balanced)
     flipped = _reference_sorted([(-k, a) for k, a in br.entries])
-    assert rspin.dr1._flipped_sorted(br) == flipped
+    assert rspin.core._flip(br.entries) == flipped
     k_row, a_row = tuple(k for k, _ in br.entries), tuple(a for _, a in br.entries)
     assert br.key == f"dr1:r=20:k={','.join(map(str, k_row))}:a={','.join(map(str, a_row))}"
 
@@ -652,17 +658,17 @@ def test_b_value_trr_runs_once_per_reduced_bracket(monkeypatch):
     # the solver's B is the product formula, computed once per reduction
     calls = []
     reductions = []
-    real_b, real_reduce = rspin.dr1._b_product, rspin.dr1._reduce_once
+    real_b, real_reduce = rspin.dr1._product, rspin.dr1._reduce_once
 
-    def counted_b(r, a):
-        calls.append((r, tuple(sorted(a))))
-        return real_b(r, a)
+    def counted_b(r, a, num, den):
+        calls.append((r, tuple(sorted(a)), num, den))
+        return real_b(r, a, num, den)
 
     def counted_reduce(bracket, b, memo):
         reductions.append(bracket)
         return real_reduce(bracket, b, memo)
 
-    monkeypatch.setattr(rspin.dr1, "_b_product", counted_b)
+    monkeypatch.setattr(rspin.dr1, "_product", counted_b)
     monkeypatch.setattr(rspin.dr1, "_reduce_once", counted_reduce)
     cache = CacheStore()
     rules = {}
@@ -674,7 +680,7 @@ def test_b_value_trr_runs_once_per_reduced_bracket(monkeypatch):
         reduced = res.trace[0] in ("case-1", "case-2", "case-3")
         assert len(calls) - before_b == (1 if reduced else 0), (br.key, res.trace)
         if reduced:
-            assert calls[-1] == (8, tuple(sorted(br.a_row)))
+            assert calls[-1] == (8, tuple(sorted(br.a_row)), 1, 24)
             deep += len(reductions) - before_reduce > 1
         # asking again is a cache hit, or a zero status: no B either way
         again = solve_relational(br, cache)

@@ -31,10 +31,8 @@ from rspin.genus0 import (
     WdvvSystem,
     _scaled,
     bracket_window_sum,
-    four_point,
     loop_sum,
     solve_bracket,
-    three_point,
     wdvv_equations,
 )
 from rspin.store import CacheStore
@@ -48,31 +46,31 @@ def test_three_point_is_one_on_all_selection_valid_triples():
                 a3 = total - a1 - a2
                 if a3 < a2 or a3 > r - 1:
                     continue
-                res = three_point(r, a1, a2, a3)
+                res = solve_bracket(r, (a1, a2, a3))
                 assert res.value == 1
                 assert res.status == "ok"
 
 
 def test_three_point_selection_violation():
-    res = three_point(5, 1, 1, 2)
+    res = solve_bracket(5, (1, 1, 2))
     assert res.value == 0
     assert res.status == "dimension-mismatch-zero"
 
 
 def test_four_point_goldens():
-    assert four_point(5, 1, 1, 3, 3).value == Fraction(1, 5)
-    assert four_point(4, 1, 1, 2, 2).value == Fraction(1, 4)
+    assert solve_bracket(5, (1, 1, 3, 3)).value == Fraction(1, 5)
+    assert solve_bracket(4, (1, 1, 2, 2)).value == Fraction(1, 4)
 
 
 def test_four_point_vanishing_twist():
-    res = four_point(5, 4, 0, 1, 3)
+    res = solve_bracket(5, (4, 0, 1, 3))
     assert res.value == 0
     assert res.status == "vanishing-axiom-zero"
 
 
 def test_four_point_zero_entry_agrees_with_zero_rule():
     # the min over {a_i} and {r-1-a_i} is 0 exactly when some a_i is 0
-    res = four_point(4, 0, 2, 2, 2)
+    res = solve_bracket(4, (0, 2, 2, 2))
     assert res.value == 0
     assert res.status == "ok"
 
@@ -97,16 +95,16 @@ def _grading_error(call, *args):
 def test_three_and_four_point_agree_with_solve_bracket_on_every_twist_tuple():
     # every ordered tuple, graded or not, at 2 <= r <= 9, trace included
     for r in range(2, 10):
-        for size, closed in ((3, three_point), (4, four_point)):
+        for size in (3, 4):
             for a in product(range(r), repeat=size):
-                want = _closed_small(r, a)
-                assert closed(r, *a) == solve_bracket(r, a) == want, (r, a)
+                assert solve_bracket(r, a) == _closed_small(r, a), (r, a)
             for i, bad in product(range(size), (-1, r, True)):
                 a = [r - 2] * size
                 a[i] = bad
-                message = _grading_error(closed, r, *a)
-                assert message == _grading_error(solve_bracket, r, a), (r, a)
-    assert _grading_error(three_point, 1, 0, 0, 0) == _grading_error(solve_bracket, 1, (0, 0, 0))
+                want = f"twist {bad!r} is not an integer" if bad is True else (
+                    f"twist {bad} out of range [0, {r - 1}] for r={r}")
+                assert _grading_error(solve_bracket, r, a) == want, (r, a)
+    assert _grading_error(solve_bracket, 1, (0, 0, 0)) == "r must be an integer >= 2, got 1"
 
 
 def test_solve_bracket_makes_a_store_only_when_a_request_reaches_it(monkeypatch):
@@ -264,12 +262,12 @@ def test_build_keeps_non_integral_scaled_values_exact():
     store = CacheStore()
     store.put(genus0_key(5, (2, 2, 3, 3, 3)), Fraction(1, 7))
     store.put(genus0_key(5, (3, 3, 3, 3, 3, 3)), Fraction(2, 25))
-    odd = _scaled(5, (2, 2, 3, 3, 3), store)
-    assert type(odd) is Fraction and odd == Fraction(25, 7)
-    even = _scaled(5, (3, 3, 3, 3, 3, 3), store)
-    assert type(even) is int and even == 10
+    odd, rule = _scaled(5, (2, 2, 3, 3, 3), store)
+    assert type(odd) is Fraction and odd == Fraction(25, 7) and rule == "cache"
+    even, rule = _scaled(5, (3, 3, 3, 3, 3, 3), store)
+    assert type(even) is int and even == 10 and rule == "cache"
     small = [_scaled(5, a, store) for a in ((1, 1, 1), (1, 1, 3, 3), (2, 2, 2, 2))]
-    assert small == [1, 1, 2]
+    assert small == [(1, "three-point"), (1, "four-point"), (2, "four-point")]
 
 
 @pytest.mark.parametrize("r,scale,rows", [(7, Fraction(1, 7), 11), (8, Fraction(2, 3), 36), (9, Fraction(1, 5), 94)])
@@ -287,7 +285,7 @@ def test_rows_with_non_integral_constants_are_cleared_whole(r, scale, rows):
     scaled = CacheStore()
     for key, value in store.items():
         scaled.put(key, value * scale)
-    assert any(type(_scaled(r, a, scaled)) is Fraction for a in values)
+    assert any(type(_scaled(r, a, scaled)[0]) is Fraction for a in values)
     system = wdvv_equations(r, 6, scaled)
     assert len(system.equations) == rows
     assert all(type(v) is int for coeffs, rhs in system.equations for v in (rhs, *coeffs.values()))
