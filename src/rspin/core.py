@@ -52,7 +52,6 @@ __all__ = [
     "format_rational",
     "parse_rational",
     "parse_key",
-    "is_canonical_key",
     "KeyCheck",
 ]
 
@@ -328,10 +327,6 @@ class Genus0Bracket(_Ordered):
         return len(self.a)
 
     @property
-    def selection_ok(self) -> bool:
-        return self.status != STATUS_DIMENSION_ZERO
-
-    @property
     def key(self) -> str:
         return genus0_key(self.r, self.a)
 
@@ -462,10 +457,6 @@ class DR1Bracket(_Ordered):
     @property
     def a_row(self) -> Tuple[int, ...]:
         return tuple(a for _, a in self.entries)
-
-    @property
-    def selection_ok(self) -> bool:
-        return self.status != STATUS_DIMENSION_ZERO
 
     @property
     def key(self) -> str:
@@ -636,16 +627,19 @@ class _Verdicts(dict):
 
 
 class KeyCheck:
-    """:func:`is_canonical_key` that judges each distinct field text once.
+    """``KeyCheck()(key)`` is True iff ``parse_key(key).key == key``; no bracket is built.
 
-    A cache repeats its fields: many keys share one ``r=``, ``k=`` or
-    ``a=`` field. The checker keeps each field's verdict, so a key whose
-    fields were all seen before costs a dict lookup per field plus the
-    checks that tie its fields together: equal row lengths, twists below
-    ``r``, twists ascending inside each run of equal orders, and, when the
-    two sign profiles tie, runs at most their reverse (the sign flip hands
-    each run the twists of its mirror run). A key is accepted iff
-    ``parse_key(key).key == key``, whatever keys came before.
+    Each field is screened by a regex for the spelling a canonical key uses
+    (ASCII digits, no leading zero, no ``+``, no ``-0``, no whitespace),
+    then judged on its own, and its verdict is kept. A cache repeats its
+    fields (many keys share one ``r=``, ``k=`` or ``a=`` field), so a key
+    whose fields were all seen before costs a dict lookup per field plus
+    the checks that tie its fields together: equal row lengths, twists
+    below ``r``, twists ascending inside each run of equal orders, and,
+    when the two sign profiles tie, runs at most their reverse (the sign
+    flip hands each run the twists of its mirror run). The answer does not
+    depend on the keys checked before. Each :class:`rspin.store.CacheStore`
+    keeps one checker for its whole life.
 
     >>> check = KeyCheck()
     >>> check("dr1:r=4:k=2,-2:a=2,2"), check("dr1:r=4:k=-2,2:a=2,2")
@@ -683,19 +677,6 @@ class KeyCheck:
             return True
         row = [twists[i:j] for i, j in runs]
         return row <= row[::-1]
-
-
-def is_canonical_key(key: str) -> bool:
-    """True iff ``parse_key(key).key == key``, decided without building a bracket.
-
-    Each field is screened by a regex for the spelling a canonical key uses
-    (ASCII digits, no leading zero, no ``+``, no ``-0``, no whitespace),
-    then judged on its own, and the key checks only what ties its fields
-    together (see :class:`KeyCheck`). This call uses a fresh checker; each
-    :class:`rspin.store.CacheStore` keeps one for its whole life, so a field
-    that many keys share is judged once per store.
-    """
-    return KeyCheck()(key)
 
 
 def _expect_field(part: str, name: str) -> str:

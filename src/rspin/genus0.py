@@ -168,7 +168,7 @@ def _solve_into(r: int, a: Key, cache: CacheStore) -> Fraction:
     if a not in values:
         raise UnderdeterminedError(
             f"associativity equations leave {genus0_key(r, a)} undetermined "
-            f"({len(free)} free of {len(values) + len(free)} unknowns)"
+            f"({len(free)} free of {len(system.unknowns)} unknowns)"
         )
     return values[a]
 

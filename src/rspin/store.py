@@ -10,8 +10,8 @@ save never damages an existing valid file. Loading rejects unknown schema
 versions (only the integer 1 is read) and repeated keys, and reports the
 offending entry on malformed content. Keys are checked on ``put`` and on
 ``load`` by the store's own :class:`rspin.core.KeyCheck`, which decides
-:func:`rspin.core.is_canonical_key` and judges each distinct ``r=``, ``k=``
-and ``a=`` field once for the store's whole life: a file's keys share few
+whether a key is canonical and judges each distinct ``r=``, ``k=`` and
+``a=`` field once for the store's whole life: a file's keys share few
 fields, so most keys cost a few dict lookups. A non-canonical key would make
 the same bracket cacheable under several names, so it is a contract error,
 explained by parsing the key only once it has been rejected. Values are
@@ -52,15 +52,11 @@ class CacheStore:
     internal lock. ``dirty`` tracks whether the store has unsaved changes.
     """
 
-    def __init__(self, entries: Optional[Dict[str, Fraction]] = None):
+    def __init__(self):
         self._entries: Dict[str, Fraction] = {}
         self._lock = threading.RLock()
         self._key_check = KeyCheck()
         self.dirty = False
-        if entries:
-            for key, value in entries.items():
-                self.put(key, value)
-            self.dirty = False
 
     def __len__(self) -> int:
         return len(self._entries)

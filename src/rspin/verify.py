@@ -14,7 +14,6 @@ is a parameter.
 from __future__ import annotations
 
 import functools
-import json
 import time
 from typing import Iterable, List, Tuple
 
@@ -92,9 +91,6 @@ class SuiteReport(_Record):
             ],
             "elapsed_ms": self.elapsed_ms,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_payload(), indent=2, sort_keys=True)
 
     def summary_line(self) -> str:
         state = "pass" if self.passed else f"FAIL ({len(self.failures)} failures)"

@@ -16,13 +16,13 @@ from rspin.core import (
     Genus0Bracket,
     GradingError,
     KeyCheck,
+    STATUS_DIMENSION_ZERO,
     StructureError,
     ascending_multisets,
     dr1_selection,
     format_rational,
     genus0_selection,
     genus_of,
-    is_canonical_key,
     parse_key,
     parse_rational,
 )
@@ -70,11 +70,11 @@ def test_genus0_bracket_sorts_and_keys():
 )
 def test_genus0_bracket_is_born_with_its_status(a, status, selection):
     br = Genus0Bracket(5, a)
-    assert (br.status, br.selection_ok) == (status, selection)
-    assert selection == genus0_selection(5, a)
+    assert br.status == status
+    assert (status != STATUS_DIMENSION_ZERO) == selection == genus0_selection(5, a)
     for again in (copy.copy(br), copy.deepcopy(br), pickle.loads(pickle.dumps(br))):
         assert again == br
-        assert (again.status, again.selection_ok) == (status, selection)
+        assert again.status == status
     # status is not a field: repr and hash use (r, a) alone
     assert repr(br) == f"Genus0Bracket(r=5, a={tuple(sorted(a))!r})"
     assert hash(br) == hash((5, tuple(sorted(a))))
@@ -258,8 +258,8 @@ def _round_trips(key):
 
 @settings(max_examples=600)
 @given(key_strings())
-def test_is_canonical_key_matches_parse_round_trip(key):
-    assert is_canonical_key(key) == _round_trips(key)
+def test_fresh_key_check_matches_parse_round_trip(key):
+    assert KeyCheck()(key) == _round_trips(key)
 
 
 @given(st.lists(key_strings(), max_size=10))
@@ -287,10 +287,10 @@ def test_key_check_memo_matches_parse_round_trip(keys):
         assert check(key) == _round_trips(key), key
 
 
-def test_is_canonical_key_examples():
+def test_key_check_examples():
     for r in (4, 6):
-        assert is_canonical_key(DR1Bracket(r, [(-2, r - 2), (2, 2)]).key)
-        assert is_canonical_key(Genus0Bracket(r, [r - 2, 1, r - 2, 1]).key)
+        assert KeyCheck()(DR1Bracket(r, [(-2, r - 2), (2, 2)]).key)
+        assert KeyCheck()(Genus0Bracket(r, [r - 2, 1, r - 2, 1]).key)
     for bad in (
         "dr1:r=4:k=-2,2:a=2,2",  # wrong orientation
         "dr1:r=4:k=2,-2:a=2,2\n",
@@ -302,5 +302,5 @@ def test_is_canonical_key_examples():
         "g0:r=5:a=",
         "g0:r=5:a=1,1,3,3:",
     ):
-        assert not is_canonical_key(bad), bad
+        assert not KeyCheck()(bad), bad
         assert not _round_trips(bad), bad

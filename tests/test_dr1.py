@@ -26,6 +26,7 @@ from rspin.core import (
     EvalResult,
     GradingError,
     ReductionStalledError,
+    STATUS_DIMENSION_ZERO,
     StructureError,
     ascending_multisets,
     dr1_selection,
@@ -353,7 +354,7 @@ def test_enumerate_brackets_window_properties():
     assert keys == sorted(keys)
     assert len(keys) == len(set(keys))
     for br in brs:
-        assert br.selection_ok
+        assert br.status != STATUS_DIMENSION_ZERO
         assert sum(abs(k) for k in br.k_row) <= 6
         assert br.n <= 4
     # enumeration is deterministic
@@ -563,7 +564,7 @@ def _recording_canonical():
 def _check_born_status(br):
     """Status, identity and immutability of one bracket, however it was built."""
     assert br.status == _reference_status(br.r, br.a_row), br.key
-    assert br.selection_ok == dr1_selection(br.r, br.a_row)
+    assert (br.status != STATUS_DIMENSION_ZERO) == dr1_selection(br.r, br.a_row)
     # equality, hash, order and repr see (r, entries) only
     for twin in (parse_key(br.key), DR1Bracket(br.r, br.entries)) + tuple(
         DR1Bracket._from_canonical(br.r, br.entries, status) for status in STATUSES
@@ -654,7 +655,7 @@ def test_status_windows_reach_every_status():
     assert DR1Bracket(6, [(1, 4), (-1, 3)]).status == "dimension-mismatch-zero"
 
 
-def test_b_value_trr_runs_once_per_reduced_bracket(monkeypatch):
+def test_reduction_computes_its_product_b_once(monkeypatch):
     # the solver's B is the product formula, computed once per reduction
     calls = []
     reductions = []

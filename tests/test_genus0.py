@@ -9,6 +9,7 @@ the generator against silent regressions.
 from __future__ import annotations
 
 import hashlib
+import re
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, lcm
@@ -17,11 +18,13 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rspin.cli import run
 from rspin.core import (
     EvalResult,
     GradingError,
     Genus0Bracket,
     InconsistentSystemError,
+    UnderdeterminedError,
     ascending_multisets,
     genus0_key,
     parse_key,
@@ -479,6 +482,21 @@ def test_rows_that_only_elimination_finds_inconsistent_name_the_system(monkeypat
         solve_bracket(7, key, CacheStore())
     with pytest.raises(InconsistentSystemError, match="^inconsistent linear system$"):
         solve_exact(*contradiction)
+
+
+def test_a_bracket_the_rows_leave_free_names_every_unknown(monkeypatch, capsys):
+    # x + y = 1 pivots on x, whose row holds the free y: neither is
+    # determined, and the message counts both unknowns of the system
+    key, other = (1, 3, 5, 5, 5), (1, 4, 4, 5, 5)
+    underdetermined = WdvvSystem((key, other), (({key: 1, other: 1}, 1),))
+    monkeypatch.setattr("rspin.genus0.wdvv_equations", lambda r, n, cache: underdetermined)
+    assert solve_exact(*underdetermined) == ({}, [other])
+    message = "associativity equations leave g0:r=7:a=1,3,5,5,5 undetermined (1 free of 2 unknowns)"
+    with pytest.raises(UnderdeterminedError, match=f"^{re.escape(message)}$"):
+        solve_bracket(7, key, CacheStore())
+    assert run(["g0", "--r", "7", "--a", "1,3,5,5,5"]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: {message}\n")
 
 
 def test_wdvv_system_r2_is_empty():

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import importlib
 import os
 import subprocess
 import sys
+import types
+from pathlib import Path
 
 import pytest
 
@@ -60,3 +63,33 @@ def test_bare_import_runs_no_submodule_until_one_is_used():
         "1/96",
         "rspin rspin.core rspin.dr1 rspin.store",
     ]
+
+
+def test_every_name_the_benchmark_tracer_wraps_still_resolves():
+    """Each ``TARGETS`` entry of ``perfbench/tracing.py`` resolves as ``Tracer.install`` resolves it.
+
+    The tracer skips a target it cannot find, so a rename in ``src/`` only
+    empties that target's metrics in traced benchmark runs. The benchmark's
+    own smoke test catches that as a metric-set difference; this test names
+    the missing target. ``tracing.py`` imports only the standard library.
+    """
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    tracing = types.ModuleType("_benchmark_tracing")  # run from source: no bytecode beside it
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), vars(tracing))
+    missing = []
+    for module_name, attr_path, traced, _spanned, _hook in tracing.TARGETS:
+        module = importlib.import_module(module_name)
+        owner_name, _, attr = attr_path.rpartition(".")
+        if owner_name:
+            owner = getattr(module, owner_name, None)
+            found = owner is not None and vars(owner).get(attr) is not None
+        else:
+            found = getattr(module, attr, None) is not None
+        if not found:
+            missing.append(f"{module_name}.{attr_path} ({traced})")
+    assert not missing, (
+        f"the benchmark tracer wraps names that no longer exist: {', '.join(missing)}; "
+        "perfbench/tests/test_smoke.py::test_workload_prints_every_named_metric would "
+        "miss their metrics. Rename or remove a traced name only together with "
+        "perfbench/tracing.py (ROADMAP item 2)."
+    )

@@ -54,8 +54,6 @@ def test_put_rejects_inexact_values():
     assert store.get(key) == 3 and isinstance(store.get(key), Fraction)
     store.put(key, Fraction(1, 5))
     assert store.get(key) == Fraction(1, 5)
-    with pytest.raises(CacheError, match="float"):
-        CacheStore({key: 0.5})
 
 
 class _SubFraction(Fraction):
@@ -235,7 +233,9 @@ def test_load_refuses_a_key_whose_fields_passed_before(tmp_path, seen, key, cano
     reason = f"canonical form is {canonical!r}" if canonical else "unusable cache key"
     with pytest.raises(CacheError, match=re.escape(reason)):
         CacheStore.load(str(path))
-    store = CacheStore({k: 1 for k in seen})
+    store = CacheStore()
+    for k in seen:
+        store.put(k, 1)
     with pytest.raises(CacheError, match=re.escape(reason)):
         store.put(key, 1)
 

@@ -199,7 +199,7 @@ def test_reports_are_deterministic():
 
 def test_report_json_schema():
     report = check_prop_loop(4, 4, extended=True)
-    payload = json.loads(report.to_json())
+    payload = json.loads(json.dumps(report.to_payload()))
     assert set(payload) == {"suite", "cases", "failures", "elapsed_ms"}
     for failure in payload["failures"]:
         assert set(failure) == {"key", "expected", "got"}
