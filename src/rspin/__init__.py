@@ -25,9 +25,9 @@ _HOME = {
     for module, names in (
         ("core", (
             "EvalResult", "Genus0Bracket", "DR1Bracket", "GradingError",
-            "StructureError", "UnderdeterminedError", "ReductionStalledError",
-            "InconsistentSystemError", "CacheError", "genus_of", "genus0_selection",
-            "dr1_selection", "format_rational", "parse_rational", "parse_key",
+            "StructureError", "ReductionStalledError", "InconsistentSystemError",
+            "CacheError", "genus_of", "genus0_selection", "dr1_selection",
+            "format_rational", "parse_rational", "parse_key",
         )),
         ("genus0", ("loop_sum", "wdvv_equations", "solve_bracket", "bracket_window_sum")),
         ("dr1", (

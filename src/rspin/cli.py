@@ -1,12 +1,13 @@
 """Command-line front end: evaluate brackets, run suites, export tables.
 
 Exit codes: 0 success, 1 suite or computation failure (including a cache
-file that cannot be read, written or trusted, or whose genus-0 values make
-a WDVV system inconsistent), 2 disagreement between
-evaluation methods, 64 usage error (including ``verify`` bounds that leave
-a suite with no cases and ``table`` bounds that leave no rows), 65 invalid
-grading or structure. A reader that closes the output early (``rspin table
-... | head``) ends the command with exit 1 and no message.
+file that cannot be read, written or trusted, one holding a genus-0 value
+that does not scale to an integer, or one whose genus-0 values make a WDVV
+system inconsistent), 2 disagreement between evaluation methods, 64 usage
+error (including ``verify`` bounds that leave a suite with no cases and
+``table`` bounds that leave no rows), 65 invalid grading or structure. A
+reader that closes the output early (``rspin table ... | head``) ends the
+command with exit 1 and no message.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .core import (
     InconsistentSystemError,
     ReductionStalledError,
     StructureError,
-    UnderdeterminedError,
     _check_r,
     ascending_multisets,
     format_rational,
@@ -367,7 +367,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         code, error = EXIT_USAGE, exc
     except (GradingError, StructureError) as exc:
         code, error = EXIT_DATA, exc
-    except (UnderdeterminedError, ReductionStalledError, InconsistentSystemError, CacheError) as exc:
+    except (ReductionStalledError, InconsistentSystemError, CacheError) as exc:
         code, error = EXIT_FAILURE, exc
     print(f"error: {error}", file=sys.stderr)
     return code

@@ -35,7 +35,6 @@ from typing import Iterable, Optional, Sequence, Tuple
 __all__ = [
     "GradingError",
     "StructureError",
-    "UnderdeterminedError",
     "ReductionStalledError",
     "InconsistentSystemError",
     "CacheError",
@@ -63,10 +62,6 @@ class StructureError(ValueError):
     """A key is structurally invalid (unbalanced orders, too few entries)."""
 
 
-class UnderdeterminedError(RuntimeError):
-    """The linear system left the requested bracket undetermined."""
-
-
 class ReductionStalledError(RuntimeError):
     """The relation-driven solver could not reduce the requested bracket."""
 
@@ -76,7 +71,11 @@ class InconsistentSystemError(ValueError):
 
 
 class CacheError(ValueError):
-    """A cache file or cache key violates the store contract."""
+    """A cache file, key or value violates the store contract.
+
+    A genus-0 value ``<a>`` read from a store must make ``r^(n-3) * <a>`` an
+    integer, as :mod:`rspin.genus0` proves every true value does.
+    """
 
 
 STATUS_OK = "ok"

@@ -21,21 +21,29 @@ bracket of the other twists (the 0 can only sit in a 3-point component,
 vanishing component. :func:`wdvv_equations` draws no such instance.
 
 The associativity systems are kept in integers: an n-point bracket enters as
-``S(a) = r^(n-3) * <a>``, an integer on every value computed so far (one
-that is not stays an exact ``Fraction``). The two components of a
-degeneration carry ``n + 3`` points between them, so every term of an
-(n+1)-point instance scales by the same ``r^(n-3)``, which the solver
-divides out once. Generation codes each twist multiset as one integer, a
-count per twist in a fixed-width bit field, so that the component a pair,
-a share of the rest and a node twist make is an integer sum, and its value
-one dict lookup; tuples appear only where a value is read from the store
-or solved for, and in the rows handed to elimination. Most generated rows
-repeat an earlier one: a pairing's unknowns come back as a tuple of their
-ranks, and a row whose two rank tuples and constant equal an earlier row's
-is skipped before it is built. The rows go to elimination as built, integer
-rows that are not normalised: :mod:`rspin.elimination` scales each pivot
-row itself, and a scaled row, or a second row proportional to a kept one,
-leaves the reduced echelon form it returns unchanged.
+``S(a) = r^(n-3) * <a>``, an integer (Corollary 2 below). The two
+components of a degeneration carry ``n + 3`` points between them, so every
+term of an (n+1)-point instance scales by the same ``r^(n-3)``, which the
+solver divides out once. Generation works on integer multiset codes (see
+:class:`_Build`) and skips repeated rows unbuilt (see :func:`wdvv_equations`);
+the rows go to :mod:`rspin.elimination` as built, not normalised, since a
+scaled row, or a second row proportional to a kept one, leaves the reduced
+echelon form it returns unchanged.
+
+**Lemma.** Take ``r >= 4``, ``n >= 5`` (at ``r <= 3`` there is no unknown)
+and an unknown ``U = (u_1 <= .. <= u_n)`` of :func:`wdvv_equations` with
+``m`` ones: ``m <= n - 3``, as ``m >= n - 2`` forces ``(n-4)(r-1) <= 0``. Put
+``s = u_{m+1} >= 2``, ``c = u_{n-1}``, ``d = u_n``, ``R`` the other twists.
+The generator draws ``y = R + {1, s-1, c, d}``; the first row of its
+quadruple ``(1, s-1, c, d)`` is ``{1,s-1 | c,d}`` minus ``{1,c | s-1,d}``,
+two pairings as ``c, d >= s``. ``U`` enters it once, with coefficient 1 as
+``s <= r - 2``; the only other possible unknowns, ``<c+d,1,s-1,R>``,
+``<s-1+d,1,c,R>`` and ``<1+c,s-1,d,R>``, hold ``m + 1`` ones or ``s - 1`` at
+place ``m + 1``, so they sort below ``U``; only exact repeats are skipped.
+**Corollary 1:** each unknown is the last of a row, with coefficient 1, so a
+system pins every unknown or is inconsistent: stored values enter only the
+constants. **Corollary 2:** by induction on ``n``, then up that order,
+integer closed forms and stored values give integer constants and ``S(U)``.
 
 :func:`loop_sum` evaluates the closed formula (``rspin.core._product``)
 ``((n-1)!/r^(n-1)) * prod(r-1-x_i)`` for the window sum
@@ -54,15 +62,15 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import comb
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .core import (
     STATUS_OK,
+    CacheError,
     EvalResult,
     Genus0Bracket,
     GradingError,
     InconsistentSystemError,
-    UnderdeterminedError,
     _ZERO_RESULTS,
     _check_r,
     _check_window,
@@ -81,7 +89,6 @@ __all__ = [
 ]
 
 Key = Tuple[int, ...]
-Scaled = Union[int, Fraction]
 
 
 def loop_sum(r: int, m: int, x: Sequence[int], extended: bool = False) -> Fraction:
@@ -134,11 +141,9 @@ class WdvvSystem(NamedTuple):
     elimination pivot order. Each equation is ``(coeffs, constant)`` meaning
     ``sum coeffs[key] * S[key] = constant`` in scaled units
     ``S[key] = r^(n-3) * <key>``, with constants fully evaluated from smaller
-    brackets. Each row is an integer row as generated, not normalised: a
-    row whose constant is a ``Fraction`` (a stored value that does not scale
-    to an integer) is multiplied through by that constant's denominator.
-    The pair unpacks as the arguments of
-    :func:`rspin.elimination.solve_exact`.
+    brackets. Each row is an integer row as generated, not normalised, and
+    the rows pin every unknown (Corollary 1 of the module docstring). The
+    pair unpacks as the arguments of :func:`rspin.elimination.solve_exact`.
     """
 
     unknowns: Tuple[Key, ...]
@@ -158,28 +163,24 @@ def _solve_into(r: int, a: Key, cache: CacheStore) -> Fraction:
     n = len(a)
     system = wdvv_equations(r, n, cache)  # outside the try: a smaller system names itself
     try:
-        scaled, free = solve_exact(*system)
+        scaled = solve_exact(*system)[0]
     except InconsistentSystemError:
         raise InconsistentSystemError(f"inconsistent genus-0 WDVV system at r={r}, n={n}") from None
     scale = r ** (n - 3)
-    values = {key: value / scale for key, value in scaled.items()}
-    for key, value in values.items():
-        cache.put(genus0_key(r, key), value)
-    if a not in values:
-        raise UnderdeterminedError(
-            f"associativity equations leave {genus0_key(r, a)} undetermined "
-            f"({len(free)} free of {len(system.unknowns)} unknowns)"
-        )
-    return values[a]
+    for key, value in scaled.items():
+        cache.put(genus0_key(r, key), value / scale)
+    return scaled[a] / scale
 
 
-def _scaled(r: int, a: Key, cache: Optional[CacheStore]) -> Tuple[Scaled, str]:
+def _scaled(r: int, a: Key, cache: Optional[CacheStore]) -> Tuple[int, str]:
     """``(S(a), rule)``: the scaled value ``r^(len(a)-3) * <a>`` of an ascending, graded bracket.
 
     Its twists lie in ``[0, r - 2]``, so neither the range nor the vanishing
     axiom needs checking. Closed forms first (1 at three points, the least
     twist or reflection at four, 0 for a twist 0 past four), then the store;
     a miss solves a's system into ``cache``, a fresh store when it is None.
+    A stored value that does not scale to an integer, which no solve gives
+    (Corollary 2), raises :class:`rspin.core.CacheError` naming its key.
     """
     size = len(a)
     if size == 3:
@@ -190,11 +191,14 @@ def _scaled(r: int, a: Key, cache: Optional[CacheStore]) -> Tuple[Scaled, str]:
         return 0, "zero-entry"
     if cache is None:
         cache = CacheStore()
-    value, rule = cache.get(genus0_key(r, a)), "cache"
+    key = genus0_key(r, a)
+    value, rule = cache.get(key), "cache"
     if value is None:
         value, rule = _solve_into(r, a, cache), "wdvv-elimination"
-    value *= r ** (size - 3)
-    return value.numerator if value.denominator == 1 else value, rule
+    scaled = value * r ** (size - 3)
+    if scaled.denominator != 1:
+        raise CacheError(f"{key}: stored value {value} times r^(n-3) = {r ** (size - 3)} is not an integer")
+    return scaled.numerator, rule
 
 
 class _Build:
@@ -211,7 +215,7 @@ class _Build:
         self.r, self.cache, self.width = r, cache, (n + 1).bit_length()
         self.unit = unit = [1 << (self.width * t) for t in range(r - 1)]
         self.rank = {sum([unit[t] for t in a]): i for i, a in enumerate(unknowns)}
-        self.memo: Dict[int, Scaled] = {}
+        self.memo: Dict[int, int] = {}
         self.rooms: Dict[int, List[Tuple[int, int, int]]] = {}
         self.shares: Dict[Tuple[int, int], List[Tuple[int, int, int]]] = {}
 
@@ -219,7 +223,7 @@ class _Build:
         mask = (1 << self.width) - 1
         return [code >> (self.width * t) & mask for t in range(self.r - 1)]
 
-    def value(self, code: int) -> Scaled:
+    def value(self, code: int) -> int:
         """Memo miss: decode the component and read its value."""
         a = tuple(t for t, count in enumerate(self.counts(code)) for _ in range(count))
         value = self.memo[code] = _scaled(self.r, a, self.cache)[0]
@@ -253,7 +257,7 @@ class _Build:
         ]
         return kept
 
-    def expand(self, p: int, base: int, q: int, q_base: int, rest: int) -> Tuple[Tuple[int, ...], Scaled]:
+    def expand(self, p: int, base: int, q: int, q_base: int, rest: int) -> Tuple[Tuple[int, ...], int]:
         """Expand one degeneration side into (unknown ranks, known part).
 
         The four distinguished twists split into pairs with codes ``p``,
@@ -341,7 +345,7 @@ def wdvv_equations(r: int, n: int, cache: Optional[CacheStore] = None) -> WdvvSy
         for d0, d1, d2, d3 in dict.fromkeys(combinations(y, 4)):
             rest = whole - unit[d0] - unit[d1] - unit[d2] - unit[d3]
             # p + q is the same in all three pairings, so min(p, q) names one.
-            pairings: Dict[int, Tuple[Tuple[int, ...], Scaled]] = {}
+            pairings: Dict[int, Tuple[Tuple[int, ...], int]] = {}
             for a, b, c, d in ((d0, d1, d2, d3), (d0, d2, d1, d3), (d0, d3, d1, d2)):
                 p, q = unit[a] + unit[b], unit[c] + unit[d]
                 if (tag := p if p < q else q) not in pairings:
@@ -365,11 +369,6 @@ def wdvv_equations(r: int, n: int, cache: Optional[CacheStore] = None) -> WdvvSy
                         raise InconsistentSystemError(
                             f"inconsistent associativity instance in the genus-0 WDVV system at r={r}, n={n}")
                     continue
-                if type(rhs) is not int:
-                    # The coefficients count pairings, so they are ints and
-                    # one factor clears the row.
-                    den, rhs = rhs.denominator, rhs.numerator
-                    coeffs = {k: v * den for k, v in coeffs.items()}
                 equations.append(({unknowns[k]: v for k, v in coeffs.items()}, rhs))
     return WdvvSystem(unknowns, tuple(equations))
 
@@ -384,8 +383,9 @@ def solve_bracket(r: int, a: Sequence[int], cache: Optional[CacheStore] = None) 
     rule for five or more insertions, then the store and the associativity
     system at (r, n), memoized through ``cache``. With ``cache`` None, a
     fresh store is made once a request gets that far. The trace is the one
-    rule that gave the value. Raises ``UnderdeterminedError`` if the system
-    does not pin the bracket down; the value is never guessed.
+    rule that gave the value. The system always pins the bracket down (module
+    docstring); a stored value that does not scale to an integer raises
+    ``CacheError``, and one that makes rows inconsistent ``InconsistentSystemError``.
     """
     bracket = Genus0Bracket(r, a)
     if bracket.status != STATUS_OK:

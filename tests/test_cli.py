@@ -689,10 +689,10 @@ def test_cache_file_errors_exit_1(capsys, tmp_path, problem):
 
 
 def test_a_wrong_genus0_value_in_the_cache_file_exits_1_naming_the_system(capsys, tmp_path):
-    # <1,3,6,6,6> at r = 8 is 0; read as 1/7 it leaves the six-point system
-    # without a solution
+    # <1,3,6,6,6> at r = 8 is 0; read as 1/64 (scaled by r^2, the integer 1)
+    # it leaves the six-point system without a solution
     path = tmp_path / "wrong.json"
-    text = '{"schema": 1, "entries": {"g0:r=8:a=1,3,6,6,6": "1/7"}}\n'
+    text = '{"schema": 1, "entries": {"g0:r=8:a=1,3,6,6,6": "1/64"}}\n'
     path.write_text(text)
     code, out, err = invoke(capsys, "g0", "--r", "8", "--a", "3,3,6,6,6,6", "--cache", str(path))
     assert code == 1
@@ -702,20 +702,33 @@ def test_a_wrong_genus0_value_in_the_cache_file_exits_1_naming_the_system(capsys
 
 
 def test_a_wrong_genus0_value_in_the_cache_file_disagrees_with_lg(capsys, tmp_path):
-    # <1,3,6,6,6> at r = 8 is 0; WDVV serves the stored 1/7 as is, LG reads no store
+    # <1,3,6,6,6> at r = 8 is 0; WDVV serves the stored 1/64 as is, LG reads no store
     path = tmp_path / "wrong.json"
-    text = '{"schema": 1, "entries": {"g0:r=8:a=1,3,6,6,6": "1/7"}}\n'
+    text = '{"schema": 1, "entries": {"g0:r=8:a=1,3,6,6,6": "1/64"}}\n'
     path.write_text(text)
     code, out, err = invoke(capsys, "g0", "--r", "8", "--a", "1,3,6,6,6", "--cache", str(path))
-    assert (code, out) == (0, "1/7\n")
+    assert (code, out) == (0, "1/64\n")
     code, out, err = invoke(
         capsys, "g0", "--r", "8", "--a", "1,3,6,6,6", "--method", "both", "--cache", str(path), "--format", "json"
     )
     assert code == 2
     payload = json.loads(out)
     assert payload["agree"] is False
-    assert [(res["method"], res["value"]) for res in payload["results"]] == [("wdvv", "1/7"), ("lg", "0/1")]
+    assert [(res["method"], res["value"]) for res in payload["results"]] == [("wdvv", "1/64"), ("lg", "0/1")]
     assert err == "method disagreement on g0:r=8:a=1,3,6,6,6\n"
+    assert path.read_text() == text
+
+
+@pytest.mark.parametrize("a", ["1,3,6,6,6", "3,3,6,6,6,6"])
+def test_a_genus0_value_in_the_cache_file_that_scales_to_no_integer_exits_1_naming_it(capsys, tmp_path, a):
+    # 1/7 times r^2 = 64 is not an integer, which no true five-point value at
+    # r = 8 gives: refused whether it is asked for or read by a larger system
+    path = tmp_path / "wrong.json"
+    text = '{"schema": 1, "entries": {"g0:r=8:a=1,3,6,6,6": "1/7"}}\n'
+    path.write_text(text)
+    code, out, err = invoke(capsys, "g0", "--r", "8", "--a", a, "--cache", str(path))
+    assert (code, out) == (1, "")
+    assert err == "error: g0:r=8:a=1,3,6,6,6: stored value 1/7 times r^(n-3) = 64 is not an integer\n"
     assert path.read_text() == text
 
 

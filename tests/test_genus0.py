@@ -18,13 +18,12 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rspin.cli import run
 from rspin.core import (
+    CacheError,
     EvalResult,
     GradingError,
     Genus0Bracket,
     InconsistentSystemError,
-    UnderdeterminedError,
     ascending_multisets,
     genus0_key,
     parse_key,
@@ -252,8 +251,9 @@ def test_wdvv_values_match_frozen_table():
 
 
 def test_frozen_values_are_integral_after_scaling():
-    # Observed, not proved: r^(n-3) * <a> is an integer on every frozen value,
-    # which is what keeps the associativity rows in integers.
+    # Proved in the rspin.genus0 docstring (Corollary 2) and checked here:
+    # r^(n-3) * <a> is an integer on every frozen value, which is what keeps
+    # the associativity rows in integers.
     entries = list(CacheStore.load(str(FROZEN_TABLE)).items())
     assert len(entries) == 308
     for key, value in entries:
@@ -262,11 +262,14 @@ def test_frozen_values_are_integral_after_scaling():
 
 
 def test_build_keeps_non_integral_scaled_values_exact():
+    # No solve gives a value that does not scale to an integer, so a stored
+    # one is refused, naming its key, the value and r^(n-3)
     store = CacheStore()
     store.put(genus0_key(5, (2, 2, 3, 3, 3)), Fraction(1, 7))
     store.put(genus0_key(5, (3, 3, 3, 3, 3, 3)), Fraction(2, 25))
-    odd, rule = _scaled(5, (2, 2, 3, 3, 3), store)
-    assert type(odd) is Fraction and odd == Fraction(25, 7) and rule == "cache"
+    message = "g0:r=5:a=2,2,3,3,3: stored value 1/7 times r^(n-3) = 25 is not an integer"
+    with pytest.raises(CacheError, match=f"^{re.escape(message)}$"):
+        _scaled(5, (2, 2, 3, 3, 3), store)
     even, rule = _scaled(5, (3, 3, 3, 3, 3, 3), store)
     assert type(even) is int and even == 10 and rule == "cache"
     small = [_scaled(5, a, store) for a in ((1, 1, 1), (1, 1, 3, 3), (2, 2, 2, 2))]
@@ -276,25 +279,88 @@ def test_build_keeps_non_integral_scaled_values_exact():
 @pytest.mark.parametrize("r,scale,rows", [(7, Fraction(1, 7), 11), (8, Fraction(2, 3), 36), (9, Fraction(1, 5), 94)])
 def test_rows_with_non_integral_constants_are_cleared_whole(r, scale, rows):
     # The 6-point constants are linear in the 5-point values, so scaling all
-    # of those by one factor keeps the system consistent and scales its
-    # solution by the same factor. A Fraction constant must clear the whole
-    # row, not the constant alone.
+    # of those by one factor would keep the system consistent; but a 5-point
+    # value that does not scale to an integer is refused, naming its key, as
+    # soon as the 6-point rows read it, and no row gets a Fraction constant.
     store = CacheStore()
     values, _free = solve_exact(*wdvv_equations(r, 5, store))
     for a, value in values.items():
         store.put(genus0_key(r, a), value / r ** 2)
-    want, free = solve_exact(*wdvv_equations(r, 6, store))
+    system = wdvv_equations(r, 6, store)
+    assert len(system.equations) == rows
+    assert all(type(v) is int for coeffs, rhs in system.equations for v in (rhs, *coeffs.values()))
+    want, free = solve_exact(*system)
     assert free == [] and want
     scaled = CacheStore()
     for key, value in store.items():
         scaled.put(key, value * scale)
-    assert any(type(_scaled(r, a, scaled)[0]) is Fraction for a in values)
-    system = wdvv_equations(r, 6, scaled)
-    assert len(system.equations) == rows
-    assert all(type(v) is int for coeffs, rhs in system.equations for v in (rhs, *coeffs.values()))
-    got, free = solve_exact(*system)
-    assert free == []
-    assert got == {a: value * scale for a, value in want.items()}
+    with pytest.raises(CacheError, match=rf"^g0:r={r}:a=\d+(,\d+){{4}}: stored value \S+ times r\^\(n-3\) = {r * r} is not"):
+        wdvv_equations(r, 6, scaled)
+
+
+def _lemma_row(r, u, scaled_value):
+    """The row the ``rspin.genus0`` lemma names for the unknown ``u``, rebuilt here.
+
+    With ``m`` ones in ``u``, ``s = u[m]``, ``c, d = u[-2:]`` and ``R`` the
+    rest, it is pairing ``{1, s-1 | c, d}`` minus pairing ``{1, c | s-1, d}``
+    of the instance ``R + {1, s-1, c, d}``. A pairing ``{a, b | e, f}`` sums
+    ``<a, b, R_I, nu> <r-2-nu, e, f, R_J>`` over the index splits ``I + J``
+    of ``R``, with ``nu`` graded into ``[0, r - 2]``. Returns
+    ``({unknown: coefficient}, constant)`` in scaled units, read as
+    ``sum coefficient * S(unknown) = constant``.
+    """
+    n, m = len(u), u.count(1)
+    s, c, d = u[m], u[-2], u[-1]
+    rest = u[:m] + u[m + 1:-2]
+    coeffs, constant = {}, 0
+    for sign, (a, b), (e, f) in ((1, (1, s - 1), (c, d)), (-1, (1, c), (s - 1, d))):
+        for side in product((0, 1), repeat=len(rest)):
+            left = [t for t, k in zip(rest, side) if k]
+            right = [t for t, k in zip(rest, side) if not k]
+            nu = (len(left) + 1) * r - 2 - a - b - sum(left)
+            if not 0 <= nu <= r - 2:
+                continue
+            one, two = tuple(sorted((a, b, nu, *left))), tuple(sorted((r - 2 - nu, e, f, *right)))
+            if len(one) == n:
+                coeffs[one] = coeffs.get(one, 0) + sign * scaled_value(two)
+            elif len(two) == n:
+                coeffs[two] = coeffs.get(two, 0) + sign * scaled_value(one)
+            else:
+                constant -= sign * scaled_value(one) * scaled_value(two)
+    return {key: v for key, v in coeffs.items() if v}, constant
+
+
+def test_each_unknown_leads_the_row_the_lemma_names():
+    # The rspin.genus0 lemma, checked without the generator: each unknown U
+    # is the last unknown of a row that wdvv_equations draws, with
+    # coefficient +-1, so the systems pin every unknown (Corollary 1) and
+    # the scaled values are integers (Corollary 2).
+    checked = 0
+    for r in range(4, 14):
+        store = CacheStore()
+
+        def scaled_value(a):
+            value = solve_bracket(r, a, store).value * r ** (len(a) - 3)
+            assert value.denominator == 1, (r, a)
+            return value.numerator
+
+        for n in range(5, 8 if r < 12 else 7):
+            system = wdvv_equations(r, n, store)
+            generated = {(frozenset(coeffs.items()), rhs) for coeffs, rhs in system.equations}
+            for u in system.unknowns:
+                coeffs, constant = _lemma_row(r, u, scaled_value)
+                assert coeffs[u] in (1, -1), (r, u)
+                assert all(key < u for key in coeffs if key != u), (r, u)
+                negated = {key: -v for key, v in coeffs.items()}
+                assert ((frozenset(coeffs.items()), constant) in generated
+                        or (frozenset(negated.items()), -constant) in generated), (r, u)
+                checked += 1
+            values, free = solve_exact(*system)
+            assert free == [], (r, n)
+            assert all(value.denominator == 1 for value in values.values()), (r, n)
+            for a, value in values.items():
+                store.put(genus0_key(r, a), value / r ** (n - 3))
+    assert checked == 704
 
 
 @pytest.mark.parametrize("r,n,unknowns,equations", [
@@ -482,21 +548,6 @@ def test_rows_that_only_elimination_finds_inconsistent_name_the_system(monkeypat
         solve_bracket(7, key, CacheStore())
     with pytest.raises(InconsistentSystemError, match="^inconsistent linear system$"):
         solve_exact(*contradiction)
-
-
-def test_a_bracket_the_rows_leave_free_names_every_unknown(monkeypatch, capsys):
-    # x + y = 1 pivots on x, whose row holds the free y: neither is
-    # determined, and the message counts both unknowns of the system
-    key, other = (1, 3, 5, 5, 5), (1, 4, 4, 5, 5)
-    underdetermined = WdvvSystem((key, other), (({key: 1, other: 1}, 1),))
-    monkeypatch.setattr("rspin.genus0.wdvv_equations", lambda r, n, cache: underdetermined)
-    assert solve_exact(*underdetermined) == ({}, [other])
-    message = "associativity equations leave g0:r=7:a=1,3,5,5,5 undetermined (1 free of 2 unknowns)"
-    with pytest.raises(UnderdeterminedError, match=f"^{re.escape(message)}$"):
-        solve_bracket(7, key, CacheStore())
-    assert run(["g0", "--r", "7", "--a", "1,3,5,5,5"]) == 1
-    out, err = capsys.readouterr()
-    assert (out, err) == ("", f"error: {message}\n")
 
 
 def test_wdvv_system_r2_is_empty():

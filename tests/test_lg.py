@@ -25,6 +25,7 @@ from rspin.core import (
     ascending_multisets,
     parse_key,
 )
+from rspin.dr1 import b_value
 from rspin.genus0 import bracket_window_sum, loop_sum, solve_bracket
 from rspin.store import CacheStore
 
@@ -107,6 +108,19 @@ def test_lg_windows_equal_wdvv_on_classic_and_extended_windows():
     # nine at r <= 6 are tests/test_genus0.py's DIVERGENT_WINDOWS
     assert sum(1 for r, m, x in windows if m == r and len(x) == 2 and r - 1 not in x) == 16
     assert _window_mismatches(windows) == []
+
+
+def test_b_equals_one_lg_window_on_every_row_up_to_r_16():
+    # B(r, a) is the genus-0 window sum over b + c = r - 2 in front of a, over
+    # 24: every B row with twists up to r - 2 at r <= 16 and n <= 6, each
+    # window summed by LG in one pass against the product formula
+    checked = 0
+    for r in range(2, 17):
+        for n in range(1, 7):
+            for a in ascending_multisets(0, r - 2, n, (n - 1) * r):
+                assert lg.window_sum(r, r - 2, a) / 24 == b_value(r, a), (r, a)
+                checked += 1
+    assert checked == 225
 
 
 def test_default_window_route_is_lg_and_leaves_the_store_alone():

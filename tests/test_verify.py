@@ -168,6 +168,34 @@ def test_axioms_suite_checks_five_point_zero_entries_against_lg(monkeypatch):
     assert report.cases == 193 and report.failures == [(case, "1/1", "0/1")]
 
 
+def test_axioms_suite_sees_a_wrong_genus_one_genus_and_a_nonvanishing_dr1_row(monkeypatch):
+    # genus_of off by one on rows whose first order is nonzero fails only the
+    # genus-b: cases; a closed form that does not vanish on a twist r - 1
+    # fails only the vanish-dr1: cases. The case count stays 193 either way.
+    real_genus, real_closed = rspin.verify.genus_of, rspin.verify.closed_form
+
+    def wrong_genus(r, rows):
+        rows = list(rows)
+        return real_genus(r, rows) + (rows[0][0] != 0)
+
+    def nonvanishing(bracket):
+        return EvalResult(real_closed(bracket).value + 1, "ok", ("closed-form",))
+
+    monkeypatch.setattr(rspin.verify, "genus_of", wrong_genus)
+    report = check_axioms(6, 5)
+    assert report.cases == 193
+    assert {(key.split(":")[0], expected, got) for key, expected, got in report.failures} == {("genus-b", "1", "2")}
+    assert len(report.failures) == 27  # one per B row
+    monkeypatch.setattr(rspin.verify, "genus_of", real_genus)
+    monkeypatch.setattr(rspin.verify, "closed_form", nonvanishing)
+    report = check_axioms(6, 5)
+    assert report.cases == 193
+    assert {(key.split(":")[0], expected, got) for key, expected, got in report.failures} == {
+        ("vanish-dr1", "0/1", "1/1|0/1")
+    }
+    assert len(report.failures) == 17  # one per B row with a twist r - 1 and n >= 2
+
+
 def test_oracle_suite_reports_a_stalled_reduction_and_a_wrong_status(monkeypatch):
     stalled = DR1Bracket(4, [(2, 2), (-2, 2)])
     vanishing = DR1Bracket(4, [(1, 3), (-1, 1)])
