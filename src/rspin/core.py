@@ -191,6 +191,13 @@ class _Ordered(_Frozen):
     __lt__, __le__, __gt__, __ge__ = map(_ordering, (operator.lt, operator.le, operator.gt, operator.ge))
 
 
+def _exact(value) -> Fraction:
+    """An ``int`` (not ``bool``) or a ``Fraction`` as a plain ``Fraction``; a float raises ``TypeError``."""
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+        raise TypeError(f"an exact value must be an int or a Fraction, got {type(value).__name__}")
+    return Fraction(value)
+
+
 class EvalResult(_Frozen):
     """An exact bracket value together with the rule that produced it.
 
@@ -199,18 +206,19 @@ class EvalResult(_Frozen):
     ``"dimension-mismatch-zero"`` when the grading rules out a nonzero
     pairing, and ``"vanishing-axiom-zero"`` when a twist equals ``r - 1``.
     A non-``ok`` status forces value 0. ``trace`` lists the rules applied,
-    outermost first.
+    outermost first. ``value`` is kept as a ``Fraction``; one that is not an
+    ``int`` (not ``bool``) or a ``Fraction`` raises ``TypeError``.
     """
 
     __slots__ = _fields = ("value", "status", "trace")
 
     def __init__(self, value: Fraction, status: str = STATUS_OK, trace: Tuple[str, ...] = ()):
+        if type(value) is not Fraction:
+            value = _exact(value)
         if status not in (STATUS_OK, STATUS_DIMENSION_ZERO, STATUS_VANISHING_ZERO):
             raise ValueError(f"unknown status {status!r}")
         if status != STATUS_OK and value != 0:
             raise ValueError(f"status {status} requires value 0, got {value}")
-        if not isinstance(value, Fraction):
-            value = Fraction(value)
         object.__setattr__(self, "value", value)
         object.__setattr__(self, "status", status)
         object.__setattr__(self, "trace", trace)
@@ -488,8 +496,9 @@ def ascending_multisets(lo: int, hi: int, count: int, total: int):
 
 
 def format_rational(value: Fraction) -> str:
-    """Serialize a value as ``"<num>/<den>"`` with the denominator kept explicit."""
-    value = Fraction(value)
+    """Serialize an ``int`` or a ``Fraction`` (else ``TypeError``) as ``"<num>/<den>"``."""
+    if type(value) is not Fraction:
+        value = _exact(value)
     return f"{value.numerator}/{value.denominator}"
 
 

@@ -1,35 +1,17 @@
-"""Exact sparse elimination over integer rows, to reduced row echelon form.
+"""Exact solving of unit-triangular integer rows, by substitution.
 
-The genus-0 solver asks one linear-algebra question: given equations
-``sum coeff_j * U_j = constant`` with integer coefficients over a fixed,
-ordered list of unknowns, which unknowns are forced to a unique rational
-value? Its rows are short (an associativity row touches a handful of the
-unknowns), so each row is kept sparse, keyed by column index, and
-elimination is incremental: every incoming row is reduced against the
-pivot rows kept so far, an inconsistent row (``0 = c`` with ``c != 0``)
-raises at once, and a row that survives becomes a pivot row on its
-leftmost column, which is then cleared from the earlier pivot rows. The
-pivot rows always form the reduced row echelon form of the rows seen so
-far, each row scaled by a nonzero factor, and that form is unique, so the
-result does not depend on the row order and matches dense Gauss-Jordan
-with the columns in the caller's order (the caller passes canonical key
-order).
-
-Elimination is fraction-free. Entries are ``int``, and every kept row is a
-primitive integer row: integer entries with greatest common divisor 1 and
-a positive leading coefficient. Clearing column ``j`` of a row with entry
-``b`` against a pivot row with lead ``a`` replaces the row by
-``a * row - b * pivot`` (both factors first divided by ``gcd(a, b)``). A
-new pivot row, and each earlier pivot row it clears, is then made
-primitive again. Each pivot row is therefore the reduced row of the
-echelon form times its lead, and the only ``Fraction`` built is
-``constant / lead`` for each determined unknown at the end.
+The genus-0 systems are unit-triangular (the lemma of :mod:`rspin.genus0`):
+each unknown is the last nonzero column, with coefficient ``+-1``, of some
+row. Each unknown takes the first such row, in input order, as its lead
+row, and the lead rows give the values in column order by integer
+substitution. They pin exactly one point, so the rows are consistent
+exactly when that point satisfies every row, and one check of every row
+settles it: the values and the verdict are those of echelon reduction.
+``free``, always empty, stays in the result for callers that unpack it.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd
 from typing import Dict, Hashable, List, Mapping, Sequence, Tuple
 
 from .core import InconsistentSystemError
@@ -40,104 +22,41 @@ __all__ = ["solve_exact"]
 def solve_exact(
     unknowns: Sequence[Hashable],
     equations: Sequence[Tuple[Mapping[Hashable, int], int]],
-) -> Tuple[Dict[Hashable, Fraction], List[Hashable]]:
-    """Solve ``coeffs . U = constant`` rows for the determined unknowns.
+) -> Tuple[Dict[Hashable, int], List[Hashable]]:
+    """Solve ``(coeffs, constant)`` rows, ``sum coeffs[u] * u = constant``, in ``int``.
 
-    Parameters
-    ----------
-    unknowns:
-        Ordered unknown identifiers; this order fixes the pivot order.
-    equations:
-        Rows ``(coeffs, constant)`` where ``coeffs`` maps unknowns to
-        ``int`` coefficients (missing entries are 0) and ``constant`` is an
-        ``int``.
-
-    Returns
-    -------
-    (values, free):
-        ``values`` maps every determined unknown to its unique value, always
-        a ``Fraction``;
-        ``free`` lists the unknowns the system does not pin down, in input
-        order. An unknown is determined exactly when it is a pivot column
-        whose reduced row involves no free column.
-
-    Raises
-    ------
-    ValueError
-        If a row names an unknown outside ``unknowns``.
-    rspin.core.InconsistentSystemError
-        If the rows are mutually inconsistent (some combination reduces to
-        ``0 = c`` with ``c != 0``).
-    TypeError
-        If a nonzero coefficient is not an ``int`` (``math.gcd`` refuses it).
+    ``coeffs`` maps some of the ordered ``unknowns`` to coefficients
+    (missing ones are 0). Returns ``(values, [])``: every unknown's ``int``
+    value, in input order. A coefficient or a constant that is not an
+    ``int`` raises ``TypeError``; a row naming an undeclared unknown, or an
+    unknown that leads no row, ``ValueError``; a row that fails at the
+    values the lead rows give, :class:`rspin.core.InconsistentSystemError`.
     """
     cols = {u: j for j, u in enumerate(unknowns)}
-    width = len(unknowns)
-    # Pivot column -> its primitive row; the constant sits in column ``width``.
-    pivots: Dict[int, Dict[int, int]] = {}
+    leads: Dict[int, Tuple[Mapping[Hashable, int], int, int]] = {}
     for coeffs, const in equations:
-        row: Dict[int, int] = {}
+        last, lead = -1, 0
         for u, c in coeffs.items():
-            if u not in cols:
+            j = cols.get(u)
+            if j is None:
                 raise ValueError(f"equation references undeclared unknown {u!r}")
-            if c:
-                row[cols[u]] = c
-        if const:
-            row[width] = const
-        for j in [j for j in row if j in pivots]:
-            _clear(row, j, pivots[j])
-        lead = min(row, default=width)
-        if lead == width:
-            if row:
-                raise InconsistentSystemError("inconsistent linear system")
-            continue
-        _make_primitive(row)
-        for prow in pivots.values():
-            if lead in prow:
-                _clear(prow, lead, row)
-                _make_primitive(prow)
-        pivots[lead] = row
+            if type(c) is not int:
+                raise TypeError(f"coefficient of {u!r} must be an int, got {type(c).__name__}")
+            if c and j > last:
+                last, lead = j, c
+        if type(const) is not int:
+            raise TypeError(f"constant must be an int, got {type(const).__name__}")
+        if lead in (1, -1) and last not in leads:
+            leads[last] = (coeffs, const, lead)
 
-    free_cols = set(range(width)) - pivots.keys()
-    values: Dict[Hashable, Fraction] = {}
-    for j in sorted(pivots):
-        row = pivots[j]
-        if free_cols.isdisjoint(row):
-            values[unknowns[j]] = Fraction(row.get(width, 0), row[j])
-    free = [unknowns[j] for j in sorted(free_cols)]
-    return values, free
-
-
-def _clear(row: Dict[int, int], j: int, pivot: Dict[int, int]) -> None:
-    """Clear column ``j`` of ``row`` in place: ``row <- a*row - b*pivot``.
-
-    ``a`` is the pivot row's entry at ``j`` (positive) and ``b`` the row's,
-    both first divided by their gcd. The row becomes a positive multiple of
-    itself minus a multiple of ``pivot``.
-    """
-    b = row.pop(j)
-    a = pivot[j]
-    g = gcd(a, b)
-    if g != 1:
-        a //= g
-        b //= g
-    if a != 1:
-        for k in row:
-            row[k] *= a
-    for k, c in pivot.items():
-        if k != j:
-            value = row.get(k, 0) - b * c
-            if value:
-                row[k] = value
-            else:
-                row.pop(k, None)
-
-
-def _make_primitive(row: Dict[int, int]) -> None:
-    """Divide ``row`` in place by the gcd of its entries, signed so its lead is positive."""
-    g = gcd(*row.values())
-    if row[min(row)] < 0:
-        g = -g
-    if g != 1:
-        for k in row:
-            row[k] //= g
+    # Unknowns not yet solved read 0, so a lead row's sum leaves out its own column.
+    values = dict.fromkeys(unknowns, 0)
+    for j, u in enumerate(unknowns):
+        if j not in leads:
+            raise ValueError(f"unknown {u!r} leads no row with coefficient 1 or -1")
+        coeffs, const, sign = leads[j]
+        values[u] = sign * (const - sum([c * values[k] for k, c in coeffs.items()]))
+    for coeffs, const in equations:
+        if sum([c * values[k] for k, c in coeffs.items()]) != const:
+            raise InconsistentSystemError("inconsistent linear system")
+    return values, []

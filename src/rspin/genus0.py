@@ -26,9 +26,10 @@ components of a degeneration carry ``n + 3`` points between them, so every
 term of an (n+1)-point instance scales by the same ``r^(n-3)``, which the
 solver divides out once. Generation works on integer multiset codes (see
 :class:`_Build`) and skips repeated rows unbuilt (see :func:`wdvv_equations`);
-the rows go to :mod:`rspin.elimination` as built, not normalised, since a
-scaled row, or a second row proportional to a kept one, leaves the reduced
-echelon form it returns unchanged.
+the rows go to :mod:`rspin.elimination` as built, not normalised. It finds
+each unknown, in order, from its lead row (Corollary 1) by integer
+substitution, then checks every row at those values: that row check is the
+one consistency check of a system.
 
 **Lemma.** Take ``r >= 4``, ``n >= 5`` (at ``r <= 3`` there is no unknown)
 and an unknown ``U = (u_1 <= .. <= u_n)`` of :func:`wdvv_equations` with
@@ -137,8 +138,9 @@ class WdvvSystem(NamedTuple):
     """Exact linear system for all unsolved n-point brackets at one (r, n).
 
     A bracket ``(r; a)`` is keyed by its ascending twist tuple ``a``.
-    ``unknowns`` holds these keys in ascending order; that order is also the
-    elimination pivot order. Each equation is ``(coeffs, constant)`` meaning
+    ``unknowns`` holds these keys in ascending order;
+    :func:`rspin.elimination.solve_exact` substitutes in that order. Each
+    equation is ``(coeffs, constant)`` meaning
     ``sum coeffs[key] * S[key] = constant`` in scaled units
     ``S[key] = r^(n-3) * <key>``, with constants fully evaluated from smaller
     brackets. Each row is an integer row as generated, not normalised, and
@@ -150,13 +152,13 @@ class WdvvSystem(NamedTuple):
     equations: Tuple[Tuple[Dict[Key, int], int], ...]
 
 
-def _solve_into(r: int, a: Key, cache: CacheStore) -> Fraction:
-    """Solve the system at (r, len(a)), store every value it pins, return a's.
+def _solve_into(r: int, a: Key, cache: CacheStore) -> int:
+    """Solve the system at (r, len(a)), store every value it pins, return ``S(a)``.
 
     ``a`` must be ascending, graded and have every twist in ``[1, r - 2]``.
-    The system is in scaled units, so each value is divided by ``r^(n-3)``.
-    Inconsistent rows raise :class:`rspin.core.InconsistentSystemError`
-    naming the system.
+    The system is in scaled units, so each ``int`` value ``S`` is stored as
+    ``Fraction(S, r^(n-3))``. A row that fails at the solved values raises
+    :class:`rspin.core.InconsistentSystemError` naming the system.
     """
     from .elimination import solve_exact  # run only when a request solves
 
@@ -168,8 +170,8 @@ def _solve_into(r: int, a: Key, cache: CacheStore) -> Fraction:
         raise InconsistentSystemError(f"inconsistent genus-0 WDVV system at r={r}, n={n}") from None
     scale = r ** (n - 3)
     for key, value in scaled.items():
-        cache.put(genus0_key(r, key), value / scale)
-    return scaled[a] / scale
+        cache.put(genus0_key(r, key), Fraction(value, scale))
+    return scaled[a]
 
 
 def _scaled(r: int, a: Key, cache: Optional[CacheStore]) -> Tuple[int, str]:
@@ -192,13 +194,13 @@ def _scaled(r: int, a: Key, cache: Optional[CacheStore]) -> Tuple[int, str]:
     if cache is None:
         cache = CacheStore()
     key = genus0_key(r, a)
-    value, rule = cache.get(key), "cache"
+    value = cache.get(key)
     if value is None:
-        value, rule = _solve_into(r, a, cache), "wdvv-elimination"
+        return _solve_into(r, a, cache), "wdvv-elimination"
     scaled = value * r ** (size - 3)
     if scaled.denominator != 1:
         raise CacheError(f"{key}: stored value {value} times r^(n-3) = {r ** (size - 3)} is not an integer")
-    return scaled.numerator, rule
+    return scaled.numerator, "cache"
 
 
 class _Build:
@@ -311,16 +313,16 @@ def wdvv_equations(r: int, n: int, cache: Optional[CacheStore] = None) -> WdvvSy
     the splits of each rest are worked out once per pair sum and call. All
     instances are enumerated, and their rows deduplicated once, verbatim: a
     raw row (the two pairings' unknown-rank tuples and the constant) met
-    before is skipped at once; any other row is built, must read ``0 = 0``
-    if no unknown is left in it (else :class:`rspin.core.InconsistentSystemError`
-    names the system), and is kept as an integer row, not
-    normalised (see :class:`WdvvSystem`). Rows are keyed by the ranks of
-    their unknowns until kept. Unknowns are the grading-valid n-point brackets
-    with twists in ``[1, r - 2]``, keyed by ascending twist tuples; anything
-    else is already known to the recursion. Values of smaller brackets are
-    memoized for the length of the call; those with five or more points
-    come from ``cache`` (a fresh store when it is None), solving their own
-    system into it on a miss.
+    before is skipped at once; any other row is built and kept as an integer
+    row, not normalised (see :class:`WdvvSystem`), unless it reads ``0 = 0``.
+    A row with no unknown left and a nonzero constant, which only a wrong
+    stored value gives, is kept, and the solver's row check refuses it. Rows
+    are keyed by the ranks of their unknowns until kept. Unknowns are the
+    grading-valid n-point brackets with twists in ``[1, r - 2]``, keyed by
+    ascending twist tuples; anything else is already known to the recursion.
+    Values of smaller brackets are memoized for the length of the call; those
+    with five or more points come from ``cache`` (a fresh store when it is
+    None), solving their own system into it on a miss.
     """
     _check_r(r)
     if n < 5:
@@ -363,13 +365,9 @@ def wdvv_equations(r: int, n: int, cache: Optional[CacheStore] = None) -> WdvvSy
                     coeffs[k] = coeffs.get(k, 0) + 1
                 for k in cb:
                     coeffs[k] = coeffs.get(k, 0) - 1
-                coeffs = {k: v for k, v in coeffs.items() if v}
-                if not coeffs:
-                    if rhs:
-                        raise InconsistentSystemError(
-                            f"inconsistent associativity instance in the genus-0 WDVV system at r={r}, n={n}")
-                    continue
-                equations.append(({unknowns[k]: v for k, v in coeffs.items()}, rhs))
+                row = {unknowns[k]: v for k, v in coeffs.items() if v}
+                if row or rhs:
+                    equations.append((row, rhs))
     return WdvvSystem(unknowns, tuple(equations))
 
 

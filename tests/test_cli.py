@@ -697,7 +697,7 @@ def test_a_wrong_genus0_value_in_the_cache_file_exits_1_naming_the_system(capsys
     code, out, err = invoke(capsys, "g0", "--r", "8", "--a", "3,3,6,6,6,6", "--cache", str(path))
     assert code == 1
     assert out == ""
-    assert err == "error: inconsistent associativity instance in the genus-0 WDVV system at r=8, n=6\n"
+    assert err == "error: inconsistent genus-0 WDVV system at r=8, n=6\n"
     assert path.read_text() == text
 
 

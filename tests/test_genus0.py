@@ -242,7 +242,7 @@ def test_wdvv_values_match_frozen_table():
         values, free = solve_exact(*wdvv_equations(r, n, store))
         assert free == [], (r, n)
         for a, value in values.items():
-            store.put(genus0_key(r, a), value / r ** (n - 3))
+            store.put(genus0_key(r, a), Fraction(value, r ** (n - 3)))
     got = dict(store.items())
     want = dict(CacheStore.load(str(FROZEN_TABLE)).items())
     assert len(want) == 308
@@ -285,7 +285,7 @@ def test_rows_with_non_integral_constants_are_cleared_whole(r, scale, rows):
     store = CacheStore()
     values, _free = solve_exact(*wdvv_equations(r, 5, store))
     for a, value in values.items():
-        store.put(genus0_key(r, a), value / r ** 2)
+        store.put(genus0_key(r, a), Fraction(value, r ** 2))
     system = wdvv_equations(r, 6, store)
     assert len(system.equations) == rows
     assert all(type(v) is int for coeffs, rhs in system.equations for v in (rhs, *coeffs.values()))
@@ -359,7 +359,7 @@ def test_each_unknown_leads_the_row_the_lemma_names():
             assert free == [], (r, n)
             assert all(value.denominator == 1 for value in values.values()), (r, n)
             for a, value in values.items():
-                store.put(genus0_key(r, a), value / r ** (n - 3))
+                store.put(genus0_key(r, a), Fraction(value, r ** (n - 3)))
     assert checked == 704
 
 
@@ -422,7 +422,7 @@ def _reference_system(r, n, cache, zero_instances):
                     unknowns, equations = _reference_system(r, len(a), cache, [])
                     values, _free = solve_exact(unknowns, equations)
                     for key, v in values.items():
-                        cache.put(genus0_key(r, key), v / r ** (len(a) - 3))
+                        cache.put(genus0_key(r, key), Fraction(v, r ** (len(a) - 3)))
                 memo[a] = cache.get(genus0_key(r, a)) * r ** (len(a) - 3)
         return memo[a]
 
@@ -527,7 +527,7 @@ def test_a_wrong_smaller_value_makes_the_system_inconsistent(r, n, smaller):
     store = CacheStore()
     values, _free = solve_exact(*wdvv_equations(r, n - 1, store))
     for a, value in values.items():
-        store.put(genus0_key(r, a), value / r ** (n - 4))
+        store.put(genus0_key(r, a), Fraction(value, r ** (n - 4)))
     entries = list(store.items())
     assert len(entries) == smaller
     for key, _ in entries:
@@ -539,15 +539,30 @@ def test_a_wrong_smaller_value_makes_the_system_inconsistent(r, n, smaller):
 
 
 def test_rows_that_only_elimination_finds_inconsistent_name_the_system(monkeypatch):
-    # two rows pin one unknown to two values: elimination's own raise,
-    # which solve_bracket names with the system it solved
+    # a second row pins the unknown to another value, or reads 0 = 2: the
+    # solver's row check raises, and solve_bracket names the system it solved
     key = (1, 3, 5, 5, 5)
-    contradiction = WdvvSystem((key,), (({key: 1}, 1), ({key: 1}, 2)))
-    monkeypatch.setattr("rspin.genus0.wdvv_equations", lambda r, n, cache: contradiction)
-    with pytest.raises(InconsistentSystemError, match="^inconsistent genus-0 WDVV system at r=7, n=5$"):
-        solve_bracket(7, key, CacheStore())
-    with pytest.raises(InconsistentSystemError, match="^inconsistent linear system$"):
-        solve_exact(*contradiction)
+    for extra in (({key: 1}, 2), ({}, 2)):
+        contradiction = WdvvSystem((key,), (({key: 1}, 1), extra))
+        monkeypatch.setattr("rspin.genus0.wdvv_equations", lambda r, n, cache: contradiction)
+        with pytest.raises(InconsistentSystemError, match="^inconsistent genus-0 WDVV system at r=7, n=5$"):
+            solve_bracket(7, key, CacheStore())
+        with pytest.raises(InconsistentSystemError, match="^inconsistent linear system$"):
+            solve_exact(*contradiction)
+
+
+def test_a_wrong_stored_value_is_caught_by_the_row_check_naming_the_system():
+    # <1,3,6,6,6> at r = 8 is 0; stored as 1/64 (scaled by r^2, the integer 1)
+    # it gives six-point rows with no unknown and a nonzero constant, which
+    # the generator keeps for the solver's row check
+    def wrong():
+        store = CacheStore()
+        store.put("g0:r=8:a=1,3,6,6,6", Fraction(1, 64))
+        return store
+
+    assert [rhs for coeffs, rhs in wdvv_equations(8, 6, wrong()).equations if not coeffs] == [-2, -3, 1, -4]
+    with pytest.raises(InconsistentSystemError, match="^inconsistent genus-0 WDVV system at r=8, n=6$"):
+        solve_bracket(8, (3, 3, 6, 6, 6, 6), wrong())
 
 
 def test_wdvv_system_r2_is_empty():
