@@ -26,6 +26,7 @@ used anywhere in the package.
 
 from __future__ import annotations
 
+import functools
 import operator
 import re
 from fractions import Fraction
@@ -63,7 +64,7 @@ class StructureError(ValueError):
 
 
 class ReductionStalledError(RuntimeError):
-    """The relation-driven solver could not reduce the requested bracket."""
+    """The relational solver stopped: a key revisited in its own reduction, or a row past the reach limit."""
 
 
 class InconsistentSystemError(ValueError):
@@ -171,24 +172,16 @@ class _Frozen(_Record):
         return hash(self._values(self))
 
 
-def _ordering(compare):
-    """One ordering method: ``compare`` on the field tuples of a single class."""
-
-    def method(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return compare(self._values(self), other._values(other))
-
-    method.__name__ = f"__{compare.__name__}__"
-    return method
-
-
+@functools.total_ordering
 class _Ordered(_Frozen):
     """A frozen record ordered by its field tuple, against its own class only."""
 
     __slots__ = ()
 
-    __lt__, __le__, __gt__, __ge__ = map(_ordering, (operator.lt, operator.le, operator.gt, operator.ge))
+    def __lt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) < other._values(other)
 
 
 def _exact(value) -> Fraction:

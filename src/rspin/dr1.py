@@ -31,10 +31,19 @@ step (a unit beside a larger entry) trades a ``-1`` for a zero: N drops.
 A case-3 step (every magnitude at least 2) reads rows with the same N and
 a smaller m. A case-2 step (every nonzero entry ``+-1``) keeps N and m,
 but its children are case-1 rows, whose children have N - 1. So every
-reduction ends at the ``(+1, -1)`` base case. A key revisited during its
-own reduction, or a row no move applies to, would break that argument and
-raises :class:`rspin.core.ReductionStalledError` naming the key. Each move
-is a generator, and one loop drives them from an explicit stack, so a deep
+reduction ends at the ``(+1, -1)`` base case, as every move applies.
+**Lemma.** Take an ``ok`` bracket that is not relation-3 shaped. *Case 1:*
+if the row leads with 1, a magnitude at least 2 is negative; if it holds no
+``-1``, its unit is a ``+1`` and its negatives are at least 2 deep; so the
+row or its flip leads with an order at least 2 and holds a ``-1``. *Case
+3:* the anchor's designated entry, the lead order less one, is at least 1.
+*Cases 2 and 3:* the bracket is a term of its own relation row, the
+unedited one with coefficient ``-(N + 2)`` in case 2, the shallowest
+negative deepened back with coefficient ``m >= 2`` in case 3, and terms
+never cancel (:func:`_relation_row`). A key revisited during its own
+reduction would break this argument and raises
+:class:`rspin.core.ReductionStalledError` naming the key. Each move is a
+generator, and one loop drives them from an explicit stack, so a deep
 reduction (one step per unit of ``k`` on a two-point row) costs no Python
 recursion. Rows that may reach more brackets than
 :data:`RELATIONAL_REACH_MAX` are refused before reducing, and a reduction
@@ -377,12 +386,11 @@ def _solve_from_row(row, target: DR1Bracket, b: Fraction):
     """Solve one integer relation row of :func:`_relation_row` for the coefficient of ``target``.
 
     A rewriting step: it yields each other term's bracket and is sent back
-    its value (see :func:`_relational_value`). The row is the caller's own.
+    its value (see :func:`_relational_value`). The row is the caller's own
+    and holds ``target`` with a nonzero coefficient (the module's lemma).
     """
     b_coeff, terms = row
-    target_coeff = terms.pop(target, 0)
-    if not target_coeff:
-        raise ReductionStalledError(f"reduction-stalled: {target.key} is not a term of its relation")
+    target_coeff = terms.pop(target)
     rhs = b * b_coeff
     for bracket, coeff in terms.items():
         rhs -= (yield bracket) * coeff
@@ -445,6 +453,7 @@ def _reduce_once(bracket: DR1Bracket, b: Fraction, memo: dict):
     magnitude to the negative side and anchors it at the row with the
     leading entry one lower and the shallowest negative one shallower; the
     other terms have a smaller smallest magnitude, which drives termination.
+    Each move applies, by the module's lemma.
     """
     pairs = bracket.entries
     mags = [abs(kk) for kk, _ in pairs if kk != 0]
@@ -462,8 +471,6 @@ def _reduce_once(bracket: DR1Bracket, b: Fraction, memo: dict):
         row = list(pairs)
         row[0] = (row[0][0] - 1, row[0][1])
         row[shallow] = (row[shallow][0] + 1, row[shallow][1])
-        if row[0][0] < 1:
-            raise ReductionStalledError(f"reduction-stalled: {bracket.key} has no case-3 move")
         rule, row, own = "case-3", tuple(row), None
     return rule, _solve_from_row(_relation_row("relation1", bracket.r, row, bracket.status, own, memo), bracket, b)
 
@@ -471,8 +478,8 @@ def _reduce_once(bracket: DR1Bracket, b: Fraction, memo: dict):
 def _case_unit_present(bracket: DR1Bracket, b: Fraction):
     """Some entry has magnitude 1 and some other entry magnitude >= 2.
 
-    Orient so a ``-1`` entry and a positive entry ``p >= 2`` coexist, then
-    trade the ``-1`` for a zero while lowering ``p``:
+    The row, else its flip (the module's lemma), leads with ``p >= 2`` and
+    holds a ``-1``; trade the ``-1`` for a zero while lowering ``p``:
 
         <.., p, .., -1, ..> = p * B + <.., p-1, .., 0, ..>
 
@@ -482,19 +489,9 @@ def _case_unit_present(bracket: DR1Bracket, b: Fraction):
     through :func:`_relation_row`, case-1 steps made relational solving of
     the ``dr1-window`` benchmark windows about a quarter slower.
     """
-
-    def qualifies(entries: Sequence[Tuple[int, int]]) -> bool:
-        # sorted entries lead with their largest order
-        return entries[0][0] >= 2 and any(kk == -1 for kk, _ in entries)
-
-    working = bracket.entries
-    if not qualifies(working):
-        working = _flip(bracket.entries)
-        if not qualifies(working):
-            # Mixed-magnitude rows always admit one orientation or the
-            # other; reaching here means the classification is off.
-            raise ReductionStalledError(f"reduction-stalled: {bracket.key} has no case-1 move")
-    pairs = list(working)
+    pairs = list(bracket.entries)  # sorted: the largest order leads
+    if pairs[0][0] < 2 or all(kk != -1 for kk, _ in pairs):
+        pairs = list(_flip(pairs))
     neg_idx = next(i for i, (kk, _) in enumerate(pairs) if kk == -1)
     p = pairs[0][0]
     pairs[0] = (p - 1, pairs[0][1])
@@ -625,13 +622,12 @@ def solve_relational(bracket: DR1Bracket, cache: Optional[CacheStore] = None) ->
     every bracket reached shares the twist multiset), and composite
     brackets reduce by the three rewriting moves, which terminate (see the
     module docstring), in one loop that holds the reduction's state. A
-    reduction that revisits a key, or a bracket no move applies to, raises
-    :class:`rspin.core.ReductionStalledError` naming the key;
-    so does a bracket that is neither stored nor a relation-3 zero and
-    that may reach more than :data:`RELATIONAL_REACH_MAX` brackets, before
-    any reduction, and a reduction as it would store one bracket more than
-    that. With ``cache`` None the call uses a fresh store, so nothing
-    outlives it.
+    reduction that revisits a key raises :class:`rspin.core.ReductionStalledError`
+    naming the key; so does a bracket that is neither stored nor a
+    relation-3 zero and that may reach more than :data:`RELATIONAL_REACH_MAX`
+    brackets, before any reduction, and a reduction as it would store one
+    bracket more than that. With ``cache`` None the call uses a fresh store,
+    so nothing outlives it.
     """
     if bracket.status != STATUS_OK:
         return _ZERO_RESULTS[bracket.status]

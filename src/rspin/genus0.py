@@ -67,7 +67,6 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .core import (
     STATUS_OK,
-    CacheError,
     EvalResult,
     Genus0Bracket,
     GradingError,
@@ -79,7 +78,7 @@ from .core import (
     ascending_multisets,
     genus0_key,
 )
-from .store import CacheStore
+from .store import CacheStore, _genus0_scaled
 
 __all__ = [
     "loop_sum",
@@ -182,7 +181,8 @@ def _scaled(r: int, a: Key, cache: Optional[CacheStore]) -> Tuple[int, str]:
     twist or reflection at four, 0 for a twist 0 past four), then the store;
     a miss solves a's system into ``cache``, a fresh store when it is None.
     A stored value that does not scale to an integer, which no solve gives
-    (Corollary 2), raises :class:`rspin.core.CacheError` naming its key.
+    (Corollary 2), raises :class:`rspin.core.CacheError` naming its key, as
+    :meth:`rspin.store.CacheStore.load` does.
     """
     size = len(a)
     if size == 3:
@@ -197,10 +197,7 @@ def _scaled(r: int, a: Key, cache: Optional[CacheStore]) -> Tuple[int, str]:
     value = cache.get(key)
     if value is None:
         return _solve_into(r, a, cache), "wdvv-elimination"
-    scaled = value * r ** (size - 3)
-    if scaled.denominator != 1:
-        raise CacheError(f"{key}: stored value {value} times r^(n-3) = {r ** (size - 3)} is not an integer")
-    return scaled.numerator, "cache"
+    return _genus0_scaled(key, value, r, size), "cache"
 
 
 class _Build:

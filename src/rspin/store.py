@@ -15,9 +15,10 @@ whether a key is canonical and judges each distinct ``r=``, ``k=`` and
 fields, so most keys cost a few dict lookups. A non-canonical key would make
 the same bracket cacheable under several names, so it is a contract error,
 explained by parsing the key only once it has been rejected. Values are
-exact: ``put`` takes only an ``int`` or a ``Fraction``, and ``load`` parses
-each distinct value text once. A file that cannot be read or written raises
-:class:`rspin.core.CacheError` naming the path.
+exact: ``put`` takes only an ``int`` or a ``Fraction``; ``load`` parses each
+distinct value text once and refuses a genus-0 value scaling to no integer.
+A file that cannot be read or written raises :class:`rspin.core.CacheError`
+naming the path.
 """
 
 from __future__ import annotations
@@ -92,7 +93,7 @@ class CacheStore:
 
     @classmethod
     def load(cls, path: str) -> "CacheStore":
-        """Read a cache file, validating schema, keys, and value format."""
+        """Read a cache file, validating schema, keys, value format and genus-0 scaling."""
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 payload = json.load(fh, object_pairs_hook=_unique_keys)
@@ -122,6 +123,9 @@ class CacheStore:
                 store._check_key(key)
             except CacheError as exc:
                 raise CacheError(f"{path}: entry {key!r}: {exc}") from exc
+            if key.startswith("g0:"):
+                _, r, a = key.split(":")
+                _genus0_scaled(f"{path}: {key}", value, int(r[2:]), a.count(",") + 1)
             store._entries[key] = value
         return store
 
@@ -161,6 +165,14 @@ class CacheStore:
         except (StructureError, ValueError) as exc:
             raise CacheError(f"unusable cache key {key!r}: {exc}") from exc
         raise CacheError(f"non-canonical cache key {key!r} (canonical form is {bracket.key!r})")
+
+
+def _genus0_scaled(name: str, value: Fraction, r: int, n: int) -> int:
+    """The integer ``r^(n-3) * value`` of a genus-0 value of ``n`` twists, else ``CacheError`` naming ``name``."""
+    scaled = value * r ** (n - 3)
+    if scaled.denominator != 1:
+        raise CacheError(f"{name}: stored value {value} times r^(n-3) = {r ** (n - 3)} is not an integer")
+    return scaled.numerator
 
 
 def _unique_keys(pairs):

@@ -719,16 +719,21 @@ def test_a_wrong_genus0_value_in_the_cache_file_disagrees_with_lg(capsys, tmp_pa
     assert path.read_text() == text
 
 
-@pytest.mark.parametrize("a", ["1,3,6,6,6", "3,3,6,6,6,6"])
-def test_a_genus0_value_in_the_cache_file_that_scales_to_no_integer_exits_1_naming_it(capsys, tmp_path, a):
+@pytest.mark.parametrize("r,a", [
+    pytest.param("8", "1,3,6,6,6", id="1,3,6,6,6"),
+    pytest.param("8", "3,3,6,6,6,6", id="3,3,6,6,6,6"),
+    pytest.param("7", "1,3,5,5,5", id="1,3,5,5,5"),
+])
+def test_a_genus0_value_in_the_cache_file_that_scales_to_no_integer_exits_1_naming_it(capsys, tmp_path, r, a):
     # 1/7 times r^2 = 64 is not an integer, which no true five-point value at
-    # r = 8 gives: refused whether it is asked for or read by a larger system
+    # r = 8 gives: refused as the file loads, so whether it is asked for, read
+    # by a larger system or not read at all, and never saved back
     path = tmp_path / "wrong.json"
     text = '{"schema": 1, "entries": {"g0:r=8:a=1,3,6,6,6": "1/7"}}\n'
     path.write_text(text)
-    code, out, err = invoke(capsys, "g0", "--r", "8", "--a", a, "--cache", str(path))
+    code, out, err = invoke(capsys, "g0", "--r", r, "--a", a, "--cache", str(path))
     assert (code, out) == (1, "")
-    assert err == "error: g0:r=8:a=1,3,6,6,6: stored value 1/7 times r^(n-3) = 64 is not an integer\n"
+    assert err == f"error: {path}: g0:r=8:a=1,3,6,6,6: stored value 1/7 times r^(n-3) = 64 is not an integer\n"
     assert path.read_text() == text
 
 

@@ -690,6 +690,64 @@ def test_reduction_computes_its_product_b_once(monkeypatch):
     assert {"case-1", "case-3", "cache", "vanishing-axiom"} <= set(rules)
 
 
+def _children(step):
+    """The brackets a rewriting step asks for, each answered with 0."""
+    children = []
+    try:
+        child = next(step)
+        while True:
+            children.append(child)
+            child = step.send(Fraction(0))
+    except StopIteration:
+        return children
+
+
+def test_every_reduction_move_applies():
+    # The rspin.dr1 lemma, checked on the rows it names, rebuilt here: on
+    # every ok bracket that is not relation-3 shaped, the case-1 move finds
+    # an orientation leading with an order >= 2 and holding a -1, the case-3
+    # anchor has a designated entry >= 1, and the bracket is a term of the
+    # relation-1 row that cases 2 and 3 solve, with a nonzero coefficient.
+    # Each move asks for exactly the other brackets of the rebuilt row.
+    counts = {"case-1": 0, "case-2": 0, "case-3": 0}
+    for r in range(2, 13):
+        memo = {}
+        for br in enumerate_brackets(r, 6, 16):
+            if br.status != "ok" or relation3_check(br):
+                continue
+            pairs = br.entries
+            mags = [abs(kk) for kk, _ in pairs if kk]
+            rule, step = rspin.dr1._reduce_once(br, Fraction(0), memo)
+            counts[rule] += 1
+            if min(mags) == 1 < max(mags):
+                assert rule == "case-1", br.key
+                flipped = rspin.core._flip(pairs)
+                stored_fits = pairs[0][0] >= 2 and any(kk == -1 for kk, _ in pairs)
+                assert stored_fits or (flipped[0][0] >= 2 and any(kk == -1 for kk, _ in flipped)), br.key
+                row = list(pairs if stored_fits else flipped)
+                unit = [kk for kk, _ in row].index(-1)
+                row[0], row[unit] = (row[0][0] - 1, row[0][1]), (0, row[unit][1])
+                assert _children(step) == [DR1Bracket(r, row)], br.key
+                continue
+            if max(mags) == 1:
+                assert rule == "case-2", br.key
+                terms = rspin.dr1._relation_row("relation1", r, pairs, br.status, br, {})[1]
+                assert terms[br] == -(len(mags) + 2), br.key
+            else:
+                assert rule == "case-3", br.key
+                # orient the smallest magnitude to the negative side
+                if -min(mags) not in [kk for kk, _ in pairs]:
+                    pairs = rspin.core._flip(pairs)
+                shallow = [kk for kk, _ in pairs].index(-min(mags))
+                row = list(pairs)
+                row[0], row[shallow] = (row[0][0] - 1, row[0][1]), (row[shallow][0] + 1, row[shallow][1])
+                assert row[0][0] >= 1, br.key
+                terms = rspin.dr1._relation_row("relation1", r, tuple(row), br.status, None, {})[1]
+                assert terms[br] == min(mags) >= 2, br.key
+            assert _children(step) == [term for term in terms if term != br], br.key
+    assert counts == {"case-1": 3931, "case-2": 27, "case-3": 3305}
+
+
 def test_deep_reduction_runs_without_python_recursion():
     # one rewriting step per unit of k: 247 nested steps, more than the
     # interpreter's recursion limit allows at several frames each

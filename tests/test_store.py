@@ -16,12 +16,16 @@ from rspin.store import CACHE_ENV_VAR, CacheStore, default_cache_path
 
 
 def synthetic_entries(count):
-    """Yield (canonical g0 key, exact value) pairs, all distinct."""
+    """Yield (canonical g0 key, exact value) pairs, all distinct.
+
+    Five-point values over ``r^2`` scale to integers, as every true genus-0
+    value does, so a load accepts them.
+    """
     r = 50
-    source = combinations_with_replacement(range(r), 3)
+    source = combinations_with_replacement(range(r), 5)
     for i, a in enumerate(islice(source, count)):
         key = "g0:r={}:a={}".format(r, ",".join(map(str, a)))
-        yield key, Fraction(i - 3, i + 7)
+        yield key, Fraction(i - 3, r * r)
 
 
 def test_put_get_round_trip():
@@ -199,6 +203,27 @@ def test_load_and_put_report_keys_alike(tmp_path):
         path.write_text(json.dumps({"schema": 1, "entries": {key: "1/1"}}))
         with pytest.raises(CacheError, match=reason):
             CacheStore.load(str(path))
+
+
+def test_load_refuses_a_genus0_value_that_scales_to_no_integer(tmp_path):
+    # 1/7 times r^(n-3) = 64 is no integer, which no true value at r = 8
+    # gives: the load refuses it, naming the path and the key, though no
+    # request has read it yet
+    path = tmp_path / "cache.json"
+    path.write_text('{"schema": 1, "entries": {"g0:r=8:a=1,3,6,6,6": "1/7"}}')
+    message = f"{path}: g0:r=8:a=1,3,6,6,6: stored value 1/7 times r^(n-3) = 64 is not an integer"
+    with pytest.raises(CacheError, match=f"^{re.escape(message)}$"):
+        CacheStore.load(str(path))
+    # the rule covers every size: r^0 at three points, r at four
+    for key, value, scale in [("g0:r=8:a=1,6,7", "1/2", 1), ("g0:r=8:a=1,3,6,6", "1/16", 8)]:
+        path.write_text(json.dumps({"schema": 1, "entries": {"g0:r=7:a=1,3,5,5,5": "0/1", key: value}}))
+        message = f"{path}: {key}: stored value {value} times r^(n-3) = {scale} is not an integer"
+        with pytest.raises(CacheError, match=f"^{re.escape(message)}$"):
+            CacheStore.load(str(path))
+    # values that scale to integers load, and genus-1 values are not scaled
+    path.write_text('{"schema": 1, "entries": {"g0:r=8:a=1,3,6,6,6": "1/64", '
+                    '"g0:r=8:a=1,3,6,6": "1/8", "g0:r=8:a=1,6,7": "2/1", "dr1:r=8:k=4,-4:a=2,6": "25/64"}}')
+    assert len(CacheStore.load(str(path))) == 4
 
 
 def test_repeated_key_is_named(tmp_path):
