@@ -1,7 +1,7 @@
 """Exact calculator for r-spin correlators in genus 0 and 1.
 
 Every value is an exact :class:`fractions.Fraction`. Genus-0 brackets come
-from closed 3/4-point formulas plus associativity (WDVV) solving, both in
+from closed 3/4-point formulas plus associativity (WDVV) rows, both in
 :func:`rspin.genus0.solve_bracket`, and independently from the
 Landau-Ginzburg model (:mod:`rspin.lg`), which also sums a whole window in
 one pass. One product formula (in :mod:`rspin.core`) gives the window sums'

@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 suite or computation failure (including a cache
 file that cannot be read, written or trusted, one holding a genus-0 value
-that does not scale to an integer, or one whose genus-0 values make a WDVV
-system inconsistent), 2 disagreement between evaluation methods, 64 usage
+that does not scale to an integer or that disagrees with the recomputed
+value), 2 disagreement between evaluation methods, 64 usage
 error (including ``verify`` bounds that leave a suite with no cases and
 ``table`` bounds that leave no rows), 65 invalid grading or structure. A
 reader that closes the output early (``rspin table ... | head``) ends the
@@ -26,7 +26,6 @@ from .core import (
     DR1Bracket,
     Genus0Bracket,
     GradingError,
-    InconsistentSystemError,
     ReductionStalledError,
     StructureError,
     _check_r,
@@ -56,7 +55,7 @@ def _lazy(name: str):
     return module
 
 
-_lazy("elimination")  # run by genus0 alone; registered so that a tracer finds it
+_lazy("elimination")  # run by no command; registered so that a tracer finds it
 genus0, lg, dr1, verify = map(_lazy, ("genus0", "lg", "dr1", "verify"))
 
 EXIT_OK = 0
@@ -289,10 +288,9 @@ def _cmd_table(args) -> int:
     _check_r(args.r)
     rows = []
     if args.kind == "g0":
-        store = CacheStore()
         for n in range(3, args.n_max + 1):
             for a in ascending_multisets(0, args.r - 1, n, (n - 2) * args.r - 2):
-                res = genus0.solve_bracket(args.r, a, store)
+                res = genus0.solve_bracket(args.r, a)
                 rows.append(
                     {
                         "key": genus0_key(args.r, a),
@@ -367,7 +365,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         code, error = EXIT_USAGE, exc
     except (GradingError, StructureError) as exc:
         code, error = EXIT_DATA, exc
-    except (ReductionStalledError, InconsistentSystemError, CacheError) as exc:
+    except (ReductionStalledError, CacheError, RecursionError) as exc:
         code, error = EXIT_FAILURE, exc
     print(f"error: {error}", file=sys.stderr)
     return code

@@ -1,15 +1,16 @@
-"""Genus-0 correlator evaluation: closed 3/4-point values and WDVV solving.
+"""Genus-0 correlator evaluation: closed 3/4-point values and the lemma's rows.
 
 Small brackets have closed forms, written once, in :func:`_scaled`: any
 grading-valid 3-point bracket equals 1, and a 4-point bracket equals
 ``(1/r) * min`` over the twists and their reflections ``r - 1 - a_i``.
-Brackets with five or more insertions are not given by a formula; instead,
-associativity of the genus-0 theory yields linear equations tying an
-n-point bracket to products of smaller ones, and :func:`solve_bracket`
-assembles and solves that system exactly. A second,
-independent route, :mod:`rspin.lg`, reads every bracket off the
-Landau-Ginzburg model; :func:`bracket_window_sum` takes it by default, and
-the checks that exist to test the associativity route ask for ``"wdvv"``.
+Associativity ties each larger bracket to smaller ones (Kontsevich-Manin,
+hep-th/9402147): :func:`solve_bracket` evaluates the one row in which the
+lemma below shows the bracket is the last unknown, with coefficient 1, and
+:func:`wdvv_equations` builds every row of an (r, n) system, the reference
+the tests check against. A second, independent route, :mod:`rspin.lg`, reads
+every bracket off the Landau-Ginzburg model; :func:`bracket_window_sum`
+takes it by default, and the checks that exist to test the associativity
+route ask for ``"wdvv"``.
 
 Two vanishing rules shortcut the solver and also prune the generated
 equations: a twist equal to ``r - 1`` kills any bracket, and a twist equal
@@ -20,16 +21,13 @@ bracket of the other twists (the 0 can only sit in a 3-point component,
 ``<0, d, r - 2 - d> = 1``), and if it is among the rest, every term holds a
 vanishing component. :func:`wdvv_equations` draws no such instance.
 
-The associativity systems are kept in integers: an n-point bracket enters as
+Values are kept in integers: an n-point bracket enters as
 ``S(a) = r^(n-3) * <a>``, an integer (Corollary 2 below). The two
 components of a degeneration carry ``n + 3`` points between them, so every
-term of an (n+1)-point instance scales by the same ``r^(n-3)``, which the
-solver divides out once. Generation works on integer multiset codes (see
-:class:`_Build`) and skips repeated rows unbuilt (see :func:`wdvv_equations`);
-the rows go to :mod:`rspin.elimination` as built, not normalised. It finds
-each unknown, in order, from its lead row (Corollary 1) by integer
-substitution, then checks every row at those values: that row check is the
-one consistency check of a system.
+term of an (n+1)-point instance scales by the same ``r^(n-3)``, which is
+divided out once. Rows work on integer multiset codes (see :class:`_Build`);
+:func:`wdvv_equations` skips repeated rows unbuilt and keeps the others as
+built, not normalised.
 
 **Lemma.** Take ``r >= 4``, ``n >= 5`` (at ``r <= 3`` there is no unknown)
 and an unknown ``U = (u_1 <= .. <= u_n)`` of :func:`wdvv_equations` with
@@ -41,10 +39,12 @@ two pairings as ``c, d >= s``. ``U`` enters it once, with coefficient 1 as
 ``s <= r - 2``; the only other possible unknowns, ``<c+d,1,s-1,R>``,
 ``<s-1+d,1,c,R>`` and ``<1+c,s-1,d,R>``, hold ``m + 1`` ones or ``s - 1`` at
 place ``m + 1``, so they sort below ``U``; only exact repeats are skipped.
-**Corollary 1:** each unknown is the last of a row, with coefficient 1, so a
-system pins every unknown or is inconsistent: stored values enter only the
-constants. **Corollary 2:** by induction on ``n``, then up that order,
-integer closed forms and stored values give integer constants and ``S(U)``.
+**Corollary 1:** each unknown is the last of a row, with coefficient 1, so
+that row alone gives ``S(U)`` from brackets with fewer points and n-point
+ones sorting below ``U``, and a system pins every unknown or is
+inconsistent: stored values enter only the constants. **Corollary 2:** by
+induction on ``n``, then up that order, integer closed forms and stored
+values give integer constants and ``S(U)``.
 
 :func:`loop_sum` evaluates the closed formula (``rspin.core._product``)
 ``((n-1)!/r^(n-1)) * prod(r-1-x_i)`` for the window sum
@@ -63,14 +63,14 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import comb
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .core import (
     STATUS_OK,
+    CacheError,
     EvalResult,
     Genus0Bracket,
     GradingError,
-    InconsistentSystemError,
     _ZERO_RESULTS,
     _check_r,
     _check_window,
@@ -151,38 +151,14 @@ class WdvvSystem(NamedTuple):
     equations: Tuple[Tuple[Dict[Key, int], int], ...]
 
 
-def _solve_into(r: int, a: Key, cache: CacheStore) -> int:
-    """Solve the system at (r, len(a)), store every value it pins, return ``S(a)``.
-
-    ``a`` must be ascending, graded and have every twist in ``[1, r - 2]``.
-    The system is in scaled units, so each ``int`` value ``S`` is stored as
-    ``Fraction(S, r^(n-3))``. A row that fails at the solved values raises
-    :class:`rspin.core.InconsistentSystemError` naming the system.
-    """
-    from .elimination import solve_exact  # run only when a request solves
-
-    n = len(a)
-    system = wdvv_equations(r, n, cache)  # outside the try: a smaller system names itself
-    try:
-        scaled = solve_exact(*system)[0]
-    except InconsistentSystemError:
-        raise InconsistentSystemError(f"inconsistent genus-0 WDVV system at r={r}, n={n}") from None
-    scale = r ** (n - 3)
-    for key, value in scaled.items():
-        cache.put(genus0_key(r, key), Fraction(value, scale))
-    return scaled[a]
-
-
-def _scaled(r: int, a: Key, cache: Optional[CacheStore]) -> Tuple[int, str]:
+def _scaled(r: int, a: Key, build: "_Build") -> Tuple[int, str]:
     """``(S(a), rule)``: the scaled value ``r^(len(a)-3) * <a>`` of an ascending, graded bracket.
 
     Its twists lie in ``[0, r - 2]``, so neither the range nor the vanishing
     axiom needs checking. Closed forms first (1 at three points, the least
-    twist or reflection at four, 0 for a twist 0 past four), then the store;
-    a miss solves a's system into ``cache``, a fresh store when it is None.
-    A stored value that does not scale to an integer, which no solve gives
-    (Corollary 2), raises :class:`rspin.core.CacheError` naming its key, as
-    :meth:`rspin.store.CacheStore.load` does.
+    twist or reflection at four, 0 for a twist 0 past four); any other
+    bracket comes from the row the lemma names (:meth:`_Build.own_row`),
+    never from a store.
     """
     size = len(a)
     if size == 3:
@@ -191,42 +167,63 @@ def _scaled(r: int, a: Key, cache: Optional[CacheStore]) -> Tuple[int, str]:
         return min(a[0], r - 1 - a[3]), "four-point"
     if a[0] == 0:
         return 0, "zero-entry"
-    if cache is None:
-        cache = CacheStore()
-    key = genus0_key(r, a)
-    value = cache.get(key)
-    if value is None:
-        return _solve_into(r, a, cache), "wdvv-elimination"
-    return _genus0_scaled(key, value, r, size), "cache"
+    return build.own_row(a), "wdvv-elimination"
 
 
 class _Build:
-    """State of one :func:`wdvv_equations` call, keyed by multiset codes.
+    """Multiset codes and the value memo of one :func:`wdvv_equations` or :func:`solve_bracket` call.
 
     A multiset of twists in ``[0, r - 2]`` is coded as the sum of
     ``unit[t] = 1 << (width * t)`` over its twists, a count per twist in a
     bit field wide enough for ``n + 1`` points, so adding codes is multiset
-    union. ``rank`` maps each unknown's code to its index in ``unknowns``,
-    ``memo`` each component code met so far to its :func:`_scaled` value.
+    union. ``memo`` maps each component code met so far to its
+    :func:`_scaled` value.
     """
 
-    def __init__(self, r: int, n: int, unknowns: Tuple[Key, ...], cache: CacheStore):
-        self.r, self.cache, self.width = r, cache, (n + 1).bit_length()
-        self.unit = unit = [1 << (self.width * t) for t in range(r - 1)]
-        self.rank = {sum([unit[t] for t in a]): i for i, a in enumerate(unknowns)}
+    def __init__(self, r: int, n: int):
+        self.r, self.width = r, (n + 1).bit_length()
+        self.unit = [1 << (self.width * t) for t in range(r - 1)]
         self.memo: Dict[int, int] = {}
         self.rooms: Dict[int, List[Tuple[int, int, int]]] = {}
         self.shares: Dict[Tuple[int, int], List[Tuple[int, int, int]]] = {}
+
+    def fill(self, n: int, cache: CacheStore) -> Iterator[Tuple[str, int, int, Fraction]]:
+        """Put each graded bracket of 5..n points, twists in ``[1, r - 2]``, that ``cache`` lacks.
+
+        Yields ``(key, code, size, stored value)`` for each one it holds.
+        """
+        r, unit = self.r, self.unit
+        for size in range(5, n + 1):
+            for a in ascending_multisets(1, r - 2, size, (size - 2) * r - 2):
+                key, code = genus0_key(r, a), sum([unit[t] for t in a])
+                if (stored := cache.get(key)) is None:
+                    cache.put(key, Fraction(self.value(code), r ** (size - 3)))
+                else:
+                    yield key, code, size, stored
 
     def counts(self, code: int) -> List[int]:
         mask = (1 << self.width) - 1
         return [code >> (self.width * t) & mask for t in range(self.r - 1)]
 
     def value(self, code: int) -> int:
-        """Memo miss: decode the component and read its value."""
-        a = tuple(t for t, count in enumerate(self.counts(code)) for _ in range(count))
-        value = self.memo[code] = _scaled(self.r, a, self.cache)[0]
-        return value
+        """The scaled value of the component ``code``, read by :func:`_scaled` on a memo miss."""
+        if code not in self.memo:
+            a = tuple([t for t, count in enumerate(self.counts(code)) if count for _ in range(count)])
+            self.memo[code] = _scaled(self.r, a, self)[0]
+        return self.memo[code]
+
+    def own_row(self, a: Key) -> int:
+        """``S(a)`` from the lemma's row: ``{1,s-1 | c,d} - {1,c | s-1,d}``, less a's own term.
+
+        The other terms recurse through the memo: about 90 frames deep at
+        (r, n) = (30, 7), past Python's default limit from r = 600 at n = 5.
+        """
+        unit, code = self.unit, sum([self.unit[t] for t in a])
+        s, c, d = a[a.count(1)], a[-2], a[-1]
+        rest = code - unit[s] - unit[c] - unit[d]
+        (mine, known), (theirs, other) = [self.expand(unit[w] + unit[x], w + x, unit[y] + unit[z], y + z, rest)
+                                          for w, x, y, z in ((1, s - 1, c, d), (1, c, s - 1, d))]
+        return other + sum([self.value(k) for k in theirs]) - known - sum([self.value(k) for k in mine if k != code])
 
     def splits(self, rest: int, base: int) -> List[Tuple[int, int, int]]:
         """Every graded way to share ``rest`` between two components, both taking some.
@@ -257,42 +254,35 @@ class _Build:
         return kept
 
     def expand(self, p: int, base: int, q: int, q_base: int, rest: int) -> Tuple[Tuple[int, ...], int]:
-        """Expand one degeneration side into (unknown ranks, known part).
+        """Expand one degeneration side into (codes of its largest components, known part).
 
         The four distinguished twists split into pairs with codes ``p``,
         ``q`` and twist sums ``base``, ``q_base``, and the insertions of
         ``rest`` distribute over the two components. A component has ``n``
         points exactly when it takes all of ``rest``; the other one is then
         the 3-point bracket of its pair, 1 when the pair's sum is at most
-        ``r - 2``, and the n-point side, with that sum as node twist, is an
-        unknown with coefficient 1. The unknowns come back as the tuple of
-        their ranks, ``()``, ``(k1,)``, ``(k2,)`` or ``(k1, k2)``, each with
-        coefficient 1 (``k1 == k2`` is one unknown with coefficient 2).
-        :meth:`splits` lists the other terms, whose components are known.
+        ``r - 2``, and the n-point side, with that sum as node twist, enters
+        with coefficient 1. Those components come back as the tuple of their
+        codes, ``()``, ``(k1,)``, ``(k2,)`` or ``(k1, k2)`` (``k1 == k2`` is
+        one bracket with coefficient 2). :meth:`splits` lists the other
+        terms, whose components have fewer points.
         """
-        top, unit, rank = self.r - 2, self.unit, self.rank
-        ranks: Tuple[int, ...] = ()
+        top, unit = self.r - 2, self.unit
+        codes: Tuple[int, ...] = ()
         if base <= top:
-            ranks = (rank[q + rest + unit[base]],)
+            codes = (q + rest + unit[base],)
         if q_base <= top:
-            ranks += (rank[p + rest + unit[q_base]],)
+            codes += (p + rest + unit[q_base],)
         splits = self.shares.get((rest, base))
         if splits is None:
             splits = self.splits(rest, base)
         memo, value = self.memo, self.value
         const = 0
         for left, right, count in splits:
-            # Read both factors even when one is 0: a store miss solves and
-            # stores the smaller system either way.
-            lv = memo.get(p + left)
-            if lv is None:
-                lv = value(p + left)
-            rv = memo.get(q + right)
-            if rv is None:
-                rv = value(q + right)
-            if lv and rv:
-                const += lv * rv * count
-        return ranks, const
+            lv = memo[p + left] if p + left in memo else value(p + left)
+            if lv:
+                const += lv * (memo[q + right] if q + right in memo else value(q + right)) * count
+        return codes, const
 
 
 def wdvv_equations(r: int, n: int, cache: Optional[CacheStore] = None) -> WdvvSystem:
@@ -309,30 +299,36 @@ def wdvv_equations(r: int, n: int, cache: Optional[CacheStore] = None) -> WdvvSy
     once per instance, on integer multiset codes (see :class:`_Build`), and
     the splits of each rest are worked out once per pair sum and call. All
     instances are enumerated, and their rows deduplicated once, verbatim: a
-    raw row (the two pairings' unknown-rank tuples and the constant) met
+    raw row (the two pairings' unknown-code tuples and the constant) met
     before is skipped at once; any other row is built and kept as an integer
     row, not normalised (see :class:`WdvvSystem`), unless it reads ``0 = 0``.
     A row with no unknown left and a nonzero constant, which only a wrong
     stored value gives, is kept, and the solver's row check refuses it. Rows
-    are keyed by the ranks of their unknowns until kept. Unknowns are the
+    are keyed by the codes of their unknowns until kept. Unknowns are the
     grading-valid n-point brackets with twists in ``[1, r - 2]``, keyed by
     ascending twist tuples; anything else is already known to the recursion.
-    Values of smaller brackets are memoized for the length of the call; those
-    with five or more points come from ``cache`` (a fresh store when it is
-    None), solving their own system into it on a miss.
+    Values of smaller brackets come from the lemma's rows, memoized for the
+    call. Given ``cache`` and at least one instance, every graded bracket of
+    5..n-1 points with twists in ``[1, r - 2]`` is read from it instead, and
+    put there from its row when missing; a stored value that does not scale
+    to an integer raises ``CacheError`` naming its key.
     """
     _check_r(r)
     if n < 5:
         raise GradingError(f"the associativity solver starts at n=5, got n={n}")
-    if cache is None:
-        cache = CacheStore()
     total = (n - 2) * r - 2
     unknowns = tuple(ascending_multisets(1, r - 2, n, total))
-    build = _Build(r, n, unknowns, cache)
+    build = _Build(r, n)
     unit = build.unit
+    keys = {sum([unit[t] for t in a]): a for a in unknowns}
+    instances = list(ascending_multisets(1, r - 2, n + 1, total))
+    if cache is not None and instances:
+        # stored values enter the memo once fill() has found the missing ones, so no row reads them
+        read = {code: _genus0_scaled(key, stored, r, size) for key, code, size, stored in build.fill(n - 1, cache)}
+        build.memo.update(read)
     equations: List[Tuple[Dict[Key, int], int]] = []
     met = set()
-    for y in ascending_multisets(1, r - 2, n + 1, total):
+    for y in instances:
         whole = sum([unit[t] for t in y])
         # combinations() walks index quadruples in lex order, and the first
         # time a twist quadruple appears is its leftmost embedding in y. Two
@@ -362,7 +358,7 @@ def wdvv_equations(r: int, n: int, cache: Optional[CacheStore] = None) -> WdvvSy
                     coeffs[k] = coeffs.get(k, 0) + 1
                 for k in cb:
                     coeffs[k] = coeffs.get(k, 0) - 1
-                row = {unknowns[k]: v for k, v in coeffs.items() if v}
+                row = {keys[k]: v for k, v in coeffs.items() if v}
                 if row or rhs:
                     equations.append((row, rhs))
     return WdvvSystem(unknowns, tuple(equations))
@@ -375,18 +371,24 @@ def solve_bracket(r: int, a: Sequence[int], cache: Optional[CacheStore] = None) 
     fails, or a twist is ``r - 1``) gets the shared zero result. Any other
     is read by :func:`_scaled` and divided by ``r^(n-3)``: the closed forms
     (1 at three points, ``min(a_i, r - 1 - a_i)/r`` at four), the zero-twist
-    rule for five or more insertions, then the store and the associativity
-    system at (r, n), memoized through ``cache``. With ``cache`` None, a
-    fresh store is made once a request gets that far. The trace is the one
-    rule that gave the value. The system always pins the bracket down (module
-    docstring); a stored value that does not scale to an integer raises
-    ``CacheError``, and one that makes rows inconsistent ``InconsistentSystemError``.
+    rule for five or more insertions, then the row the lemma names, with one
+    memo for the call. The trace is the one rule that gave the value.
+    ``cache`` is never read for an answer: given one, a bracket taken from its
+    row has every graded bracket of 5..n points with twists in ``[1, r - 2]``
+    computed beside it, each value the store lacks is put, and a stored value
+    that disagrees raises ``CacheError`` naming its key and both values.
     """
     bracket = Genus0Bracket(r, a)
     if bracket.status != STATUS_OK:
         return _ZERO_RESULTS[bracket.status]
-    scaled, rule = _scaled(r, bracket.a, cache)
-    return EvalResult(Fraction(scaled, r ** (len(bracket.a) - 3)), STATUS_OK, (rule,))
+    n = len(bracket.a)
+    build = _Build(r, n)
+    scaled, rule = _scaled(r, bracket.a, build)
+    if cache is not None and rule == "wdvv-elimination":
+        for key, code, size, stored in build.fill(n, cache):
+            if stored != (value := Fraction(build.value(code), r ** (size - 3))):
+                raise CacheError(f"stored value {stored} for {key} disagrees with the recomputed {value}")
+    return EvalResult(Fraction(scaled, r ** (n - 3)), STATUS_OK, (rule,))
 
 
 def bracket_window_sum(
@@ -402,9 +404,9 @@ def bracket_window_sum(
         ``"lg"`` (the default) sums the whole window in one Landau-Ginzburg
         pass, :func:`rspin.lg.window_sum`; it neither reads nor writes
         ``cache``. ``"wdvv"`` evaluates each bracket by :func:`solve_bracket`,
-        with one store for the whole window (a fresh one when ``cache`` is
-        None); the checks that exist to test the associativity route ask for
-        it by name. Any other value raises ``ValueError``.
+        which fills and checks ``cache`` when one is given; the checks that
+        exist to test the associativity route ask for it by name. Any other
+        value raises ``ValueError``.
 
     Both routes make the same argument checks and raise the same errors.
     """
@@ -415,8 +417,6 @@ def bracket_window_sum(
     if method != "wdvv":
         raise ValueError(f"unknown genus-0 window method {method!r}")
     xs = _check_window(r, m, x)
-    if cache is None:
-        cache = CacheStore()
     total = Fraction(0)
     for a in range(max(0, m - (r - 1)), min(r - 1, m) + 1):
         total += solve_bracket(r, (a, m - a) + xs, cache).value

@@ -132,7 +132,6 @@ def check_prop_loop(r_max: int, n_max: int, extended: bool = False) -> SuiteRepo
     actual sum by exactly (r-1)/r, and this suite reports those windows as
     failures rather than skipping them.
     """
-    cache = CacheStore()
     for r in range(2, r_max + 1):
         m_hi = r if extended else r - 2
         for m in range(0, m_hi + 1):
@@ -143,7 +142,7 @@ def check_prop_loop(r_max: int, n_max: int, extended: bool = False) -> SuiteRepo
                 total_x = x_len * r - m - 2
                 for x in ascending_multisets(0, r - 2, x_len, total_x):
                     formula = loop_sum(r, m, x, extended=extended)
-                    summed = bracket_window_sum(r, m, x, cache, method="wdvv")
+                    summed = bracket_window_sum(r, m, x, method="wdvv")
                     yield None if formula == summed else (
                         "loop:r={}:m={}:x={}".format(r, m, ",".join(str(v) for v in x)),
                         format_rational(summed),
@@ -219,9 +218,9 @@ def check_axioms(r_max: int, n_max: int) -> SuiteReport:
       checks the value is zero; past 4 points it is ``zero-entry:``;
     - genus_of reports 0 on genus-0 twist rows and 1 on one-point-plus-
       spectators genus-1 rows;
-    - b_value (product formula) equals b_value_trr (genus-0 window sum,
-      one genus-0 store per r), and both closed_form and solve_relational
-      vanish on genus-1 rows carrying a twist r - 1.
+    - b_value (product formula) equals b_value_trr (genus-0 window sum),
+      and both closed_form and solve_relational vanish on genus-1 rows
+      carrying a twist r - 1.
     """
     for r in range(2, r_max + 1):
         for n in range(3, n_max + 1):
@@ -243,11 +242,10 @@ def check_axioms(r_max: int, n_max: int) -> SuiteReport:
                     yield None if got == want else (
                         case + br.key, format_rational(want), format_rational(got)
                     )
-        b_cache = CacheStore()
         for n in range(1, n_max + 1):
             for a in ascending_multisets(0, r - 1, n, (n - 1) * r):
                 direct = b_value(r, a)
-                via_trr = b_value_trr(r, a, b_cache)
+                via_trr = b_value_trr(r, a)
                 yield None if direct == via_trr else (
                     "b:r={}:a={}".format(r, ",".join(str(v) for v in a)),
                     format_rational(direct),

@@ -412,7 +412,7 @@ def test_g0_cache_hit_leaves_dr1_and_verify_unrun(tmp_path):
     stamp = os.stat(path).st_mtime_ns
     codes, ran, printed = _modules_run(argv)
     assert codes == [0] and printed == ["4/49"]
-    assert os.stat(path).st_mtime_ns == stamp  # a hit: nothing to save
+    assert os.stat(path).st_mtime_ns == stamp  # stored and recomputed alike: nothing to save
     assert ran == {"cli", "core", "store", "genus0"}
 
 
@@ -433,7 +433,7 @@ def test_getattr_on_a_placeholder_returns_the_real_function():
     ])
     codes, ran, printed = _modules_run(after=after)
     assert printed == ["4/49"]
-    assert ran == {"cli", "core", "store", "genus0", "elimination"}
+    assert ran == {"cli", "core", "store", "genus0"}
 
 
 def test_cli_import_keeps_a_module_already_imported():
@@ -688,35 +688,20 @@ def test_cache_file_errors_exit_1(capsys, tmp_path, problem):
     assert [p.name for p in tmp_path.iterdir()] == ([] if problem == "missing-dir" else [path.name])
 
 
-def test_a_wrong_genus0_value_in_the_cache_file_exits_1_naming_the_system(capsys, tmp_path):
-    # <1,3,6,6,6> at r = 8 is 0; read as 1/64 (scaled by r^2, the integer 1)
-    # it leaves the six-point system without a solution
+def test_a_wrong_genus0_value_in_the_cache_file_exits_1_naming_its_key(capsys, tmp_path):
+    # <1,3,6,6,6> at r = 8 is 0; stored as 1/64 (scaled by r^2, the integer 1)
+    # it loads, but a request that takes its value from the (8, 5) or (8, 6)
+    # rows recomputes the (8, 5) values, so asked for or not, by WDVV alone or
+    # beside LG, it is never served: exit 1, one line, the file left as it was
     path = tmp_path / "wrong.json"
     text = '{"schema": 1, "entries": {"g0:r=8:a=1,3,6,6,6": "1/64"}}\n'
     path.write_text(text)
-    code, out, err = invoke(capsys, "g0", "--r", "8", "--a", "3,3,6,6,6,6", "--cache", str(path))
-    assert code == 1
-    assert out == ""
-    assert err == "error: inconsistent genus-0 WDVV system at r=8, n=6\n"
-    assert path.read_text() == text
-
-
-def test_a_wrong_genus0_value_in_the_cache_file_disagrees_with_lg(capsys, tmp_path):
-    # <1,3,6,6,6> at r = 8 is 0; WDVV serves the stored 1/64 as is, LG reads no store
-    path = tmp_path / "wrong.json"
-    text = '{"schema": 1, "entries": {"g0:r=8:a=1,3,6,6,6": "1/64"}}\n'
-    path.write_text(text)
-    code, out, err = invoke(capsys, "g0", "--r", "8", "--a", "1,3,6,6,6", "--cache", str(path))
-    assert (code, out) == (0, "1/64\n")
-    code, out, err = invoke(
-        capsys, "g0", "--r", "8", "--a", "1,3,6,6,6", "--method", "both", "--cache", str(path), "--format", "json"
-    )
-    assert code == 2
-    payload = json.loads(out)
-    assert payload["agree"] is False
-    assert [(res["method"], res["value"]) for res in payload["results"]] == [("wdvv", "1/64"), ("lg", "0/1")]
-    assert err == "method disagreement on g0:r=8:a=1,3,6,6,6\n"
-    assert path.read_text() == text
+    for a in ("1,3,6,6,6", "3,3,6,6,6,6"):
+        for method in ("wdvv", "both"):
+            code, out, err = invoke(capsys, "g0", "--r", "8", "--a", a, "--method", method, "--cache", str(path))
+            assert (code, out) == (1, ""), (a, method)
+            assert err == "error: stored value 1/64 for g0:r=8:a=1,3,6,6,6 disagrees with the recomputed 0\n"
+            assert path.read_text() == text
 
 
 @pytest.mark.parametrize("r,a", [
@@ -734,6 +719,22 @@ def test_a_genus0_value_in_the_cache_file_that_scales_to_no_integer_exits_1_nami
     code, out, err = invoke(capsys, "g0", "--r", r, "--a", a, "--cache", str(path))
     assert (code, out) == (1, "")
     assert err == f"error: {path}: g0:r=8:a=1,3,6,6,6: stored value 1/7 times r^(n-3) = 64 is not an integer\n"
+    assert path.read_text() == text
+
+
+@pytest.mark.parametrize("r,a", [
+    pytest.param("8", "1,1,1", id="1,1,1"),
+    pytest.param("7", "1,3,5,5,5", id="1,3,5,5,5"),
+])
+def test_a_nonzero_genus0_value_on_a_bracket_that_is_zero_exits_1_naming_it(capsys, tmp_path, r, a):
+    # <1,1,1> at r = 8 is off the grading, so 0: the stored 5/1 is refused as
+    # the file loads, so whether it is asked for or not, and never saved back
+    path = tmp_path / "wrong.json"
+    text = '{"schema": 1, "entries": {"g0:r=8:a=1,1,1": "5/1"}}\n'
+    path.write_text(text)
+    code, out, err = invoke(capsys, "g0", "--r", r, "--a", a, "--cache", str(path))
+    assert (code, out) == (1, "")
+    assert err == f"error: {path}: g0:r=8:a=1,1,1: stored value 5, but a dimension-mismatch-zero bracket is 0\n"
     assert path.read_text() == text
 
 

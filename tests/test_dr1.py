@@ -96,20 +96,21 @@ def test_genus0_window_sum_b_is_independent_of_the_product(monkeypatch):
     assert b_value_trr(4, (3, 1)) == 0  # twist r - 1
 
 
-def test_axiom_suite_shares_one_genus0_store_per_r(monkeypatch):
+def test_axiom_suite_passes_no_genus0_store(monkeypatch):
+    # a genus-0 store is never read for an answer, so sharing one would only
+    # cost the checks of what it holds
     real = rspin.genus0.bracket_window_sum
-    stores = {}
+    rs = set()
 
     def recording(r, m, x, cache=None, method="lg"):
-        assert cache is not None
+        assert cache is None
         assert method == "wdvv"
-        stores.setdefault(r, set()).add(id(cache))
+        rs.add(r)
         return real(r, m, x, cache, method)
 
     monkeypatch.setattr(rspin.genus0, "bracket_window_sum", recording)
     assert check_axioms(6, 5).passed
-    assert sorted(stores) == list(range(2, 7))
-    assert all(len(ids) == 1 for ids in stores.values())
+    assert sorted(rs) == list(range(2, 7))
 
 
 @pytest.mark.parametrize("module,suite,prefix", [

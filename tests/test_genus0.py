@@ -30,7 +30,7 @@ from rspin.core import (
 )
 from rspin.elimination import solve_exact
 from rspin.genus0 import (
-    WdvvSystem,
+    _Build,
     _scaled,
     bracket_window_sum,
     loop_sum,
@@ -116,8 +116,9 @@ def test_solve_bracket_makes_a_store_only_when_a_request_reaches_it(monkeypatch)
                     ((1, 1, 4, 5, 5), "vanishing-axiom"), ((0, 4, 4, 4, 4), "zero-entry")):
         assert solve_bracket(6, a).trace == (rule,)
     assert made == []
+    # the lemma's row needs no store: with none given, none is made
     assert solve_bracket(6, (2, 3, 3, 4, 4)).trace == ("wdvv-elimination",)
-    assert made == [1]
+    assert made == []
 
 
 def test_loop_sum_goldens():
@@ -262,18 +263,23 @@ def test_frozen_values_are_integral_after_scaling():
 
 
 def test_build_keeps_non_integral_scaled_values_exact():
-    # No solve gives a value that does not scale to an integer, so a stored
-    # one is refused, naming its key, the value and r^(n-3)
+    # No row gives a value that does not scale to an integer: solve_bracket
+    # refuses such a stored value as it refuses any wrong one, and the
+    # system builder, which reads stored values, refuses it naming its key,
+    # the value and r^(n-3)
     store = CacheStore()
     store.put(genus0_key(5, (2, 2, 3, 3, 3)), Fraction(1, 7))
-    store.put(genus0_key(5, (3, 3, 3, 3, 3, 3)), Fraction(2, 25))
+    message = "stored value 1/7 for g0:r=5:a=2,2,3,3,3 disagrees with the recomputed 2/25"
+    with pytest.raises(CacheError, match=f"^{re.escape(message)}$"):
+        solve_bracket(5, (3, 3, 3, 3, 3, 3), store)
     message = "g0:r=5:a=2,2,3,3,3: stored value 1/7 times r^(n-3) = 25 is not an integer"
     with pytest.raises(CacheError, match=f"^{re.escape(message)}$"):
-        _scaled(5, (2, 2, 3, 3, 3), store)
-    even, rule = _scaled(5, (3, 3, 3, 3, 3, 3), store)
-    assert type(even) is int and even == 10 and rule == "cache"
-    small = [_scaled(5, a, store) for a in ((1, 1, 1), (1, 1, 3, 3), (2, 2, 2, 2))]
-    assert small == [(1, "three-point"), (1, "four-point"), (2, "four-point")]
+        wdvv_equations(5, 6, store)
+    build = _Build(5, 6)
+    even, rule = _scaled(5, (3, 3, 3, 3, 3, 3), build)
+    assert type(even) is int and even == 6 and rule == "wdvv-elimination"
+    small = [_scaled(5, a, build) for a in ((1, 1, 1), (1, 1, 3, 3), (2, 2, 2, 2), (0, 3, 3, 3, 3))]
+    assert small == [(1, "three-point"), (1, "four-point"), (2, "four-point"), (0, "zero-entry")]
 
 
 @pytest.mark.parametrize("r,scale,rows", [(7, Fraction(1, 7), 11), (8, Fraction(2, 3), 36), (9, Fraction(1, 5), 94)])
@@ -340,7 +346,7 @@ def test_each_unknown_leads_the_row_the_lemma_names():
         store = CacheStore()
 
         def scaled_value(a):
-            value = solve_bracket(r, a, store).value * r ** (len(a) - 3)
+            value = solve_bracket(r, a).value * r ** (len(a) - 3)
             assert value.denominator == 1, (r, a)
             return value.numerator
 
@@ -361,6 +367,17 @@ def test_each_unknown_leads_the_row_the_lemma_names():
             for a, value in values.items():
                 store.put(genus0_key(r, a), Fraction(value, r ** (n - 3)))
     assert checked == 704
+
+
+@pytest.mark.parametrize("r,n", [(8, 5), (12, 5), (12, 6), (10, 7), (14, 6), (12, 7)])
+def test_the_lemmas_row_gives_what_elimination_gives(r, n):
+    # each unknown from its own row, one call and one memo each, against the
+    # whole system solved by substitution
+    unknowns, equations = wdvv_equations(r, n)
+    values, free = solve_exact(unknowns, equations)
+    assert free == [] and len(values) == len(unknowns) > 10
+    wrong = [a for a, value in values.items() if solve_bracket(r, a).value != Fraction(value, r ** (n - 3))]
+    assert wrong == []
 
 
 @pytest.mark.parametrize("r,n,unknowns,equations", [
@@ -538,19 +555,6 @@ def test_a_wrong_smaller_value_makes_the_system_inconsistent(r, n, smaller):
             solve_exact(*wdvv_equations(r, n, perturbed))
 
 
-def test_rows_that_only_elimination_finds_inconsistent_name_the_system(monkeypatch):
-    # a second row pins the unknown to another value, or reads 0 = 2: the
-    # solver's row check raises, and solve_bracket names the system it solved
-    key = (1, 3, 5, 5, 5)
-    for extra in (({key: 1}, 2), ({}, 2)):
-        contradiction = WdvvSystem((key,), (({key: 1}, 1), extra))
-        monkeypatch.setattr("rspin.genus0.wdvv_equations", lambda r, n, cache: contradiction)
-        with pytest.raises(InconsistentSystemError, match="^inconsistent genus-0 WDVV system at r=7, n=5$"):
-            solve_bracket(7, key, CacheStore())
-        with pytest.raises(InconsistentSystemError, match="^inconsistent linear system$"):
-            solve_exact(*contradiction)
-
-
 def test_a_wrong_stored_value_is_caught_by_the_row_check_naming_the_system():
     # <1,3,6,6,6> at r = 8 is 0; stored as 1/64 (scaled by r^2, the integer 1)
     # it gives six-point rows with no unknown and a nonzero constant, which
@@ -560,9 +564,35 @@ def test_a_wrong_stored_value_is_caught_by_the_row_check_naming_the_system():
         store.put("g0:r=8:a=1,3,6,6,6", Fraction(1, 64))
         return store
 
-    assert [rhs for coeffs, rhs in wdvv_equations(8, 6, wrong()).equations if not coeffs] == [-2, -3, 1, -4]
-    with pytest.raises(InconsistentSystemError, match="^inconsistent genus-0 WDVV system at r=8, n=6$"):
-        solve_bracket(8, (3, 3, 6, 6, 6, 6), wrong())
+    system = wdvv_equations(8, 6, wrong())
+    assert [rhs for coeffs, rhs in system.equations if not coeffs] == [-2, -3, 1, -4]
+    with pytest.raises(InconsistentSystemError, match="^inconsistent linear system$"):
+        solve_exact(*system)
+
+
+def test_the_system_builder_puts_only_values_from_rows():
+    # wdvv_equations reads a stored value into its rows, but each value it
+    # puts comes from the lemma's rows alone: a wrong five-point value at
+    # r = 8 leaves every other (8, 5) value it fills true
+    r = 8
+    true = {genus0_key(r, a): solve_bracket(r, a).value for a in ascending_multisets(1, r - 2, 5, 3 * r - 2)}
+    for key in true:
+        store = CacheStore()
+        store.put(key, true[key] + Fraction(1, r * r))
+        wdvv_equations(r, 6, store)
+        assert dict(store.items()) == {**true, key: true[key] + Fraction(1, r * r)}, key
+
+
+@pytest.mark.parametrize("a", [(1, 3, 6, 6, 6), (3, 3, 6, 6, 6, 6), (2, 2, 6, 6, 6)])
+def test_solve_bracket_never_serves_a_stored_value(a):
+    # Each request recomputes its strata and names the stored value that
+    # disagrees, whether it asked for that bracket or not; that value stays
+    store = CacheStore()
+    store.put("g0:r=8:a=1,3,6,6,6", Fraction(1, 64))
+    message = "stored value 1/64 for g0:r=8:a=1,3,6,6,6 disagrees with the recomputed 0"
+    with pytest.raises(CacheError, match=f"^{re.escape(message)}$"):
+        solve_bracket(8, a, store)
+    assert store.get("g0:r=8:a=1,3,6,6,6") == Fraction(1, 64)
 
 
 def test_wdvv_system_r2_is_empty():
@@ -599,9 +629,11 @@ def test_solve_bracket_uses_cache():
     cache = CacheStore()
     first = solve_bracket(4, (2, 2, 2, 2, 2), cache)
     assert "g0:r=4:a=2,2,2,2,2" in cache
+    cache.dirty = False
     second = solve_bracket(4, (2, 2, 2, 2, 2), cache)
-    assert first.value == second.value
-    assert "cache" in second.trace
+    # the stored value is checked against the row, not read
+    assert first == second == EvalResult(Fraction(1, 8), "ok", ("wdvv-elimination",))
+    assert not cache.dirty
 
 
 @settings(deadline=None)

@@ -9,6 +9,7 @@ either side.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -76,6 +77,27 @@ def test_lg_brackets_equal_wdvv_on_every_small_bracket():
     assert sum(1 for r, a in rows if 0 in a) > 50
     assert sum(1 for r, a in rows if solve_bracket(r, a).value) > 80
     assert _bracket_mismatches(rows) == []
+
+
+def test_lg_brackets_equal_the_lemmas_rows_on_random_brackets_up_to_r_30():
+    # WDVV by the lemma's rows alone, one bracket per call, where building
+    # whole systems would take minutes: graded rows with twists in [1, r - 2]
+    rng = random.Random(7)
+    rows = []
+    while len(rows) < 300:
+        r, n = rng.randint(17, 30), rng.randint(5, 7)
+        a = [rng.randint(1, r - 2) for _ in range(n - 1)]
+        if 1 <= (n - 2) * r - 2 - sum(a) <= r - 2:
+            rows.append((r, tuple(a) + ((n - 2) * r - 2 - sum(a),)))
+    values = {row: lg.bracket(*row).value for row in rows}
+    assert sum(1 for value in values.values() if value) > 250
+    wrong = [row for row in rows if solve_bracket(*row) != EvalResult(values[row], "ok", ("wdvv-elimination",))]
+    assert wrong == []
+    # the two seven-point brackets CI pins: WDVV systems at (16, 7) took
+    # seconds, and at (30, 7) could not be built at all
+    for r, a, value in [(30, (4, 4, 28, 28, 28, 28, 28), Fraction(1, 33750)),
+                        (16, (4, 4, 14, 14, 14, 14, 14), Fraction(3, 8192))]:
+        assert solve_bracket(r, a).value == lg.bracket(r, a).value == value
 
 
 def test_lg_bracket_statuses_follow_solve_bracket():

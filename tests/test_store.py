@@ -18,11 +18,11 @@ from rspin.store import CACHE_ENV_VAR, CacheStore, default_cache_path
 def synthetic_entries(count):
     """Yield (canonical g0 key, exact value) pairs, all distinct.
 
-    Five-point values over ``r^2`` scale to integers, as every true genus-0
-    value does, so a load accepts them.
+    Five-point values over ``r^2`` scale to integers, and the twists are
+    graded, as every true nonzero genus-0 value's are, so a load accepts them.
     """
     r = 50
-    source = combinations_with_replacement(range(r), 5)
+    source = (a for a in combinations_with_replacement(range(r - 1), 5) if sum(a) == 3 * r - 2)
     for i, a in enumerate(islice(source, count)):
         key = "g0:r={}:a={}".format(r, ",".join(map(str, a)))
         yield key, Fraction(i - 3, r * r)
@@ -220,10 +220,29 @@ def test_load_refuses_a_genus0_value_that_scales_to_no_integer(tmp_path):
         message = f"{path}: {key}: stored value {value} times r^(n-3) = {scale} is not an integer"
         with pytest.raises(CacheError, match=f"^{re.escape(message)}$"):
             CacheStore.load(str(path))
-    # values that scale to integers load, and genus-1 values are not scaled
+    # values of graded brackets that scale to integers load, and genus-1
+    # values are not scaled
     path.write_text('{"schema": 1, "entries": {"g0:r=8:a=1,3,6,6,6": "1/64", '
-                    '"g0:r=8:a=1,3,6,6": "1/8", "g0:r=8:a=1,6,7": "2/1", "dr1:r=8:k=4,-4:a=2,6": "25/64"}}')
+                    '"g0:r=8:a=1,3,4,6": "1/8", "g0:r=8:a=1,2,3": "2/1", "dr1:r=8:k=4,-4:a=2,6": "25/64"}}')
     assert len(CacheStore.load(str(path))) == 4
+
+
+@pytest.mark.parametrize("key,value,status", [
+    ("g0:r=8:a=1,1,1", "5/1", "dimension-mismatch-zero"),
+    ("g0:r=8:a=1,3,6,6", "1/8", "dimension-mismatch-zero"),
+    ("g0:r=8:a=0,0,7,7", "-1/8", "vanishing-axiom-zero"),
+])
+def test_load_refuses_a_nonzero_genus0_value_on_a_bracket_that_is_zero(tmp_path, key, value, status):
+    # a bracket off the grading, or with a twist r - 1, is 0 whatever the
+    # file says; no request reads such an entry, so the load refuses it,
+    # naming the path and the key, and a 0 stored there loads
+    path = tmp_path / "cache.json"
+    path.write_text(json.dumps({"schema": 1, "entries": {"g0:r=7:a=1,3,5,5,5": "0/1", key: value}}))
+    message = f"{path}: {key}: stored value {Fraction(value)}, but a {status} bracket is 0"
+    with pytest.raises(CacheError, match=f"^{re.escape(message)}$"):
+        CacheStore.load(str(path))
+    path.write_text(json.dumps({"schema": 1, "entries": {key: "0/1"}}))
+    assert CacheStore.load(str(path)).get(key) == 0
 
 
 def test_repeated_key_is_named(tmp_path):
