@@ -273,6 +273,23 @@ def _genus0_status(r: int, a: Sequence[int]) -> str:
     return STATUS_VANISHING_ZERO if r - 1 in a else STATUS_OK
 
 
+def _genus0_closed(r: int, a: Sequence[int]) -> Optional[Tuple[int, str]]:
+    """``(r^(n-3) * <a>, rule)`` by a closed form, or ``None`` when no closed form applies.
+
+    ``a`` is ascending with status ``ok``, so its twists lie in ``[0, r - 2]``:
+    1 at three points, the least twist or reflection ``min(a_0, r - 1 - a_3)``
+    at four, and 0 for a twist 0 past four. The one place these are written.
+    """
+    size = len(a)
+    if size == 3:
+        return 1, "three-point"
+    if size == 4:
+        return min(a[0], r - 1 - a[3]), "four-point"
+    if a[0] == 0:
+        return 0, "zero-entry"
+    return None
+
+
 def _dr1_status(r: int, a: Sequence[int]) -> str:
     """The status every genus-1 evaluator reports for a twist row checked against [0, r-1].
 

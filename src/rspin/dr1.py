@@ -139,15 +139,17 @@ def _b_row(r: int, a: Sequence[int], name: str) -> Tuple[int, ...]:
 def b_value_trr(r: int, a: Sequence[int], cache: Optional[CacheStore] = None) -> Fraction:
     """B(r, a) as the genus-0 window sum ``sum_{b+c=r-2} <b, c, a>_0`` over 24.
 
-    Each bracket comes from :func:`rspin.genus0.solve_bracket`, so this route
-    never reads the product formula of :func:`b_value` (the module docstring
-    says why the two agree). Rows violating the selection rule give 0. Calls
-    at one ``r`` may share ``cache``, the genus-0 store.
+    Each bracket comes from the lemma's rows of :mod:`rspin.genus0`, one memo
+    per window (:func:`rspin.genus0.bracket_window_sum`), so this route never
+    reads the product formula of :func:`b_value` (the module docstring says
+    why the two agree). Rows violating the selection rule give 0. Calls at
+    one ``r`` may share ``cache``, the genus-0 store, which each window fills
+    and checks once and never reads for an answer.
     """
     from . import genus0  # imported here, so that genus-1 requests never run genus0
 
     a = _b_row(r, a, "b_value_trr")
-    return genus0.bracket_window_sum(r, r - 2, a, cache, method="wdvv") / 24 if a else Fraction(0)
+    return genus0.bracket_window_sum(r, r - 2, a, cache) / 24 if a else Fraction(0)
 
 
 def closed_form(bracket: DR1Bracket) -> EvalResult:

@@ -1,16 +1,16 @@
 """Genus-0 correlator evaluation: closed 3/4-point values and the lemma's rows.
 
-Small brackets have closed forms, written once, in :func:`_scaled`: any
-grading-valid 3-point bracket equals 1, and a 4-point bracket equals
-``(1/r) * min`` over the twists and their reflections ``r - 1 - a_i``.
-Associativity ties each larger bracket to smaller ones (Kontsevich-Manin,
-hep-th/9402147): :func:`solve_bracket` evaluates the one row in which the
-lemma below shows the bracket is the last unknown, with coefficient 1, and
+Small brackets have closed forms, written once, in
+``rspin.core._genus0_closed``: any grading-valid 3-point bracket equals 1,
+and a 4-point bracket equals ``(1/r) * min`` over the twists and their
+reflections ``r - 1 - a_i``. Associativity ties each larger bracket to
+smaller ones (Kontsevich-Manin, hep-th/9402147): :func:`solve_bracket` and
+:func:`bracket_window_sum` evaluate the one row in which the lemma below
+shows the bracket is the last unknown, with coefficient 1, and
 :func:`wdvv_equations` builds every row of an (r, n) system, the reference
 the tests check against. A second, independent route, :mod:`rspin.lg`, reads
-every bracket off the Landau-Ginzburg model; :func:`bracket_window_sum`
-takes it by default, and the checks that exist to test the associativity
-route ask for ``"wdvv"``.
+every bracket off the Landau-Ginzburg model; the tests and ``rspin g0
+--method lg`` ask for it by name.
 
 Two vanishing rules shortcut the solver and also prune the generated
 equations: a twist equal to ``r - 1`` kills any bracket, and a twist equal
@@ -71,9 +71,11 @@ from .core import (
     EvalResult,
     Genus0Bracket,
     GradingError,
+    StructureError,
     _ZERO_RESULTS,
     _check_r,
     _check_window,
+    _genus0_closed,
     _product,
     ascending_multisets,
     genus0_key,
@@ -155,23 +157,15 @@ def _scaled(r: int, a: Key, build: "_Build") -> Tuple[int, str]:
     """``(S(a), rule)``: the scaled value ``r^(len(a)-3) * <a>`` of an ascending, graded bracket.
 
     Its twists lie in ``[0, r - 2]``, so neither the range nor the vanishing
-    axiom needs checking. Closed forms first (1 at three points, the least
-    twist or reflection at four, 0 for a twist 0 past four); any other
-    bracket comes from the row the lemma names (:meth:`_Build.own_row`),
-    never from a store.
+    axiom needs checking. Closed forms first (``rspin.core._genus0_closed``);
+    any other bracket comes from the row the lemma names
+    (:meth:`_Build.own_row`), never from a store.
     """
-    size = len(a)
-    if size == 3:
-        return 1, "three-point"
-    if size == 4:
-        return min(a[0], r - 1 - a[3]), "four-point"
-    if a[0] == 0:
-        return 0, "zero-entry"
-    return build.own_row(a), "wdvv-elimination"
+    return _genus0_closed(r, a) or (build.own_row(a), "wdvv-elimination")
 
 
 class _Build:
-    """Multiset codes and the value memo of one :func:`wdvv_equations` or :func:`solve_bracket` call.
+    """Multiset codes and the value memo of one :func:`wdvv_equations`, :func:`solve_bracket` or window.
 
     A multiset of twists in ``[0, r - 2]`` is coded as the sum of
     ``unit[t] = 1 << (width * t)`` over its twists, a count per twist in a
@@ -200,6 +194,12 @@ class _Build:
                     cache.put(key, Fraction(self.value(code), r ** (size - 3)))
                 else:
                     yield key, code, size, stored
+
+    def fill_and_check(self, n: int, cache: CacheStore) -> None:
+        """:meth:`fill` ``cache``, and raise ``CacheError`` naming the key and both values where it disagrees."""
+        for key, code, size, stored in self.fill(n, cache):
+            if stored != (value := Fraction(self.value(code), self.r ** (size - 3))):
+                raise CacheError(f"stored value {stored} for {key} disagrees with the recomputed {value}")
 
     def counts(self, code: int) -> List[int]:
         mask = (1 << self.width) - 1
@@ -385,39 +385,34 @@ def solve_bracket(r: int, a: Sequence[int], cache: Optional[CacheStore] = None) 
     build = _Build(r, n)
     scaled, rule = _scaled(r, bracket.a, build)
     if cache is not None and rule == "wdvv-elimination":
-        for key, code, size, stored in build.fill(n, cache):
-            if stored != (value := Fraction(build.value(code), r ** (size - 3))):
-                raise CacheError(f"stored value {stored} for {key} disagrees with the recomputed {value}")
+        build.fill_and_check(n, cache)
     return EvalResult(Fraction(scaled, r ** (n - 3)), STATUS_OK, (rule,))
 
 
-def bracket_window_sum(
-    r: int, m: int, x: Sequence[int], cache: Optional[CacheStore] = None, method: str = "lg"
-) -> Fraction:
-    """Brute-force window sum ``sum_{a+b=m} <a, b, x...>`` over in-range pairs.
+def bracket_window_sum(r: int, m: int, x: Sequence[int], cache: Optional[CacheStore] = None) -> Fraction:
+    """Window sum ``sum_{a+b=m} <a, b, x...>`` over the pairs with ``0 <= a, b <= r - 1``.
 
-    This is the quantity :func:`loop_sum` models. Twist pairs run over all
-    ``a + b = m`` with ``0 <= a, b <= r - 1``. Neither route reads the
-    closed formula of :func:`loop_sum`, so comparing the two checks it.
-
-    method:
-        ``"lg"`` (the default) sums the whole window in one Landau-Ginzburg
-        pass, :func:`rspin.lg.window_sum`; it neither reads nor writes
-        ``cache``. ``"wdvv"`` evaluates each bracket by :func:`solve_bracket`,
-        which fills and checks ``cache`` when one is given; the checks that
-        exist to test the associativity route ask for it by name. Any other
-        value raises ``ValueError``.
-
-    Both routes make the same argument checks and raise the same errors.
+    The quantity :func:`loop_sum` models, summed without its formula, so
+    comparing the two checks it; :func:`rspin.lg.window_sum` sums it by the
+    independent route, with the same argument checks and errors. Each graded
+    bracket is read by :func:`_scaled`, all on one memo. ``cache`` is never
+    read for an answer: when a bracket needed a row, it is filled and checked
+    once for the window, as :func:`solve_bracket` does for one bracket.
     """
-    if method == "lg":
-        from .lg import window_sum  # run only when a request takes this route
-
-        return window_sum(r, m, x)
-    if method != "wdvv":
-        raise ValueError(f"unknown genus-0 window method {method!r}")
     xs = _check_window(r, m, x)
-    total = Fraction(0)
-    for a in range(max(0, m - (r - 1)), min(r - 1, m) + 1):
-        total += solve_bracket(r, (a, m - a) + xs, cache).value
-    return total
+    if m > 2 * r - 2:
+        return Fraction(0)
+    if not xs:
+        raise StructureError("a genus-0 bracket needs >= 3 insertions, got 2")
+    n = len(xs) + 2
+    if r - 1 in xs or m + sum(xs) != (n - 2) * r - 2:
+        return Fraction(0)
+    build, total, from_rows = _Build(r, n), 0, False
+    # a pair holding a twist r - 1 vanishes
+    for a in range(max(0, m - (r - 2)), min(r - 2, m) + 1):
+        scaled, rule = _scaled(r, tuple(sorted((a, m - a) + xs)), build)
+        total += scaled
+        from_rows = from_rows or rule == "wdvv-elimination"
+    if cache is not None and from_rows:
+        build.fill_and_check(n, cache)
+    return Fraction(total, r ** (n - 3))

@@ -16,8 +16,9 @@ fields, so most keys cost a few dict lookups. A non-canonical key would make
 the same bracket cacheable under several names, so it is a contract error,
 explained by parsing the key only once it has been rejected. Values are
 exact: ``put`` takes only an ``int`` or a ``Fraction``; ``load`` parses each
-distinct value text once, and refuses a genus-0 value scaling to no integer
-and a nonzero one on a bracket whose grading status makes it 0.
+distinct value text once, and refuses a genus-0 value scaling to no integer,
+a nonzero one on a bracket whose grading status makes it 0, and one that
+differs from its closed form (``rspin.core._genus0_closed``).
 A file that cannot be read or written raises :class:`rspin.core.CacheError`
 naming the path.
 """
@@ -32,7 +33,8 @@ from fractions import Fraction
 from typing import Dict, Iterator, Optional, Tuple
 
 from .core import (
-    STATUS_OK, CacheError, KeyCheck, StructureError, _genus0_status, format_rational, parse_key, parse_rational,
+    STATUS_OK, CacheError, KeyCheck, StructureError, _genus0_closed, _genus0_status, format_rational, parse_key,
+    parse_rational,
 )
 
 __all__ = ["SCHEMA_VERSION", "CACHE_ENV_VAR", "CacheStore", "default_cache_path"]
@@ -94,7 +96,7 @@ class CacheStore:
 
     @classmethod
     def load(cls, path: str) -> "CacheStore":
-        """Read a cache file, validating schema, keys, value format, and genus-0 status and scaling."""
+        """Read a cache file, validating schema, keys, value format, and genus-0 status, scaling and closed forms."""
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 payload = json.load(fh, object_pairs_hook=_unique_keys)
@@ -127,9 +129,13 @@ class CacheStore:
             if key.startswith("g0:"):
                 _, r, a = key.split(":")
                 r, a = int(r[2:]), [int(t) for t in a[2:].split(",")]
-                _genus0_scaled(f"{path}: {key}", value, r, len(a))
-                if value and (status := _genus0_status(r, a)) != STATUS_OK:
-                    raise CacheError(f"{path}: {key}: stored value {value}, but a {status} bracket is 0")
+                scaled = _genus0_scaled(f"{path}: {key}", value, r, len(a))
+                if (status := _genus0_status(r, a)) != STATUS_OK:
+                    if value:
+                        raise CacheError(f"{path}: {key}: stored value {value}, but a {status} bracket is 0")
+                elif (closed := _genus0_closed(r, a)) and closed[0] != scaled:
+                    raise CacheError(f"{path}: {key}: stored value {value}, but its {closed[1]} closed form is "
+                                     f"{Fraction(closed[0], r ** (len(a) - 3))}")
             store._entries[key] = value
         return store
 

@@ -125,8 +125,8 @@ def check_prop_loop(r_max: int, n_max: int, extended: bool = False) -> SuiteRepo
 
     For every r <= r_max and point count up to n_max, all valid (m, x)
     windows are enumerated and the closed formula is compared with the sum
-    of solve_bracket values over the window (the WDVV route, asked for by
-    name: this suite tests it). ``extended`` widens m from
+    of the window's brackets (``bracket_window_sum``: closed forms and the
+    lemma's rows). ``extended`` widens m from
     r - 2 up to r on windows with at least two spectator twists; at the
     boundary m = r with exactly two spectators the formula exceeds the
     actual sum by exactly (r-1)/r, and this suite reports those windows as
@@ -142,7 +142,7 @@ def check_prop_loop(r_max: int, n_max: int, extended: bool = False) -> SuiteRepo
                 total_x = x_len * r - m - 2
                 for x in ascending_multisets(0, r - 2, x_len, total_x):
                     formula = loop_sum(r, m, x, extended=extended)
-                    summed = bracket_window_sum(r, m, x, method="wdvv")
+                    summed = bracket_window_sum(r, m, x)
                     yield None if formula == summed else (
                         "loop:r={}:m={}:x={}".format(r, m, ",".join(str(v) for v in x)),
                         format_rational(summed),

@@ -170,8 +170,8 @@ def test_criterion_8_cache_round_trip(tmp_path):
     t0 = time.perf_counter()
     store = CacheStore()
     # five-point values over r^2 = 2500 scale to integers, and the twists are
-    # graded (sum 148, none 49), as those of true nonzero values are
-    source = (a for a in combinations_with_replacement(range(49), 5) if sum(a) == 148)
+    # graded (sum 148, none 0 or 49), as those of true nonzero values are
+    source = (a for a in combinations_with_replacement(range(1, 49), 5) if sum(a) == 148)
     for i, a in enumerate(islice(source, 10_000)):
         key = "g0:r=50:a={}".format(",".join(map(str, a)))
         store.put(key, Fraction(i - 11, 2500))

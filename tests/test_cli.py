@@ -738,6 +738,23 @@ def test_a_nonzero_genus0_value_on_a_bracket_that_is_zero_exits_1_naming_it(caps
     assert path.read_text() == text
 
 
+@pytest.mark.parametrize("r,a", [
+    pytest.param("5", "2,2,3,3,3", id="2,2,3,3,3"),
+    pytest.param("5", "1,1,3,3", id="1,1,3,3"),
+])
+def test_a_genus0_value_off_its_closed_form_exits_1_naming_it(capsys, tmp_path, r, a):
+    # <1,1,3,3> at r = 5 is min(1, 5 - 1 - 3)/5 = 1/5: the stored 2/5 would
+    # enter the rows of the five-point brackets, so it is refused as the file
+    # loads, whether it is asked for or not, and never saved back
+    path = tmp_path / "wrong.json"
+    text = '{"schema": 1, "entries": {"g0:r=5:a=1,1,3,3": "2/5"}}\n'
+    path.write_text(text)
+    code, out, err = invoke(capsys, "g0", "--r", r, "--a", a, "--cache", str(path))
+    assert (code, out) == (1, "")
+    assert err == f"error: {path}: g0:r=5:a=1,1,3,3: stored value 2/5, but its four-point closed form is 1/5\n"
+    assert path.read_text() == text
+
+
 def test_g0_lg_method_leaves_the_cache_file_alone(capsys, tmp_path):
     path = tmp_path / "cache.json"
     code, out, _ = invoke(capsys, "g0", "--r", "7", "--a", "3,3,4,4,5", "--method", "lg", "--cache", str(path))

@@ -28,6 +28,7 @@ from rspin.core import (
     genus0_key,
     parse_key,
 )
+from rspin import lg
 from rspin.elimination import solve_exact
 from rspin.genus0 import (
     _Build,
@@ -154,8 +155,8 @@ def test_window_sum_matches_formula_in_classic_range():
                 from rspin.core import ascending_multisets
                 for x in ascending_multisets(0, r - 2, x_len, total_x):
                     want = loop_sum(r, m, x)
-                    assert bracket_window_sum(r, m, x, cache, method="wdvv") == want
-                    assert bracket_window_sum(r, m, x, method="lg") == want
+                    assert bracket_window_sum(r, m, x, cache) == want
+                    assert lg.window_sum(r, m, x) == want
 
 
 DIVERGENT_WINDOWS = [
@@ -181,8 +182,8 @@ def test_extended_boundary_diverges_from_bracket_sum(r, m, x, true_sum, formula)
     values and the vanishing rules, so the discrepancy is intrinsic to the
     formula's claimed range, not to the solver.
     """
-    assert bracket_window_sum(r, m, x, method="wdvv") == true_sum
-    assert bracket_window_sum(r, m, x, method="lg") == true_sum
+    assert bracket_window_sum(r, m, x) == true_sum
+    assert lg.window_sum(r, m, x) == true_sum
     assert loop_sum(r, m, x, extended=True) == formula
     assert formula - true_sum == Fraction(r - 1, r)
 
@@ -200,10 +201,43 @@ def test_extended_interior_still_matches():
                 total_x = x_len * r - m - 2
                 for x in ascending_multisets(0, r - 2, x_len, total_x):
                     want = loop_sum(r, m, x, extended=True)
-                    assert bracket_window_sum(r, m, x, cache, method="wdvv") == want
-                    assert bracket_window_sum(r, m, x, method="lg") == want
+                    assert bracket_window_sum(r, m, x, cache) == want
+                    assert lg.window_sum(r, m, x) == want
                     checked += 1
     assert checked > 10
+
+
+@pytest.mark.parametrize("r,n", [(8, 5), (8, 6), (10, 7), (12, 5)])
+def test_a_window_fills_the_store_as_solve_bracket_does(r, n):
+    # the first window at (r, n) with a bracket read off its row, against the
+    # first unknown: one fill for the window, the same keys and values
+    m, x = next((m, x) for m in range(2, r - 1) for x in ascending_multisets(1, r - 2, n - 2, (n - 2) * r - m - 2))
+    window, single = CacheStore(), CacheStore()
+    assert bracket_window_sum(r, m, x, window) == loop_sum(r, m, x)
+    solve_bracket(r, next(ascending_multisets(1, r - 2, n, (n - 2) * r - 2)), single)
+    assert len(window) > 0 and dict(window.items()) == dict(single.items())
+    # a filled store is checked, and left as it is
+    assert bracket_window_sum(r, m, x, window) == loop_sum(r, m, x)
+    assert dict(window.items()) == dict(single.items())
+
+
+def test_a_window_refuses_a_wrong_stored_value_naming_its_key():
+    store = CacheStore()
+    store.put(genus0_key(8, (1, 3, 6, 6, 6)), Fraction(1, 64))
+    message = "stored value 1/64 for g0:r=8:a=1,3,6,6,6 disagrees with the recomputed 0"
+    with pytest.raises(CacheError, match=f"^{re.escape(message)}$"):
+        bracket_window_sum(8, 4, (6, 6, 6), store)
+    # also from a window that does not hold that bracket, but reads the (8, 5) values
+    with pytest.raises(CacheError, match=f"^{re.escape(message)}$"):
+        bracket_window_sum(8, 6, (4, 6, 6), store)
+
+
+def test_a_window_of_closed_form_brackets_puts_nothing():
+    # three and four points, and five and six points, each bracket with a twist 0
+    store = CacheStore()
+    for r, m, x in [(8, 5, (1,)), (8, 2, (6, 6)), (8, 10, (0, 6, 6)), (8, 12, (0, 6, 6, 6))]:
+        assert bracket_window_sum(r, m, x, store) == lg.window_sum(r, m, x)
+    assert not store.dirty and len(store) == 0
 
 
 WDVV_GOLDENS = [

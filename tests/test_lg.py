@@ -67,7 +67,7 @@ def _window_mismatches(windows):
     stores = {}
     return [
         (r, m, x) for r, m, x in windows
-        if lg.window_sum(r, m, x) != bracket_window_sum(r, m, x, stores.setdefault(r, CacheStore()), "wdvv")
+        if lg.window_sum(r, m, x) != bracket_window_sum(r, m, x, stores.setdefault(r, CacheStore()))
     ]
 
 
@@ -132,6 +132,30 @@ def test_lg_windows_equal_wdvv_on_classic_and_extended_windows():
     assert _window_mismatches(windows) == []
 
 
+def _disagreeing(windows):
+    """The windows where the row route, LG and ``loop_sum`` do not all agree."""
+    return [w for w in windows if not bracket_window_sum(*w) == lg.window_sum(*w) == loop_sum(*w)]
+
+
+def test_both_window_routes_equal_the_formula_on_every_classic_window_up_to_r_16():
+    # m <= r - 2 and one to four spectators: the cases of verify's loop suite at --r-max 16 --n-max 6
+    windows = [(r, m, x) for r in range(2, 17) for m in range(r - 1) for p in range(1, 5)
+               for x in ascending_multisets(0, r - 2, p, p * r - m - 2)]
+    assert len(windows) == 790
+    assert _disagreeing(windows) == []
+
+
+def test_both_window_routes_equal_the_formula_on_seven_point_windows_up_to_r_30():
+    rng = random.Random(11)
+    windows = []
+    while len(windows) < 30:
+        r = rng.randint(17, 30)
+        m, x = rng.randint(0, r - 2), [rng.randint(0, r - 2) for _ in range(4)]
+        if 0 <= (last := 5 * r - m - 2 - sum(x)) <= r - 2:
+            windows.append((r, m, tuple(sorted(x + [last]))))
+    assert _disagreeing(windows) == []
+
+
 def test_b_equals_one_lg_window_on_every_row_up_to_r_16():
     # B(r, a) is the genus-0 window sum over b + c = r - 2 in front of a, over
     # 24: every B row with twists up to r - 2 at r <= 16 and n <= 6, each
@@ -145,12 +169,16 @@ def test_b_equals_one_lg_window_on_every_row_up_to_r_16():
     assert checked == 225
 
 
-def test_default_window_route_is_lg_and_leaves_the_store_alone():
+def test_the_window_route_fills_the_store_it_is_given_and_lg_takes_none():
     store = CacheStore()
-    assert bracket_window_sum(8, 6, (6, 6, 6, 6), store) == loop_sum(8, 6, (6, 6, 6, 6))
-    assert not store.dirty and list(store.items()) == []
-    bracket_window_sum(8, 6, (6, 6, 6, 6), store, method="wdvv")
-    assert store.dirty
+    want = loop_sum(8, 6, (6, 6, 6, 6))
+    assert lg.window_sum(8, 6, (6, 6, 6, 6)) == want
+    assert bracket_window_sum(8, 6, (6, 6, 6, 6), store) == want
+    assert store.dirty and len(store) > 0
+    with pytest.raises(TypeError):
+        lg.window_sum(8, 6, (6, 6, 6, 6), store)
+    with pytest.raises(TypeError):
+        bracket_window_sum(8, 6, (6, 6, 6, 6), store, method="lg")
 
 
 @pytest.mark.parametrize(
@@ -158,6 +186,7 @@ def test_default_window_route_is_lg_and_leaves_the_store_alone():
     [
         (4, 2, ()),  # no fixed twist, but pairs to sum
         (4, 7, ()),  # no pair in range
+        (4, 6, ()),  # pairs to sum, each holding a twist r - 1, but no fixed twist
         (4, -1, (1,)),
         (4, True, (1, 1)),
         (4, 2, (1, 4)),
@@ -170,17 +199,12 @@ def test_default_window_route_is_lg_and_leaves_the_store_alone():
 )
 def test_both_window_routes_share_argument_checks_and_zeros(r, m, x):
     outcomes = []
-    for method in ("wdvv", "lg"):
+    for route in (bracket_window_sum, lg.window_sum):
         try:
-            outcomes.append(bracket_window_sum(r, m, x, method=method))
+            outcomes.append(route(r, m, x))
         except (GradingError, StructureError) as exc:
             outcomes.append((type(exc), str(exc)))
     assert outcomes[0] == outcomes[1]
-
-
-def test_an_unknown_window_method_is_refused():
-    with pytest.raises(ValueError, match="unknown genus-0 window method 'both'"):
-        bracket_window_sum(6, 2, (4, 4), method="both")
 
 
 def test_lg_answers_with_wdvv_elimination_and_the_formula_gone(monkeypatch):

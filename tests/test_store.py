@@ -19,10 +19,11 @@ def synthetic_entries(count):
     """Yield (canonical g0 key, exact value) pairs, all distinct.
 
     Five-point values over ``r^2`` scale to integers, and the twists are
-    graded, as every true nonzero genus-0 value's are, so a load accepts them.
+    graded and at least 1, as every true nonzero five-point value's are, so a
+    load accepts them.
     """
     r = 50
-    source = (a for a in combinations_with_replacement(range(r - 1), 5) if sum(a) == 3 * r - 2)
+    source = (a for a in combinations_with_replacement(range(1, r - 1), 5) if sum(a) == 3 * r - 2)
     for i, a in enumerate(islice(source, count)):
         key = "g0:r={}:a={}".format(r, ",".join(map(str, a)))
         yield key, Fraction(i - 3, r * r)
@@ -220,11 +221,32 @@ def test_load_refuses_a_genus0_value_that_scales_to_no_integer(tmp_path):
         message = f"{path}: {key}: stored value {value} times r^(n-3) = {scale} is not an integer"
         with pytest.raises(CacheError, match=f"^{re.escape(message)}$"):
             CacheStore.load(str(path))
-    # values of graded brackets that scale to integers load, and genus-1
-    # values are not scaled
+    # values of graded brackets that scale to integers load, those with a
+    # closed form when they equal it, and genus-1 values are not scaled
     path.write_text('{"schema": 1, "entries": {"g0:r=8:a=1,3,6,6,6": "1/64", '
-                    '"g0:r=8:a=1,3,4,6": "1/8", "g0:r=8:a=1,2,3": "2/1", "dr1:r=8:k=4,-4:a=2,6": "25/64"}}')
+                    '"g0:r=8:a=1,3,4,6": "1/8", "g0:r=8:a=1,2,3": "1/1", "dr1:r=8:k=4,-4:a=2,6": "25/64"}}')
     assert len(CacheStore.load(str(path))) == 4
+
+
+@pytest.mark.parametrize("key,value,rule,want", [
+    ("g0:r=5:a=1,1,3,3", "2/5", "four-point", "1/5"),
+    ("g0:r=8:a=3,3,3,5", "3/8", "four-point", "1/4"),  # the reflection r - 1 - 5 is the least
+    ("g0:r=8:a=1,2,3", "2/1", "three-point", "1"),
+    ("g0:r=7:a=0,4,5,5,5", "1/49", "zero-entry", "0"),
+])
+def test_load_refuses_a_genus0_value_that_differs_from_its_closed_form(tmp_path, key, value, rule, want):
+    # a wrong closed-form value would enter every row that reads it, so the
+    # load refuses it, naming the path and the key, and leaves the file alone;
+    # the true value loads
+    path = tmp_path / "cache.json"
+    text = json.dumps({"schema": 1, "entries": {"g0:r=7:a=1,3,5,5,5": "0/1", key: value}})
+    path.write_text(text)
+    message = f"{path}: {key}: stored value {Fraction(value)}, but its {rule} closed form is {want}"
+    with pytest.raises(CacheError, match=f"^{re.escape(message)}$"):
+        CacheStore.load(str(path))
+    assert path.read_text() == text
+    path.write_text(json.dumps({"schema": 1, "entries": {key: f"{Fraction(want).numerator}/{Fraction(want).denominator}"}}))
+    assert CacheStore.load(str(path)).get(key) == Fraction(want)
 
 
 @pytest.mark.parametrize("key,value,status", [
@@ -270,8 +292,9 @@ def test_repeated_key_is_named(tmp_path):
     ],
 )
 def test_load_refuses_a_key_whose_fields_passed_before(tmp_path, seen, key, canonical):
-    entries = {k: "1/1" for k in seen}
-    entries[key] = "1/1"
+    # 1/9 is the closed form of <1,3,5,7> at r = 9; genus-1 values are not checked
+    entries = {k: "1/9" for k in seen}
+    entries[key] = "1/9"
     path = tmp_path / "cache.json"
     path.write_text(json.dumps({"schema": 1, "entries": entries}))
     reason = f"canonical form is {canonical!r}" if canonical else "unusable cache key"
