@@ -186,7 +186,6 @@ def test_the_window_route_fills_the_store_it_is_given_and_lg_takes_none():
     [
         (4, 2, ()),  # no fixed twist, but pairs to sum
         (4, 7, ()),  # no pair in range
-        (4, 6, ()),  # pairs to sum, each holding a twist r - 1, but no fixed twist
         (4, -1, (1,)),
         (4, True, (1, 1)),
         (4, 2, (1, 4)),
@@ -195,6 +194,7 @@ def test_the_window_route_fills_the_store_it_is_given_and_lg_takes_none():
         (5, 3, (3, 3, 3)),  # graded wrong
         (6, 10, (4, 4, 4)),  # graded wrong, m = 2r - 2
         (6, 9, (0, 1)),  # every pair holds a twist r - 1
+        (4, 6, ()),  # pairs to sum, each holding a twist r - 1, but no fixed twist
     ],
 )
 def test_both_window_routes_share_argument_checks_and_zeros(r, m, x):

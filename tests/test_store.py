@@ -11,7 +11,7 @@ from itertools import combinations_with_replacement, islice
 
 import pytest
 
-from rspin.core import CacheError
+from rspin.core import CacheError, format_rational
 from rspin.store import CACHE_ENV_VAR, CacheStore, default_cache_path
 
 
@@ -245,7 +245,7 @@ def test_load_refuses_a_genus0_value_that_differs_from_its_closed_form(tmp_path,
     with pytest.raises(CacheError, match=f"^{re.escape(message)}$"):
         CacheStore.load(str(path))
     assert path.read_text() == text
-    path.write_text(json.dumps({"schema": 1, "entries": {key: f"{Fraction(want).numerator}/{Fraction(want).denominator}"}}))
+    path.write_text(json.dumps({"schema": 1, "entries": {key: format_rational(Fraction(want))}}))
     assert CacheStore.load(str(path)).get(key) == Fraction(want)
 
 
