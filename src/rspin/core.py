@@ -489,20 +489,42 @@ _set_dr1_r, _set_dr1_entries, _set_dr1_status = (DR1Bracket.r.__set__, DR1Bracke
 def ascending_multisets(lo: int, hi: int, count: int, total: int):
     """Yield every ascending ``count``-tuple over [lo, hi] with the given sum.
 
-    The window enumerators and the associativity generator all iterate over
-    twist multisets under a sum constraint; emitting them in ascending-tuple
-    order makes every enumeration deterministic.
+    The window enumerators, the genus-0 store fill and the associativity
+    generator all iterate over twist multisets under a sum constraint;
+    emitting them in ascending-tuple (lexicographic) order makes every
+    enumeration deterministic. One list is stepped in place, with no
+    recursion: each place from ``i`` on takes the least twist that leaves
+    the places after it a sum they can still reach, at least its left
+    neighbour and at most ``hi`` each, and the next tuple raises the last
+    place that can take one more and fills the places after it so again.
+
+    >>> list(ascending_multisets(1, 3, 3, 6))
+    [(1, 2, 3), (2, 2, 2)]
     """
     if count == 0:
         if total == 0:
             yield ()
         return
-    for first in range(lo, hi + 1):
-        rest_total = total - first
-        if rest_total < first * (count - 1) or rest_total > hi * (count - 1):
-            continue
-        for rest in ascending_multisets(first, hi, count - 1, rest_total):
-            yield (first,) + rest
+    if lo > hi or not lo * count <= total <= hi * count:
+        return
+    a = [0] * count
+    start, low, left = 0, lo, total
+    while True:
+        for i in range(start, count):
+            # the places after i take at most hi each, so place i takes at least left - hi * (count - 1 - i)
+            low = a[i] = max(low, left - hi * (count - 1 - i))
+            left -= low
+        yield tuple(a)
+        # left = the sum of a[i + 1:]; place i can take one more when the places after it can each still hold it
+        left = a[-1]
+        for i in range(count - 2, -1, -1):
+            low = a[i] + 1
+            if low * (count - 1 - i) < left:
+                a[i], left, start = low, left - 1, i + 1
+                break
+            left += a[i]
+        else:
+            return
 
 
 def format_rational(value: Fraction) -> str:

@@ -158,10 +158,15 @@ def _scaled(r: int, a: Key, build: "_Build") -> Tuple[int, str]:
 
     Its twists lie in ``[0, r - 2]``, so neither the range nor the vanishing
     axiom needs checking. Closed forms first (``rspin.core._genus0_closed``);
-    any other bracket comes from the row the lemma names
+    any other bracket is read off ``build``'s memo when a fill
+    (:meth:`_Build.fill`) has set it, else from the row the lemma names
     (:meth:`_Build.own_row`), never from a store.
     """
-    return _genus0_closed(r, a) or (build.own_row(a), "wdvv-elimination")
+    closed = _genus0_closed(r, a)
+    if closed:
+        return closed
+    code = sum([build.unit[t] for t in a])
+    return build.memo[code] if code in build.memo else build.own_row(a, code), "wdvv-elimination"
 
 
 class _Build:
@@ -184,21 +189,34 @@ class _Build:
     def fill(self, n: int, cache: CacheStore) -> Iterator[Tuple[str, int, int, Fraction]]:
         """Put each graded bracket of 5..n points, twists in ``[1, r - 2]``, that ``cache`` lacks.
 
+        One bottom-up pass, no recursion: strata 5..n in ascending order, each
+        in ascending tuple order (``ascending_multisets``), every bracket ``a``
+        set in the memo as :meth:`own_row` of ``a``. By the module's lemma,
+        each term of that row is a product of components with fewer points,
+        which an earlier stratum set or which have closed forms, or an n-point
+        component that sorts below ``a``, which this stratum set before ``a``.
+        So every term is in the memo, or is a closed form that :meth:`value`
+        reads once. Each bracket's key is looked up in ``cache`` in that
+        order, and its value put when missing.
+
         Yields ``(key, code, size, stored value)`` for each one it holds.
         """
-        r, unit = self.r, self.unit
+        r, unit, memo = self.r, self.unit, self.memo
         for size in range(5, n + 1):
+            scale = r ** (size - 3)
             for a in ascending_multisets(1, r - 2, size, (size - 2) * r - 2):
-                key, code = genus0_key(r, a), sum([unit[t] for t in a])
+                code = sum([unit[t] for t in a])
+                memo[code] = self.own_row(a, code)
+                key = genus0_key(r, a)
                 if (stored := cache.get(key)) is None:
-                    cache.put(key, Fraction(self.value(code), r ** (size - 3)))
+                    cache.put(key, Fraction(memo[code], scale))
                 else:
                     yield key, code, size, stored
 
     def fill_and_check(self, n: int, cache: CacheStore) -> None:
         """:meth:`fill` ``cache``, and raise ``CacheError`` naming the key and both values where it disagrees."""
         for key, code, size, stored in self.fill(n, cache):
-            if stored != (value := Fraction(self.value(code), self.r ** (size - 3))):
+            if stored != (value := Fraction(self.memo[code], self.r ** (size - 3))):
                 raise CacheError(f"stored value {stored} for {key} disagrees with the recomputed {value}")
 
     def counts(self, code: int) -> List[int]:
@@ -212,13 +230,15 @@ class _Build:
             self.memo[code] = _scaled(self.r, a, self)[0]
         return self.memo[code]
 
-    def own_row(self, a: Key) -> int:
+    def own_row(self, a: Key, code: int) -> int:
         """``S(a)`` from the lemma's row: ``{1,s-1 | c,d} - {1,c | s-1,d}``, less a's own term.
 
-        The other terms recurse through the memo: about 90 frames deep at
+        ``code`` is ``a``'s multiset code. Called by :meth:`fill`, every other
+        term is in the memo or closed-form. In a store-less call the terms
+        recurse through the memo instead: about 90 frames deep at
         (r, n) = (30, 7), past Python's default limit from r = 600 at n = 5.
         """
-        unit, code = self.unit, sum([self.unit[t] for t in a])
+        unit = self.unit
         s, c, d = a[a.count(1)], a[-2], a[-1]
         rest = code - unit[s] - unit[c] - unit[d]
         (mine, known), (theirs, other) = [self.expand(unit[w] + unit[x], w + x, unit[y] + unit[z], y + z, rest)
@@ -373,19 +393,22 @@ def solve_bracket(r: int, a: Sequence[int], cache: Optional[CacheStore] = None) 
     (1 at three points, ``min(a_i, r - 1 - a_i)/r`` at four), the zero-twist
     rule for five or more insertions, then the row the lemma names, with one
     memo for the call. The trace is the one rule that gave the value.
-    ``cache`` is never read for an answer: given one, a bracket taken from its
-    row has every graded bracket of 5..n points with twists in ``[1, r - 2]``
-    computed beside it, each value the store lacks is put, and a stored value
-    that disagrees raises ``CacheError`` naming its key and both values.
+    ``cache`` is never read for an answer: given one, a bracket with no closed
+    form first has every graded bracket of 5..n points with twists in
+    ``[1, r - 2]`` computed bottom-up (:meth:`_Build.fill`, no recursion), each
+    value the store lacks is put, a stored value that disagrees raises
+    ``CacheError`` naming its key and both values, and the bracket is then
+    read off the filled memo. Without a store its row recurses on demand,
+    which for one cold bracket costs far less than a fill.
     """
     bracket = Genus0Bracket(r, a)
     if bracket.status != STATUS_OK:
         return _ZERO_RESULTS[bracket.status]
     n = len(bracket.a)
     build = _Build(r, n)
-    scaled, rule = _scaled(r, bracket.a, build)
-    if cache is not None and rule == "wdvv-elimination":
+    if cache is not None and _genus0_closed(r, bracket.a) is None:
         build.fill_and_check(n, cache)
+    scaled, rule = _scaled(r, bracket.a, build)
     return EvalResult(Fraction(scaled, r ** (n - 3)), STATUS_OK, (rule,))
 
 
@@ -396,8 +419,9 @@ def bracket_window_sum(r: int, m: int, x: Sequence[int], cache: Optional[CacheSt
     comparing the two checks it; :func:`rspin.lg.window_sum` sums it by the
     independent route, with the same argument checks and errors. Each graded
     bracket is read by :func:`_scaled`, all on one memo. ``cache`` is never
-    read for an answer: when a bracket needed a row, it is filled and checked
-    once for the window, as :func:`solve_bracket` does for one bracket.
+    read for an answer: when some bracket has no closed form, the store is
+    filled and checked once for the window, first, as :func:`solve_bracket`
+    does for one bracket, and the window is then read off the filled memo.
     """
     xs = _check_window(r, m, x)
     if m > 2 * r - 2:
@@ -407,12 +431,9 @@ def bracket_window_sum(r: int, m: int, x: Sequence[int], cache: Optional[CacheSt
     n = len(xs) + 2
     if r - 1 in xs or m + sum(xs) != (n - 2) * r - 2:
         return Fraction(0)
-    build, total, from_rows = _Build(r, n), 0, False
+    build = _Build(r, n)
     # a pair holding a twist r - 1 vanishes
-    for a in range(max(0, m - (r - 2)), min(r - 2, m) + 1):
-        scaled, rule = _scaled(r, tuple(sorted((a, m - a) + xs)), build)
-        total += scaled
-        from_rows = from_rows or rule == "wdvv-elimination"
-    if cache is not None and from_rows:
+    brackets = [tuple(sorted((a, m - a) + xs)) for a in range(max(0, m - (r - 2)), min(r - 2, m) + 1)]
+    if cache is not None and not all([_genus0_closed(r, a) for a in brackets]):
         build.fill_and_check(n, cache)
-    return Fraction(total, r ** (n - 3))
+    return Fraction(sum([_scaled(r, a, build)[0] for a in brackets]), r ** (n - 3))

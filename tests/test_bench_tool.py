@@ -20,9 +20,9 @@ _spec.loader.exec_module(bench)
 BETTER = {"wall_s": "lower", "evals_per_s": "higher", "peak_rss_mb": "lower"}
 
 
-def _output(attempted, **metrics):
+def _output(attempted, correct=True, failed=0, **metrics):
     """What ``perfbench/run.py`` prints: comment lines, metric lines, then one JSON line."""
-    result = {"attempted": attempted, "correct": True, "failed": 0,
+    result = {"attempted": attempted, "correct": correct, "failed": failed,
               "metrics": {name: {"unit": "s", "value": value} for name, value in metrics.items()}}
     lines = ["# rspin benchmark: workload=g0-window seed=1 seconds=34 trace=0",
              *(f"{name} {value!r} s" for name, value in metrics.items()), json.dumps(result, sort_keys=True)]
@@ -93,3 +93,46 @@ def test_a_plan_needs_a_workload_and_a_positive_pair_count(text):
     with pytest.raises(bench.argparse.ArgumentTypeError):
         bench._plan(text)
     assert bench._plan("g0-window:10") == ("g0-window", 10)
+
+
+def _main_on_canned_runs(monkeypatch, tmp_path, outputs):
+    """Run ``main`` for one ``g0-window`` pair per entry of ``outputs``, a map of ``(seed, side)`` to run output.
+
+    Nothing is exported or run: ``_run`` reads the canned output, and the
+    file is written under ``tmp_path``.
+    """
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(
+        {"run_seconds": 34, "end_to_end": [{"name": "wall_s", "better": "lower"}]}))
+    monkeypatch.setattr(bench, "ROOT", str(tmp_path))
+    monkeypatch.setattr(bench, "_git", lambda *args: "0123456789abcdef\n")
+    monkeypatch.setattr(bench, "_export", lambda commit, into: None)
+    monkeypatch.setattr(bench, "_run", lambda copy, workload, seed, seconds:
+                        bench.parse_run(outputs[seed, bench.os.path.basename(copy)]))
+    pairs = len(outputs) // 2
+    return bench.main(["--label", "t", "--parent", "HEAD~1", "--change", "HEAD", f"g0-window:{pairs}"])
+
+
+def test_runs_that_fail_a_check_are_named_and_nothing_is_quoted(monkeypatch, tmp_path, capsys):
+    outputs = {(1, "parent"): _output(40, wall_s=0.03), (1, "change"): _output(41, correct=False, wall_s=0.02),
+               (2, "parent"): _output(40, failed=3, wall_s=0.03), (2, "change"): _output(41, wall_s=0.02)}
+    assert _main_on_canned_runs(monkeypatch, tmp_path, outputs) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert [line for line in err.splitlines() if not line.startswith("#")] == [
+        "BENCH_t.json: g0-window seed 1 change: correct false, failed 0 of 41",
+        "BENCH_t.json: g0-window seed 2 parent: correct true, failed 3 of 40",
+    ]
+    # the runs are kept for inspection, each with what it reported
+    record = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert [(run["seed"], run["side"], run["correct"], run["failed"])
+            for run in record["workloads"]["g0-window"]["runs"]] == [
+        (1, "parent", True, 0), (1, "change", False, 0), (2, "change", True, 0), (2, "parent", True, 3)]
+
+
+def test_runs_that_pass_every_check_are_quoted_and_exit_0(monkeypatch, tmp_path, capsys):
+    outputs = {(seed, side): _output(40, wall_s=0.03 if side == "parent" else 0.02)
+               for seed in (1, 2) for side in bench.SIDES}
+    assert _main_on_canned_runs(monkeypatch, tmp_path, outputs) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("Benchmark pairs in `BENCH_t.json`") and "change won 2/2" in out
+    assert [line for line in err.splitlines() if not line.startswith("#")] == []

@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import pickle
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -151,6 +152,30 @@ def test_ascending_multisets_enumeration():
     assert got == [(0, 3), (1, 2)]
     assert list(ascending_multisets(0, 2, 0, 0)) == [()]
     assert list(ascending_multisets(0, 2, 2, 9)) == []
+
+
+def _recursive_multisets(lo, hi, count, total):
+    """The recursive enumerator ``ascending_multisets`` replaced, kept as the reference for its order."""
+    if count == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in range(lo, hi + 1):
+        rest_total = total - first
+        if rest_total < first * (count - 1) or rest_total > hi * (count - 1):
+            continue
+        for rest in _recursive_multisets(first, hi, count - 1, rest_total):
+            yield (first,) + rest
+
+
+def test_ascending_multisets_matches_the_recursive_enumerator_tuple_for_tuple():
+    # every empty and out-of-range case too: hi below lo, totals below the least and past the largest sum
+    seen = 0
+    for lo, hi, count, total in product(range(3), range(12), range(8), range(-1, 70)):
+        got = list(ascending_multisets(lo, hi, count, total))
+        assert got == list(_recursive_multisets(lo, hi, count, total)), (lo, hi, count, total)
+        seen += len(got)
+    assert seen == 245_172
 
 
 @st.composite

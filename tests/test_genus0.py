@@ -9,7 +9,9 @@ the generator against silent regressions.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import re
+import sys
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, lcm
@@ -25,6 +27,7 @@ from rspin.core import (
     Genus0Bracket,
     InconsistentSystemError,
     ascending_multisets,
+    format_rational,
     genus0_key,
     parse_key,
 )
@@ -219,6 +222,36 @@ def test_a_window_fills_the_store_as_solve_bracket_does(r, n):
     # a filled store is checked, and left as it is
     assert bracket_window_sum(r, m, x, window) == loop_sum(r, m, x)
     assert dict(window.items()) == dict(single.items())
+
+
+def test_the_store_fill_is_pinned_byte_for_byte():
+    # solve_bracket on the first unknown of each stratum, a fresh store each:
+    # every key and value a fill puts, pinned by the digest of their lines
+    # (sorted keys, one stratum after another), so a change to the fill's
+    # order, set or values fails here even when every caller changes with it
+    digest = hashlib.sha256()
+    for r, n in [(8, 5), (8, 6), (10, 7), (12, 5), (12, 6), (14, 6), (40, 5)]:
+        store = CacheStore()
+        solve_bracket(r, next(ascending_multisets(1, r - 2, n, (n - 2) * r - 2)), store)
+        for key, value in store.items():
+            digest.update(f"{key}={format_rational(value)}\n".encode())
+    assert digest.hexdigest() == "c9749ae37ef5d12d4de46ddb9d717c9cf2ce6b24cafde320ac4e7941a4b7a4a8"
+
+
+def test_a_store_is_filled_without_recursion():
+    # <19,20,21,23,35> at r = 40 takes about 80 frames by its row on demand; given a
+    # store, the fill comes first and runs bottom-up, so it fits in 40 frames
+    # above the caller's, and so does a window of that stratum
+    want = lg.window_sum(40, 39, (21, 23, 35))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 40)
+    try:
+        bracket = solve_bracket(40, (19, 20, 21, 23, 35), CacheStore())
+        window = bracket_window_sum(40, 39, (21, 23, 35), CacheStore())
+    finally:
+        sys.setrecursionlimit(limit)
+    assert bracket == EvalResult(Fraction(63, 800), "ok", ("wdvv-elimination",))
+    assert window == want == Fraction(36, 25)
 
 
 def test_a_window_refuses_a_wrong_stored_value_naming_its_key():

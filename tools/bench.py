@@ -18,7 +18,10 @@ commits, the Python version, the bytecode state, every run's metrics and
 ``attempted`` count (a faster change runs more rounds, which can raise
 ``peak_rss_mb`` by itself), each side's median and quartiles per metric,
 and how many pairs each side won. The script then prints one sentence for
-CHANGES.md that quotes the file. Standard library only.
+CHANGES.md that quotes the file. A run that reports ``correct: false`` or a
+failed request is no measurement: the file is still written, but the script
+prints one line per such run, naming its workload, seed and side, quotes
+nothing and exits 1. Standard library only.
 """
 
 from __future__ import annotations
@@ -101,6 +104,14 @@ def sentence(record: dict, filename: str) -> str:
     return (f"Benchmark pairs in `{filename}` (tools/bench.py, Python {record['python']}, "
             f"parent {record['parent']['commit'][:7]} -> change {record['change']['commit'][:7]}, "
             f"{record['seconds']:g} s runs, medians): " + "; ".join(parts) + ".")
+
+
+def failed_runs(record: dict) -> List[str]:
+    """One line per run of ``record`` that reported ``correct: false`` or a failed request."""
+    return [f"{workload} seed {run['seed']} {run['side']}: correct {str(run['correct']).lower()}, "
+            f"failed {run['failed']} of {run['attempted']}"
+            for workload, entry in record["workloads"].items() for run in entry["runs"]
+            if not run["correct"] or run["failed"]]
 
 
 def _git(*args: str) -> str:
@@ -188,6 +199,11 @@ def main(argv: Sequence[str] = None) -> int:
     with open(os.path.join(ROOT, filename), "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=1, sort_keys=True)
         fh.write("\n")
+    failed = failed_runs(record)
+    for line in failed:
+        print(f"{filename}: {line}", file=sys.stderr)
+    if failed:
+        return 1
     print(sentence(record, filename))
     return 0
 
